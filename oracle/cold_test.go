@@ -2,6 +2,7 @@ package oracle_test
 
 import (
 	"errors"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -340,5 +341,95 @@ func TestManagerColdConcurrency(t *testing.T) {
 	}
 	if _, err := m.Get("zzz"); !errors.Is(err, oracle.ErrTenantNotFound) {
 		t.Fatalf("deleted tenant still resolvable: %v", err)
+	}
+}
+
+// TestColdReadFault corrupts one distance row of a cold tenant's snapshot
+// file underneath it. Every query touching that row — directly, or through
+// a next-hop build that reads it — must fail with ErrColdRead, never with
+// ErrNoRoute or a wrong answer; once the bytes are restored the same
+// queries succeed, so neither the failed read nor the failed next-hop
+// build was memoized.
+func TestColdReadFault(t *testing.T) {
+	dir := openStore(t)
+	g := pathGraph(t, 8, 3) // 0-1-…-7, every edge weight 3
+	m1 := oracle.NewManager(oracle.ManagerConfig{Base: oracle.Config{Algorithm: "test-exact"}, Store: dir})
+	setAndWait(t, mustTenant(t, m1, "alpha", oracle.TenantConfig{}), g)
+	m1.Close()
+
+	// A budget below n brings alpha up cold without reading any row.
+	m := coldManager(dir, 4, 2)
+	defer m.Close()
+	tn, err := m.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tn.Stats().Tier != "cold" {
+		t.Fatalf("alpha tier %q, want cold", tn.Stats().Tier)
+	}
+
+	snap, err := dir.Load("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := store.IndexOf(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := dir.SnapshotPath("alpha", snap.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const bad = 1 // node 0's only neighbor: Path(0, ·) reads it for its next hops
+	off := ix.RowOffset + bad*ix.RowWidth
+	orig := make([]byte, ix.RowWidth)
+	if _, err := f.ReadAt(orig, off); err != nil {
+		t.Fatal(err)
+	}
+	garbage := make([]byte, ix.RowWidth)
+	for i := range garbage {
+		garbage[i] = 0xff // every entry reads as -1: an impossible distance
+	}
+	if _, err := f.WriteAt(garbage, off); err != nil {
+		t.Fatal(err)
+	}
+
+	wantColdRead := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, oracle.ErrColdRead) || !errors.Is(err, store.ErrCorrupt) || errors.Is(err, cliqueapsp.ErrNoRoute) {
+			t.Fatalf("%s over a corrupt row: %v, want ErrColdRead wrapping ErrCorrupt", what, err)
+		}
+	}
+	dr, err := tn.Dist(bad, 5)
+	wantColdRead("Dist", err)
+	if dr.Reachable {
+		t.Fatalf("failed Dist still answered %+v", dr)
+	}
+	_, err = tn.Batch([]oracle.Pair{{U: 0, V: 5}, {U: bad, V: 5}})
+	wantColdRead("Batch", err)
+	_, err = tn.Path(bad, 5)
+	wantColdRead("Path from the corrupt row", err)
+	// Row 0 reads fine, so this fails inside the next-hop build of node 0.
+	_, err = tn.Path(0, 5)
+	wantColdRead("Path through the corrupt row", err)
+
+	if _, err := f.WriteAt(orig, off); err != nil {
+		t.Fatal(err)
+	}
+	pr, err := tn.Path(0, 5)
+	if err != nil || !pr.Reachable || pr.Cost != 15 || len(pr.Path) != 6 {
+		t.Fatalf("Path after repair = %+v, %v — want cost 15 over 5 hops", pr, err)
+	}
+	if dr, err := tn.Dist(bad, 5); err != nil || dr.Distance != 12 {
+		t.Fatalf("Dist after repair = %+v, %v — want 12", dr, err)
+	}
+	br, err := tn.Batch([]oracle.Pair{{U: 0, V: 5}, {U: bad, V: 5}})
+	if err != nil || br.Answers[0].Distance != 15 || br.Answers[1].Distance != 12 {
+		t.Fatalf("Batch after repair = %+v, %v", br, err)
 	}
 }

@@ -243,6 +243,80 @@ func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
 	if err := tc.Quota.Validate(); err != nil {
 		return nil, err
 	}
+
+	// Reconcile with any persisted snapshots under this name: an adopting
+	// create seeds its version counter above them, a replacing create
+	// removes them after it succeeds (stale incarnation data must not
+	// resurrect under a freshly configured tenant — but a create that FAILS
+	// must not have destroyed anything either).
+	var reserve uint64
+	wipe := false
+	if m.cfg.Store != nil {
+		if tc.AdoptPersisted {
+			vs, err := m.cfg.Store.Versions(name)
+			switch {
+			case err == nil:
+				if len(vs) > 0 {
+					reserve = vs[len(vs)-1]
+				}
+			case errors.Is(err, store.ErrInvalidName):
+				// Nothing can be persisted under an unstorable name.
+			default:
+				// "Could not tell" must not become "nothing persisted": an
+				// unreserved counter would let stale files shadow (and GC
+				// swallow) this tenant's fresh builds.
+				return nil, fmt.Errorf("oracle: probing persisted snapshots of %q: %w", name, err)
+			}
+		} else {
+			// The flight keeps rehydrations (and Deletes) out for the whole
+			// create, so none can restore the files the wipe below removes.
+			// An adopting create leaves the files in place and needs none.
+			release := m.lockHydration(name)
+			defer release()
+			if _, err := m.Peek(name); err != nil {
+				wipe = true // hosted names keep their files: Create fails below
+			}
+		}
+	}
+
+	t := m.newTenant(name, tc)
+	if wipe {
+		// Held until the wipe below is done (lock order: flight, setMu, mu).
+		// Once the tenant is in the table a concurrent Get could SetGraph,
+		// build, and persist; setMu parks that SetGraph until the old files
+		// are gone, so the wipe can never swallow a fresh snapshot.
+		t.setMu.Lock()
+		defer t.setMu.Unlock()
+	}
+	if reserve > 0 {
+		// Start above the previous incarnation's persisted versions, so this
+		// tenant's publishes supersede the old files on disk instead of
+		// being shadowed by them on the next rehydration or restart (and so
+		// keep-K GC never collects a fresh snapshot in favor of stale ones).
+		t.o.reserveVersions(reserve)
+	}
+	if err := m.host(t, 0); err != nil {
+		t.o.Close()
+		return nil, err
+	}
+	if wipe {
+		switch derr := m.cfg.Store.Delete(name); {
+		case derr == nil, errors.Is(derr, store.ErrInvalidName):
+			// An unstorable name has nothing on disk to replace.
+		default:
+			// Stale files we could not remove would resurrect the old
+			// incarnation later; back the create out rather than host a
+			// tenant with a haunted name.
+			m.dropTenant(t)
+			return nil, fmt.Errorf("oracle: clearing persisted snapshots of %q: %w", name, derr)
+		}
+	}
+	return t, nil
+}
+
+// newTenant builds name's tenant and its oracle from the Base config with
+// tc's overrides and the manager's hooks, without making it visible.
+func (m *Manager) newTenant(name string, tc TenantConfig) *Tenant {
 	cfg := m.cfg.Base
 	cfg.Engine = m.eng
 	cfg.gate = m.gate // every tenant build passes the fleet admission gate
@@ -299,102 +373,56 @@ func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
 			m.persist(name, eps, seedPinned, p)
 		}
 	}
-
-	// Reconcile with any persisted snapshots under this name: an adopting
-	// create seeds its version counter above them, a replacing create
-	// removes them after it succeeds (stale incarnation data must not
-	// resurrect under a freshly configured tenant — but a create that FAILS
-	// must not have destroyed anything either).
-	var reserve uint64
-	wipe := false
-	if m.cfg.Store != nil {
-		if tc.AdoptPersisted {
-			vs, err := m.cfg.Store.Versions(name)
-			switch {
-			case err == nil:
-				if len(vs) > 0 {
-					reserve = vs[len(vs)-1]
-				}
-			case errors.Is(err, store.ErrInvalidName):
-				// Nothing can be persisted under an unstorable name.
-			default:
-				// "Could not tell" must not become "nothing persisted": an
-				// unreserved counter would let stale files shadow (and GC
-				// swallow) this tenant's fresh builds.
-				return nil, fmt.Errorf("oracle: probing persisted snapshots of %q: %w", name, err)
-			}
-		} else {
-			// The flight keeps rehydrations (and Deletes) out for the whole
-			// create; it is not held by the adopt path, so the restore flows
-			// — which create with AdoptPersisted while holding the flight —
-			// cannot deadlock here.
-			release := m.lockHydration(name)
-			defer release()
-			if _, err := m.Peek(name); err != nil {
-				wipe = true // hosted names keep their files: Create fails below
-			}
-		}
-	}
-
-	t := &Tenant{name: name, m: m, cfg: tc, created: time.Now()}
+	t := &Tenant{name: name, m: m, o: New(cfg), cfg: tc, created: time.Now()}
 	t.lim.Store(newLimiter(tc.Quota, nil))
 	t.lastUsed.Store(m.tick.Add(1))
-	if wipe {
-		// Held until the wipe below is done (lock order: flight, setMu, mu).
-		// Once the tenant is in the table a concurrent Get could SetGraph,
-		// build, and persist; setMu parks that SetGraph until the old files
-		// are gone, so the wipe can never swallow a fresh snapshot.
-		t.setMu.Lock()
-		defer t.setMu.Unlock()
-	}
+	return t
+}
 
+// host makes t visible in the table at a node charge of nodes. One eviction
+// plan frees both the slot (MaxGraphs) and the node budget (MaxTotalNodes);
+// if it cannot, nothing is touched and ErrOverCapacity is returned. Victims
+// and demotions are drained outside the lock.
+func (m *Manager) host(t *Tenant, nodes int) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	if _, ok := m.tenants[name]; ok {
+	if _, ok := m.tenants[t.name]; ok {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrTenantExists, name)
+		return fmt.Errorf("%w: %q", ErrTenantExists, t.name)
+	}
+	slots, free := 0, 0
+	if m.cfg.MaxGraphs > 0 {
+		slots = len(m.tenants) - m.cfg.MaxGraphs + 1
+	}
+	if m.cfg.MaxTotalNodes > 0 && nodes > 0 {
+		free = m.totalNodes + nodes - m.cfg.MaxTotalNodes
 	}
 	var victims []*Tenant
-	if m.cfg.MaxGraphs > 0 && len(m.tenants) >= m.cfg.MaxGraphs {
-		// Slot pressure only: a demotion keeps its tenant hosted, so the
-		// plan can never contain one here.
-		victims, _ = m.evictLocked(len(m.tenants)-m.cfg.MaxGraphs+1, 0, nil)
-		if len(m.tenants) >= m.cfg.MaxGraphs {
-			m.mu.Unlock()
-			m.drain(victims)
-			return nil, fmt.Errorf("%w: %d graphs served, no idle tenant to evict", ErrOverCapacity, m.cfg.MaxGraphs)
-		}
+	var demotes []demotion
+	if slots > 0 || free > 0 {
+		victims, demotes = m.evictLocked(max(slots, 0), max(free, 0), nil)
 	}
-	t.o = New(cfg)
-	if reserve > 0 {
-		// Start above the previous incarnation's persisted versions, so this
-		// tenant's publishes supersede the old files on disk instead of
-		// being shadowed by them on the next rehydration or restart (and so
-		// keep-K GC never collects a fresh snapshot in favor of stale ones).
-		t.o.reserveVersions(reserve)
+	var err error
+	switch {
+	case m.cfg.MaxGraphs > 0 && len(m.tenants) >= m.cfg.MaxGraphs:
+		err = fmt.Errorf("%w: %d graphs served, no idle tenant to evict", ErrOverCapacity, m.cfg.MaxGraphs)
+	case free > 0 && m.totalNodes+nodes > m.cfg.MaxTotalNodes:
+		err = fmt.Errorf("%w: %d nodes requested over a budget of %d (%d in use)",
+			ErrOverCapacity, nodes, m.cfg.MaxTotalNodes, m.totalNodes)
+	default:
+		t.nodes.Store(int64(nodes))
+		m.totalNodes += nodes
+		m.tenants[t.name] = t
+		m.created++
+		delete(m.evictedCfg, t.name) // this incarnation's config supersedes any remembered one
 	}
-	m.tenants[name] = t
-	m.created++
-	delete(m.evictedCfg, name) // this create's config supersedes any remembered one
 	m.mu.Unlock()
-
 	m.drain(victims)
-	if wipe {
-		switch derr := m.cfg.Store.Delete(name); {
-		case derr == nil, errors.Is(derr, store.ErrInvalidName):
-			// An unstorable name has nothing on disk to replace.
-		default:
-			// Stale files we could not remove would resurrect the old
-			// incarnation later; back the create out rather than host a
-			// tenant with a haunted name.
-			m.dropTenant(t)
-			return nil, fmt.Errorf("oracle: clearing persisted snapshots of %q: %w", name, derr)
-		}
-	}
-	return t, nil
+	m.drainDemotes(demotes)
+	return err
 }
 
 // Get resolves a tenant by name and refreshes its LRU recency. With a
@@ -669,7 +697,7 @@ func (m *Manager) drainDemotes(demotes []demotion) {
 	for _, d := range demotes {
 		r, err := m.cfg.Cold.OpenCold(d.t.name, d.v, m.cacheRows())
 		if err == nil {
-			if derr := d.t.o.demote(r); derr != nil {
+			if derr := d.t.o.swapTier(newColdSnapshot(r, &d.t.o.cnt)); derr != nil {
 				r.Close()
 				err = derr
 			}
@@ -879,7 +907,10 @@ func (m *Manager) lockHydration(name string) func() {
 }
 
 // rehydrate brings a tenant that is not hosted — typically evicted — back
-// from its newest persisted snapshot.
+// from its newest persisted snapshot, with the config the evicted
+// incarnation was created with (it carries RunOptions/BuildTimeout/Pinned,
+// which a snapshot cannot) or, after a process restart, the persisted
+// provenance.
 func (m *Manager) rehydrate(name string) (*Tenant, error) {
 	release := m.lockHydration(name)
 	defer release()
@@ -887,21 +918,7 @@ func (m *Manager) rehydrate(name string) (*Tenant, error) {
 	if t, err := m.Peek(name); err == nil {
 		return t, nil
 	}
-	return m.rehydrateOnce(name)
-}
-
-// rehydrateOnce is one rehydration attempt: re-create the tenant with the
-// persisted provenance (algorithm/eps/seed) as its config and publish the
-// snapshot without an engine run. With tiered serving configured and no
-// budget headroom for the full matrix, the tenant comes back cold instead —
-// a sidecar read and an open file, not an O(n²) decode.
-func (m *Manager) rehydrateOnce(name string) (*Tenant, error) {
-	if m.cfg.Cold != nil {
-		if t, err, handled := m.rehydrateCold(name); handled {
-			return t, err
-		}
-	}
-	snap, err := m.loadSnapshot(name)
+	p, err := m.openPersisted(name)
 	if err != nil {
 		// A name the store's alphabet rejects can never have been persisted:
 		// that is an absent tenant, not a broken rehydration.
@@ -911,18 +928,15 @@ func (m *Manager) rehydrateOnce(name string) (*Tenant, error) {
 		m.rehydrateErrors.Add(1)
 		return nil, fmt.Errorf("oracle: rehydrating %q: %w", name, err)
 	}
-	// Prefer the config the evicted incarnation was actually created with
-	// (it carries RunOptions/BuildTimeout/Pinned, which a snapshot cannot);
-	// fall back to the persisted provenance after a process restart.
 	m.mu.Lock()
 	tc, remembered := m.evictedCfg[name]
 	m.mu.Unlock()
 	if remembered {
 		tc.AdoptPersisted = true // never wipe the files being rehydrated
 	} else {
-		tc = tenantConfigFromSnapshot(snap)
+		tc = tenantConfigFromIndex(p.ix)
 	}
-	t, err := m.Create(name, tc)
+	t, err := m.restoreNew(name, tc, p)
 	if err != nil {
 		if errors.Is(err, ErrTenantExists) {
 			// Raced an explicit Create; serve whatever won — it may still
@@ -930,97 +944,105 @@ func (m *Manager) rehydrateOnce(name string) (*Tenant, error) {
 			return m.Peek(name)
 		}
 		m.rehydrateErrors.Add(1)
-		return nil, err
-	}
-	if err := m.restoreInto(t, snap); err != nil {
-		if errors.Is(err, ErrSuperseded) {
-			// Someone registered a graph on the tenant between Create and
-			// restore; their live intent wins over the disk state.
-			return t, nil
-		}
-		m.dropTenant(t)
-		m.rehydrateErrors.Add(1)
-		return nil, err
+		return nil, fmt.Errorf("oracle: rehydrating %q: %w", name, err)
 	}
 	m.coldHits.Add(1)
 	return t, nil
 }
 
-// openNewestCold opens a tier reader over name's newest persisted version.
-// Any failure returns nil: the caller falls back to the decode path, which
-// produces the canonical error (or a hot restore).
-func (m *Manager) openNewestCold(name string) *tier.Reader {
-	vs, err := m.cfg.Store.Versions(name)
-	if err != nil || len(vs) == 0 {
-		return nil
-	}
-	r, err := m.cfg.Cold.OpenCold(name, vs[len(vs)-1], m.cacheRows())
-	if err != nil {
-		return nil
-	}
-	return r
+// persisted is a tenant's newest persisted snapshot, opened on the tier the
+// node budget affords: cold (a tier reader) or hot (the decoded snapshot).
+type persisted struct {
+	ix   store.RowIndex  // provenance and dimensions
+	cold *tier.Reader    // nil when hot
+	snap *store.Snapshot // nil when cold
 }
 
-// rehydrateCold tries to bring name back serving cold. handled=false falls
-// through to the decode path: nothing cold-openable, or enough budget
-// headroom that a hot restore serves better.
-func (m *Manager) rehydrateCold(name string) (*Tenant, error, bool) {
-	r := m.openNewestCold(name)
-	if r == nil {
-		return nil, nil, false
+// openPersisted opens name's newest persisted snapshot and chooses its
+// tier: cold when tiered serving is on and a hot restore has no budget
+// headroom, hot otherwise. The choice happens before any decode — the
+// reader's index carries the graph size — so a tight-budget boot brings the
+// whole fleet up with zero O(n²) decodes. Anything not cold-openable falls
+// through to the decode, which produces the canonical error.
+func (m *Manager) openPersisted(name string) (*persisted, error) {
+	if m.cfg.Cold != nil {
+		if vs, err := m.cfg.Store.Versions(name); err == nil && len(vs) > 0 {
+			if r, err := m.cfg.Cold.OpenCold(name, vs[len(vs)-1], m.cacheRows()); err == nil {
+				if !m.hasHeadroom(r.N()) {
+					return &persisted{ix: r.Index(), cold: r}, nil
+				}
+				r.Close()
+			}
+		}
 	}
-	if m.hasHeadroom(r.N()) {
-		r.Close()
-		return nil, nil, false
-	}
-	m.mu.Lock()
-	tc, remembered := m.evictedCfg[name]
-	m.mu.Unlock()
-	if remembered {
-		tc.AdoptPersisted = true // never wipe the files being rehydrated
-	} else {
-		tc = tenantConfigFromIndex(r.Index())
-	}
-	t, err := m.Create(name, tc)
+	snap, err := m.loadSnapshot(name)
 	if err != nil {
-		r.Close()
-		if errors.Is(err, ErrTenantExists) {
-			// Raced an explicit Create; serve whatever won.
-			t, err = m.Peek(name)
-			return t, err, true
-		}
-		m.rehydrateErrors.Add(1)
-		return nil, err, true
+		return nil, err
 	}
-	if err := m.restoreColdInto(t, r); err != nil {
-		r.Close()
-		if errors.Is(err, ErrSuperseded) {
-			// Someone registered a graph on the tenant between Create and
-			// restore; their live intent wins over the disk state.
-			return t, nil, true
-		}
-		m.dropTenant(t)
-		m.rehydrateErrors.Add(1)
-		return nil, fmt.Errorf("oracle: rehydrating %q: %w", name, err), true
+	ix, err := store.IndexOf(snap)
+	if err != nil {
+		return nil, err
 	}
-	m.coldHits.Add(1)
-	return t, nil, true
+	return &persisted{ix: *ix, snap: snap}, nil
 }
 
-// restoreColdInto admits the tenant at its cold charge and publishes the
-// reader as a cold serving snapshot. On success the oracle owns r.
-func (m *Manager) restoreColdInto(t *Tenant, r *tier.Reader) error {
+// nodes is the node budget p is charged on its tier.
+func (p *persisted) nodes(m *Manager) int {
+	if p.cold != nil {
+		return m.coldCharge(p.ix.N)
+	}
+	return p.ix.N
+}
+
+// publish restores p into o, which takes ownership of it on success.
+func (p *persisted) publish(o *Oracle) error {
+	if p.cold != nil {
+		return o.restoreCold(p.cold)
+	}
+	return o.RestoreSnapshot(p.ix.Version, p.snap.Graph, resultFromSnapshot(p.snap))
+}
+
+// discard releases p's file when no oracle serves it.
+func (p *persisted) discard() {
+	if p.cold != nil {
+		p.cold.Close()
+	}
+}
+
+// restoreNew creates name's tenant, publishes p on it, and only then hosts
+// it — admitted at p's node charge in the same eviction plan as its slot —
+// so no Get can reach the tenant before it serves.
+func (m *Manager) restoreNew(name string, tc TenantConfig, p *persisted) (*Tenant, error) {
+	t := m.newTenant(name, tc)
+	err := p.publish(t.o)
+	if err == nil {
+		err = m.host(t, p.nodes(m))
+	}
+	if err != nil {
+		// Never visible, so no query holds the snapshot's source.
+		t.o.Close()
+		p.discard()
+		return nil, err
+	}
+	return t, nil
+}
+
+// restoreInto publishes p on a hosted tenant that is not serving yet (the
+// daemon's pinned default, created empty at boot): admit p's node charge,
+// publish, and roll the charge back if the publish is refused.
+func (m *Manager) restoreInto(t *Tenant, p *persisted) error {
 	t.setMu.Lock()
 	defer t.setMu.Unlock()
-	prev, err := m.admitNodes(t, m.coldCharge(r.N()))
+	prev, err := m.admitNodes(t, p.nodes(m))
+	if err == nil {
+		if err = p.publish(t.o); err != nil {
+			m.rollbackNodes(t, prev)
+		}
+	}
 	if err != nil {
-		return err
+		p.discard()
 	}
-	if err := t.o.restoreCold(r); err != nil {
-		m.rollbackNodes(t, prev)
-		return err
-	}
-	return nil
+	return err
 }
 
 // hasHeadroom reports whether an n-node hot restore fits the node budget
@@ -1032,59 +1054,27 @@ func (m *Manager) hasHeadroom(n int) bool {
 	return m.cfg.MaxTotalNodes == 0 || m.totalNodes+n <= m.cfg.MaxTotalNodes
 }
 
-// tenantConfigFromIndex is tenantConfigFromSnapshot over a row-index
-// sidecar: the same provenance, recovered without touching the snapshot's
-// row block.
+// tenantConfigFromIndex turns persisted provenance back into the tenant
+// config future rebuilds of the restored tenant should run with.
+// AdoptPersisted is essential: the restore flows must not wipe the very
+// files they are restoring from.
 func tenantConfigFromIndex(ix store.RowIndex) TenantConfig {
 	tc := TenantConfig{
 		Algorithm:      cliqueapsp.Algorithm(ix.Algorithm),
 		Eps:            ix.Eps,
 		AdoptPersisted: true,
 	}
+	// Seed is always the concrete seed of the persisted run; re-pin it only
+	// if the tenant's own config had pinned it, or a tenant that wanted
+	// fresh randomness per rebuild would silently freeze.
 	if ix.SeedPinned {
 		tc.Seed = ix.Seed
 	}
 	return tc
 }
 
-// tenantConfigFromSnapshot turns persisted provenance back into the tenant
-// config future rebuilds of the restored tenant should run with.
-// AdoptPersisted is essential: the restore flows must not wipe the very
-// files they are restoring from.
-func tenantConfigFromSnapshot(s *store.Snapshot) TenantConfig {
-	tc := TenantConfig{
-		Algorithm:      cliqueapsp.Algorithm(s.Algorithm),
-		Eps:            s.Eps,
-		AdoptPersisted: true,
-	}
-	// Snapshot.Seed is always the concrete seed of the persisted run;
-	// re-pin it only if the tenant's own config had pinned it, or a tenant
-	// that wanted fresh randomness per rebuild would silently freeze.
-	if s.SeedPinned {
-		tc.Seed = s.Seed
-	}
-	return tc
-}
-
-// restoreInto admits snap's graph against the node budget and publishes the
-// snapshot on t without running the engine.
-func (m *Manager) restoreInto(t *Tenant, snap *store.Snapshot) error {
-	t.setMu.Lock()
-	defer t.setMu.Unlock()
-	prev, err := m.admitNodes(t, snap.Graph.N())
-	if err != nil {
-		return err
-	}
-	if err := t.o.RestoreSnapshot(snap.Version, snap.Graph, resultFromSnapshot(snap)); err != nil {
-		m.rollbackNodes(t, prev)
-		return err
-	}
-	return nil
-}
-
-// dropTenant backs out a tenant whose restore failed after Create: removed
-// from the table and drained, without touching the store (its persisted
-// snapshots may still be what a later, healthier restore needs).
+// dropTenant backs out a tenant whose create failed after it was hosted:
+// removed from the table and drained, without touching the store.
 func (m *Manager) dropTenant(t *Tenant) {
 	m.mu.Lock()
 	if m.tenants[t.name] == t {
@@ -1123,7 +1113,7 @@ func (m *Manager) RestoreAll(report func(tenant string, err error)) (restored, f
 		if terr == nil && t.Ready() {
 			continue
 		}
-		switch outcome, rerr := m.restoreOne(name, t, terr); outcome {
+		switch outcome, rerr := m.restoreOne(name, t); outcome {
 		case restoreOK:
 			m.restored.Add(1)
 			restored++
@@ -1146,76 +1136,29 @@ const (
 	restoreFail
 )
 
-// restoreOne restores one persisted tenant, cold when tiered serving is on
-// and the node budget has no headroom for the full matrix, hot otherwise.
-// The tier decision happens BEFORE any decode — the reader's index carries
-// the graph size — so a tight-budget boot brings the whole fleet up with
-// zero O(n²) decodes.
-func (m *Manager) restoreOne(name string, t *Tenant, terr error) (int, error) {
-	if m.cfg.Cold != nil {
-		if outcome, rerr, handled := m.restoreOneCold(name, t, terr); handled {
-			return outcome, rerr
-		}
-	}
-	snap, lerr := m.loadSnapshot(name)
-	if lerr != nil {
-		if errors.Is(lerr, store.ErrNotFound) {
+// restoreOne restores one persisted tenant: into t when it is hosted but
+// not serving, as a new tenant when t is nil.
+func (m *Manager) restoreOne(name string, t *Tenant) (int, error) {
+	p, err := m.openPersisted(name)
+	if err != nil {
+		if errors.Is(err, store.ErrNotFound) {
 			return restoreSkip, nil // an empty tenant directory is not a failure
 		}
-		return restoreFail, lerr
+		return restoreFail, err
 	}
-	created := false
-	if errors.Is(terr, ErrTenantNotFound) {
-		t, terr = m.Create(name, tenantConfigFromSnapshot(snap))
-		created = terr == nil
+	if t == nil {
+		_, err = m.restoreNew(name, tenantConfigFromIndex(p.ix), p)
+	} else {
+		err = m.restoreInto(t, p)
 	}
-	if terr != nil {
-		return restoreFail, terr
+	switch {
+	case err == nil:
+		return restoreOK, nil
+	case errors.Is(err, ErrSuperseded):
+		return restoreSkip, nil // a live upload beat the restore; its build wins
+	default:
+		return restoreFail, err
 	}
-	if rerr := m.restoreInto(t, snap); rerr != nil {
-		if errors.Is(rerr, ErrSuperseded) {
-			return restoreSkip, nil // a live upload beat the restore; its build wins
-		}
-		if created {
-			m.dropTenant(t)
-		}
-		return restoreFail, rerr
-	}
-	return restoreOK, nil
-}
-
-// restoreOneCold is restoreOne's cold branch. handled=false falls through
-// to the decode path: nothing cold-openable (let it produce the canonical
-// error), or enough headroom that the tenant deserves the hot tier.
-func (m *Manager) restoreOneCold(name string, t *Tenant, terr error) (int, error, bool) {
-	r := m.openNewestCold(name)
-	if r == nil {
-		return 0, nil, false
-	}
-	if m.hasHeadroom(r.N()) {
-		r.Close()
-		return 0, nil, false
-	}
-	created := false
-	if errors.Is(terr, ErrTenantNotFound) {
-		t, terr = m.Create(name, tenantConfigFromIndex(r.Index()))
-		created = terr == nil
-	}
-	if terr != nil {
-		r.Close()
-		return restoreFail, terr, true
-	}
-	if rerr := m.restoreColdInto(t, r); rerr != nil {
-		r.Close()
-		if errors.Is(rerr, ErrSuperseded) {
-			return restoreSkip, nil, true
-		}
-		if created {
-			m.dropTenant(t)
-		}
-		return restoreFail, rerr, true
-	}
-	return restoreOK, nil, true
 }
 
 // Promote decodes the newest persisted snapshot of a cold-serving tenant
@@ -1248,7 +1191,7 @@ func (m *Manager) Promote(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := t.o.promote(snap.Version, snap.Graph, resultFromSnapshot(snap)); err != nil {
+	if err := t.o.swapTier(newSnapshot(snap.Version, snap.Graph, resultFromSnapshot(snap), &t.o.cnt)); err != nil {
 		m.rollbackNodes(t, prev)
 		return err
 	}

@@ -361,7 +361,10 @@ func TestManagerEvictionWhileQuerying(t *testing.T) {
 
 	victim := mustTenant(t, m, "victim", oracle.TenantConfig{})
 	setAndWait(t, victim, pathGraph(t, 16, 3))
-	keeper := mustTenant(t, m, "keeper", oracle.TenantConfig{})
+	// The hammering below keeps refreshing victim's LRU recency, so recency
+	// alone cannot make it the victim; pinning keeper leaves it the only
+	// eviction candidate.
+	keeper := mustTenant(t, m, "keeper", oracle.TenantConfig{Pinned: true})
 	setAndWait(t, keeper, pathGraph(t, 4, 1))
 
 	stop := make(chan struct{})

@@ -14,8 +14,9 @@
 // the latest pending graph is built.
 //
 // Path queries route greedily over per-source next-hop rows
-// (cliqueapsp.NextHopRow) that are memoized lazily per snapshot, so serving
-// paths from a few hot sources never pays the full n² NextHopTables build.
+// (cliqueapsp.NextHopRowFrom over the snapshot's row source) that are
+// memoized lazily per snapshot, so serving paths from a few hot sources
+// never pays the full n² NextHopTables build.
 package oracle
 
 import (
@@ -88,7 +89,10 @@ type Config struct {
 	BuildTimeout time.Duration
 	// OnRebuild, when non-nil, observes every completed build attempt: the
 	// version built, the wall time it took, and nil or the build error. It is
-	// called from the build goroutine and must not block for long.
+	// called from the build goroutine and must not block for long. It runs
+	// after a successful build's snapshot is published (queries may already
+	// see it) but before Wait returns for that version, so a caller whose
+	// Wait returned has observed the hook's effects.
 	OnRebuild func(version uint64, elapsed time.Duration, err error)
 	// OnRepair, when non-nil, observes every completed incremental repair —
 	// a publish that patched the previous snapshot's distances instead of
@@ -107,7 +111,8 @@ type Config struct {
 	// before the failure). The oracle installs its own progress recorder on
 	// every run, superseding any cliqueapsp.WithProgress in RunOptions —
 	// consume phase boundaries here instead. Called from the build
-	// goroutine; must not block for long.
+	// goroutine; must not block for long. Like OnRebuild, it runs before
+	// Wait returns for the build's version.
 	OnPhase func(phase string, d time.Duration)
 	// OnPublish, when non-nil, observes every snapshot a completed engine
 	// build is about to publish — the persistence hook: the graph and
@@ -454,15 +459,17 @@ func (o *Oracle) ApplyDelta(d cliqueapsp.GraphDelta) (uint64, error) {
 	// latestG when one exists — it also covers work the build loop already
 	// popped but has not published yet — and otherwise the serving snapshot's
 	// graph (a restored or rehydrated tenant that never saw a live upload).
+	// A cold base decodes its graph from the snapshot file: it always
+	// rebuilds, but the delta still needs a graph to validate against.
 	base, baseV := o.latestG, o.latestV
 	if base == nil {
 		cur := o.cur.Load()
 		if cur == nil {
 			return 0, ErrNoGraph
 		}
-		bg, err := o.baseGraph(cur)
+		bg, err := cur.src.GraphCtx(context.Background())
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("%w: %w", ErrColdRead, err)
 		}
 		base, baseV = bg, cur.version
 	}
@@ -481,21 +488,6 @@ func (o *Oracle) ApplyDelta(d cliqueapsp.GraphDelta) (uint64, error) {
 	o.latestG, o.latestV = g, o.version
 	o.kickLocked()
 	return o.version, nil
-}
-
-// baseGraph resolves the serving snapshot's input graph: resident for hot
-// snapshots, lazily decoded from the snapshot file for cold ones (a cold
-// base always rebuilds, but the delta still needs a graph to validate and
-// apply against).
-func (o *Oracle) baseGraph(cur *snapshot) (*cliqueapsp.Graph, error) {
-	if cur.cold != nil {
-		g, err := cur.cold.Graph()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrColdRead, err)
-		}
-		return g, nil
-	}
-	return cur.g, nil
 }
 
 // copyGraph snapshots the caller's graph at registration time: one O(m)
@@ -612,7 +604,7 @@ func (o *Oracle) buildLoop() {
 			// snapshots persist like built ones — with their provenance —
 			// so restore, tiering and GC treat them identically.
 			if o.cfg.OnPublish != nil {
-				pub := Published{Version: w.v, Graph: snap.g, Result: snap.res}
+				pub := Published{Version: w.v, Graph: w.g, Result: snap.res}
 				if repaired {
 					pub.BaseVersion, pub.DeltaCount = w.baseV, len(w.deltas)
 				}
@@ -639,12 +631,8 @@ func (o *Oracle) buildLoop() {
 			o.cnt.rebuildErrors.Add(1)
 		}
 
-		o.mu.Lock()
-		o.lastDone, o.lastErr = w.v, err
-		close(o.notify)
-		o.notify = make(chan struct{})
-		o.mu.Unlock()
-
+		// Hooks run before the attempt is recorded: Wait keys on lastDone,
+		// so a waiter never returns before the hooks for its version ran.
 		if o.cfg.OnPhase != nil {
 			for _, p := range phases {
 				o.cfg.OnPhase(p.Phase, p.Duration)
@@ -657,7 +645,22 @@ func (o *Oracle) buildLoop() {
 		} else if o.cfg.OnRebuild != nil {
 			o.cfg.OnRebuild(w.v, elapsed, err)
 		}
+
+		// Going idle before waking the waiters means a caller whose Wait
+		// returned never finds this oracle still building: eviction skips
+		// building tenants.
+		o.mu.Lock()
+		o.lastDone, o.lastErr = w.v, err
+		idle := o.pending == nil
+		if idle {
+			o.building = false
+		}
+		o.wakeLocked()
+		o.mu.Unlock()
 		root.End()
+		if idle {
+			return
+		}
 	}
 }
 
@@ -715,31 +718,22 @@ func (o *Oracle) RestoreSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqu
 	if res.Distances.N() != g.N() {
 		return fmt.Errorf("oracle: %d×%d distances for %d nodes", res.Distances.N(), res.Distances.N(), g.N())
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return ErrClosed
-	}
-	if o.graphSet || o.cur.Load() != nil {
-		return fmt.Errorf("%w: restore v%d refused (last assigned version %d)", ErrSuperseded, version, o.version)
-	}
-	if o.version < version {
-		o.version = version
-	}
-	o.cur.Store(newSnapshot(version, g, res, &o.cnt))
-	o.cnt.restores.Add(1)
-	close(o.notify)
-	o.notify = make(chan struct{})
-	return nil
+	return o.publishRestore(newSnapshot(version, g, res, &o.cnt))
 }
 
-// restoreCold publishes a disk-backed snapshot as the serving state without
-// decoding it: RestoreSnapshot's semantics (pristine oracle only, live
-// intent wins) at tier cost — opening r touched only the sidecar or header,
+// restoreCold publishes a disk-backed snapshot with RestoreSnapshot's
+// semantics at tier cost: opening r touched only the sidecar or header,
 // never the O(n²) row block. The oracle takes ownership of r.
 func (o *Oracle) restoreCold(r *tier.Reader) error {
-	v := r.Version()
-	if v == 0 {
+	return o.publishRestore(newColdSnapshot(r, &o.cnt))
+}
+
+// publishRestore installs s, built over o's counters, as the first serving
+// snapshot of a pristine oracle and releases waiters on its version. Live
+// intent wins: a serving snapshot or an accepted SetGraph refuses the
+// restore with ErrSuperseded.
+func (o *Oracle) publishRestore(s *snapshot) error {
+	if s.version == 0 {
 		return fmt.Errorf("oracle: restore version must be ≥ 1")
 	}
 	o.mu.Lock()
@@ -748,56 +742,35 @@ func (o *Oracle) restoreCold(r *tier.Reader) error {
 		return ErrClosed
 	}
 	if o.graphSet || o.cur.Load() != nil {
-		return fmt.Errorf("%w: cold restore v%d refused (last assigned version %d)", ErrSuperseded, v, o.version)
+		return fmt.Errorf("%w: restore v%d refused (last assigned version %d)", ErrSuperseded, s.version, o.version)
 	}
-	if o.version < v {
-		o.version = v
+	if o.version < s.version {
+		o.version = s.version
 	}
-	o.cur.Store(newColdSnapshot(r, &o.cnt))
+	o.cur.Store(s)
 	o.cnt.restores.Add(1)
-	close(o.notify)
-	o.notify = make(chan struct{})
+	o.lastDone, o.lastErr = s.version, nil
+	o.wakeLocked()
 	return nil
 }
 
-// demote swaps the serving snapshot for a cold one over the same version:
-// the resident matrix, graph, and next-hop rows become unreferenced (freed
-// once in-flight queries finish) while queries keep being answered — now
-// from disk through r. ErrSuperseded means the serving version moved on (or
-// is already cold) while the caller was opening r; the caller keeps the hot
-// snapshot and closes r. On success the oracle takes ownership of r.
-func (o *Oracle) demote(r *tier.Reader) error {
+// swapTier replaces the serving snapshot with next, built over o's counters:
+// the same version read from the other tier. Demotion frees the resident
+// matrix and next-hop rows once in-flight queries finish; promotion brings
+// them back. ErrSuperseded means the serving snapshot is no longer that
+// version on the opposite tier (a build landed, or a concurrent swap won);
+// the caller still owns next's source then.
+func (o *Oracle) swapTier(next *snapshot) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
 		return ErrClosed
 	}
 	cur := o.cur.Load()
-	if cur == nil || cur.cold != nil || cur.version != r.Version() {
-		return fmt.Errorf("%w: demote of v%d does not match serving snapshot", ErrSuperseded, r.Version())
+	if cur == nil || cur.version != next.version || (cur.reader() == nil) == (next.reader() == nil) {
+		return fmt.Errorf("%w: tier swap of v%d does not match serving snapshot", ErrSuperseded, next.version)
 	}
-	o.cur.Store(newColdSnapshot(r, &o.cnt))
-	return nil
-}
-
-// promote is demote's inverse: swap a cold serving snapshot for the fully
-// decoded hot equivalent of the same version. The oracle takes ownership of
-// g and res; ErrSuperseded means the serving snapshot is no longer that
-// cold version (a build landed, or a concurrent promote won).
-func (o *Oracle) promote(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Result) error {
-	if g == nil || res == nil || res.Distances == nil {
-		return fmt.Errorf("oracle: nil graph or result")
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return ErrClosed
-	}
-	cur := o.cur.Load()
-	if cur == nil || cur.cold == nil || cur.version != version {
-		return fmt.Errorf("%w: promote of v%d does not match serving snapshot", ErrSuperseded, version)
-	}
-	o.cur.Store(newSnapshot(version, g, res, &o.cnt))
+	o.cur.Store(next)
 	return nil
 }
 
@@ -805,9 +778,16 @@ func (o *Oracle) promote(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Re
 // snapshot is hot or absent) — the Manager's window into cold residency.
 func (o *Oracle) coldReader() *tier.Reader {
 	if s := o.cur.Load(); s != nil {
-		return s.cold
+		return s.reader()
 	}
 	return nil
+}
+
+// wakeLocked releases every Wait blocked on the current notify channel.
+// Callers hold o.mu.
+func (o *Oracle) wakeLocked() {
+	close(o.notify)
+	o.notify = make(chan struct{})
 }
 
 // reserveVersions raises the version counter to at least v without
@@ -826,21 +806,21 @@ func (o *Oracle) reserveVersions(v uint64) {
 
 // Wait blocks until a snapshot with version ≥ version is serving, the build
 // responsible for it fails (returning that build's error), the context is
-// done, or the oracle is closed.
+// done, or the oracle is closed. It returns only once the publishing
+// attempt is complete, completion hooks included.
 func (o *Oracle) Wait(ctx context.Context, version uint64) error {
 	for {
 		o.mu.Lock()
 		ch := o.notify
 		done, doneErr, closed := o.lastDone, o.lastErr, o.closed
 		o.mu.Unlock()
-		if s := o.cur.Load(); s != nil && s.version >= version {
-			return nil
-		}
 		if done >= version {
-			if doneErr != nil {
-				return doneErr
+			// A failed attempt still satisfies waiters on a version an
+			// earlier, completed build already serves.
+			if s := o.cur.Load(); doneErr == nil || (s != nil && s.version >= version) {
+				return nil
 			}
-			return nil
+			return doneErr
 		}
 		if closed {
 			return ErrClosed
@@ -872,8 +852,7 @@ func (o *Oracle) Close() {
 	o.mu.Lock()
 	if !o.closed {
 		o.closed = true
-		close(o.notify)
-		o.notify = make(chan struct{})
+		o.wakeLocked()
 	}
 	o.mu.Unlock()
 	o.stop()
@@ -909,7 +888,7 @@ func (o *Oracle) DistCtx(ctx context.Context, u, v int) (DistResult, error) {
 		sp.End()
 		return DistResult{}, err
 	}
-	if s.cold != nil {
+	if s.reader() != nil {
 		o.cnt.coldServes.Add(1)
 	}
 	sp.End()
@@ -952,7 +931,7 @@ func (o *Oracle) BatchCtx(ctx context.Context, pairs []Pair) (BatchResult, error
 		}
 		answers[i] = a
 	}
-	if s.cold != nil {
+	if s.reader() != nil {
 		o.cnt.coldServes.Add(1)
 	}
 	sp.End()
@@ -984,7 +963,7 @@ func (o *Oracle) PathCtx(ctx context.Context, u, v int) (PathResult, error) {
 	o.cnt.pathQueries.Add(1)
 	o.cnt.answers.Add(1)
 	res, err := s.path(ctx, u, v)
-	if err == nil && s.cold != nil {
+	if err == nil && s.reader() != nil {
 		o.cnt.coldServes.Add(1)
 	}
 	sp.SetError(err)
@@ -1013,14 +992,14 @@ func (o *Oracle) Stats() Stats {
 		st.Version = s.version
 		st.SnapshotAge = time.Since(s.builtAt)
 		st.GraphN = s.n
-		st.GraphM = s.graphM()
+		st.GraphM = s.m
 		st.Algorithm = string(s.res.Algorithm)
 		st.FactorBound = s.res.FactorBound
 		st.LastRebuild = s.buildDur
 		st.LastBuildPhases = s.phases
-		if s.cold != nil {
+		if r := s.reader(); r != nil {
 			st.Tier = "cold"
-			cs := s.cold.Stats()
+			cs := r.Stats()
 			st.RowCache = &cs
 		} else {
 			st.Tier = "hot"

@@ -12,6 +12,7 @@ import (
 	cliqueapsp "github.com/congestedclique/cliqueapsp"
 	"github.com/congestedclique/cliqueapsp/oracle"
 	"github.com/congestedclique/cliqueapsp/store"
+	"github.com/congestedclique/cliqueapsp/tier"
 )
 
 func openStore(t *testing.T) *store.Dir {
@@ -361,44 +362,81 @@ func TestManagerRehydratesEvictedTenant(t *testing.T) {
 	}
 }
 
+// TestManagerRehydrateConcurrentGets races Gets on an unhosted tenant: one
+// rehydrates it, and every caller must get a tenant that already serves —
+// a rehydrating tenant becomes visible only once it is published. Pinned on
+// both tiers: hot (same-process eviction, budget to spare) and cold (a
+// restarted manager whose node budget is below n).
 func TestManagerRehydrateConcurrentGets(t *testing.T) {
-	dir := openStore(t)
-	m := oracle.NewManager(oracle.ManagerConfig{
-		MaxGraphs: 1,
-		Base:      oracle.Config{Algorithm: "test-exact"},
-		Store:     dir,
-	})
-	defer m.Close()
+	for _, tc := range []struct {
+		name    string
+		restart bool // alpha was persisted by an earlier manager over dir
+		cfg     func(dir *store.Dir) oracle.ManagerConfig
+		tier    string
+	}{
+		{"hot", false, func(dir *store.Dir) oracle.ManagerConfig {
+			return oracle.ManagerConfig{MaxGraphs: 1, Base: oracle.Config{Algorithm: "test-exact"}, Store: dir}
+		}, "hot"},
+		{"cold", true, func(dir *store.Dir) oracle.ManagerConfig {
+			return oracle.ManagerConfig{
+				MaxGraphs:     1,
+				MaxTotalNodes: 4, // below alpha's 6 nodes: no hot headroom
+				ColdCacheRows: 2,
+				Base:          oracle.Config{Algorithm: "test-exact"},
+				Store:         dir,
+				Cold:          tier.NewStore(dir),
+			}
+		}, "cold"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := openStore(t)
+			g := pathGraph(t, 6, 2)
+			if tc.restart {
+				m0 := oracle.NewManager(oracle.ManagerConfig{Base: oracle.Config{Algorithm: "test-exact"}, Store: dir})
+				setAndWait(t, mustTenant(t, m0, "alpha", oracle.TenantConfig{}), g)
+				m0.Close()
+			}
+			m := oracle.NewManager(tc.cfg(dir))
+			defer m.Close()
+			if !tc.restart {
+				setAndWait(t, mustTenant(t, m, "alpha", oracle.TenantConfig{}), g)
+			}
+			mustTenant(t, m, "filler", oracle.TenantConfig{}) // evicts alpha, or holds the slot it must take
 
-	g := pathGraph(t, 6, 2)
-	setAndWait(t, mustTenant(t, m, "alpha", oracle.TenantConfig{}), g)
-	mustTenant(t, m, "filler", oracle.TenantConfig{}) // evicts alpha
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tn, err := m.Get("alpha")
+			var wg sync.WaitGroup
+			errs := make(chan error, 8)
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tn, err := m.Get("alpha")
+					if err != nil {
+						errs <- err
+						return
+					}
+					if dr, err := tn.Dist(0, 5); err != nil || dr.Distance != 10 {
+						errs <- err
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Fatalf("concurrent rehydrating Get: %v", err)
+				}
+			}
+			if st := m.Stats(); st.ColdHits < 1 {
+				t.Fatalf("cold hits %d, want ≥ 1", st.ColdHits)
+			}
+			tn, err := m.Peek("alpha")
 			if err != nil {
-				errs <- err
-				return
+				t.Fatal(err)
 			}
-			if dr, err := tn.Dist(0, 5); err != nil || dr.Distance != 10 {
-				errs <- err
+			if got := tn.Stats().Tier; got != tc.tier {
+				t.Fatalf("rehydrated tier %q, want %q", got, tc.tier)
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("concurrent rehydrating Get: %v", err)
-		}
-	}
-	if st := m.Stats(); st.ColdHits < 1 {
-		t.Fatalf("cold hits %d, want ≥ 1", st.ColdHits)
+		})
 	}
 }
 

@@ -36,10 +36,12 @@ import (
 // way to tell for which pairs).
 
 // repairPlan is a decided incremental repair: the hot base snapshot the
-// distances patch, the distinct endpoints of all net-effective changes, and
-// the full Dijkstra source set (touched ∪ increase-dirty sources).
+// distances patch (and its resident rows), the distinct endpoints of all
+// net-effective changes, and the full Dijkstra source set (touched ∪
+// increase-dirty sources).
 type repairPlan struct {
 	base    *snapshot
+	hot     *resident
 	touched map[int]bool
 	dirty   []int // sorted; superset of touched
 }
@@ -66,8 +68,11 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 	base := o.cur.Load()
 	// Repair patches the serving matrix in place (copied), so it needs a
 	// hot, resident base that is exactly the version the deltas extend.
-	if base == nil || base.cold != nil || base.version != w.baseV ||
-		base.res == nil || base.res.Distances == nil || base.g == nil {
+	if base == nil || base.version != w.baseV {
+		return fallback()
+	}
+	hot, ok := base.src.(*resident)
+	if !ok {
 		return fallback()
 	}
 
@@ -92,7 +97,7 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 			continue
 		}
 		seen[k] = true
-		wOld, okOld := base.g.Weight(u, v)
+		wOld, okOld := hot.g.Weight(u, v)
 		wNew, okNew := w.g.Weight(u, v)
 		if okOld == okNew && wOld == wNew {
 			continue // the trail cancelled out for this pair
@@ -121,7 +126,7 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 	// weight — then row u may be too small after the change and must be
 	// recomputed from scratch. The test is exact-matrix arithmetic, which
 	// the approximate guard above already ensured.
-	D := base.res.Distances
+	D := hot.d
 	for _, ch := range increases {
 		rowX, rowY := D.Row(ch.u), D.Row(ch.v)
 		for u := 0; u < n; u++ {
@@ -161,7 +166,7 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 		dirty = append(dirty, u)
 	}
 	sort.Ints(dirty)
-	return &repairPlan{base: base, touched: touched, dirty: dirty}
+	return &repairPlan{base: base, hot: hot, touched: touched, dirty: dirty}
 }
 
 // repair executes a decided plan: copy the base matrix, rewrite the dirty
@@ -177,7 +182,7 @@ func (o *Oracle) repair(w *pendingWork, plan *repairPlan) (*snapshot, []PhaseTim
 
 	ssspStart := time.Now()
 	newD, err := cliqueapsp.DistancesFromRows(n, func(u int, dst []int64) error {
-		copy(dst, base.res.Distances.Row(u))
+		copy(dst, plan.hot.d.Row(u))
 		return nil
 	})
 	if err != nil {

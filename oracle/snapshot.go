@@ -11,108 +11,84 @@ import (
 	"github.com/congestedclique/cliqueapsp/tier"
 )
 
-// snapshot is one published build: the graph, the engine result, and lazily
-// materialized routing state. Everything except the memoization slots is
-// immutable after publication; the slots are guarded per-row by sync.Once,
-// so concurrent Path queries build each row at most once and never block
-// each other across rows.
+// rowSource supplies a snapshot's distance rows and input graph. Rows are
+// full length-n vectors, shared and read-only. *tier.Reader is one.
+type rowSource interface {
+	RowCtx(ctx context.Context, u int) ([]int64, error)
+	GraphCtx(ctx context.Context) (*cliqueapsp.Graph, error)
+}
+
+// resident is the hot row source: the full n×n estimate held in memory. Its
+// reads never fail.
+type resident struct {
+	g *cliqueapsp.Graph
+	d *cliqueapsp.DistanceMatrix
+}
+
+func (r *resident) RowCtx(_ context.Context, u int) ([]int64, error) { return r.d.Row(u), nil }
+
+func (r *resident) GraphCtx(context.Context) (*cliqueapsp.Graph, error) { return r.g, nil }
+
+// snapshot is one published build: its version and provenance, the single
+// row source every query reads, and the next-hop rows memoized over it.
 //
-// A snapshot comes in two tiers. A HOT snapshot holds the full n×n estimate
-// resident (res.Distances) and answers like it always has. A COLD snapshot
-// (cold != nil) holds no distance rows at all: every row read goes through a
-// tier.Reader — one pread behind a bounded hot-row LRU — and the graph
-// itself decodes lazily from the snapshot file only if a Path query needs
-// it. Cold answers are bit-identical to hot ones (same rows, same
-// tie-breaking), they just cost a disk read on a cache miss.
+// The row source is the snapshot's tier. A hot snapshot reads a resident
+// matrix, which cannot fail. A cold snapshot reads a *tier.Reader: one pread
+// behind a bounded hot-row LRU, with the graph decoded lazily from the
+// snapshot file the first time a Path query needs it. Both produce the same
+// rows, so answers and routes are bit-identical; only a cold read can fail,
+// and that failure reaches the caller wrapped in ErrColdRead. Nothing else
+// in the snapshot branches on the tier.
+//
+// Everything except the next-hop memo and the router is immutable after
+// publication.
 type snapshot struct {
 	version  uint64
 	builtAt  time.Time
 	buildDur time.Duration
 	phases   []PhaseTiming      // per-phase build breakdown; nil for restores
-	g        *cliqueapsp.Graph  // nil when cold: the graph decodes lazily
-	res      *cliqueapsp.Result // cold: provenance only, Distances nil
-	n        int
+	res      *cliqueapsp.Result // provenance; Distances nil when cold
+	n, m     int
 	cnt      *counters
-	cold     *tier.Reader // non-nil = rows live on disk behind the row cache
+	src      rowSource
 
-	// Hot next-hop memoization: built at most once per row, no failure mode
-	// (the resident matrix cannot error). rowBuilt mirrors rowOnce with an
-	// observable flag: the repair path reads it (atomically, for the
-	// happens-before with the builder's Store) to carry finished rows into
-	// a successor snapshot. rowOnce itself must never be probed from outside
-	// row() — a Do on the still-serving snapshot would mark an unbuilt row
-	// as done.
-	rowOnce  []sync.Once
-	rowBuilt []atomic.Bool
-	rows     [][]int
-
-	routerOnce sync.Once
-	router     *cliqueapsp.GreedyRouter
-
-	// Cold next-hop memoization: a row build reads deg(src) distance rows
-	// off disk and can fail, so it is a single-flight memo that retries on
-	// failure instead of a sync.Once that would poison the row forever. The
-	// memoized rows land in the same rows slice the hot path uses.
-	nhMu      sync.Mutex
-	nhFlights map[int]*nhFlight
-	deadOnce  sync.Once
-	deadRow   []int
-
-	crMu    sync.Mutex
-	crouter *cliqueapsp.GreedyRouter
+	// Next-hop memo: nh[u] holds node u's row once built. A miss builds the
+	// row single-flight under mu; a failed build (a cold read error) is not
+	// stored, so a transient failure never poisons the row. Built rows are
+	// immutable, so the repair path may share them with a successor.
+	nh      []atomic.Pointer[[]int]
+	mu      sync.Mutex
+	flights map[int]*nhFlight
+	router  atomic.Pointer[cliqueapsp.GreedyRouter]
 }
 
-// nhFlight is one in-progress cold next-hop row build; done closes after
-// row/err are set.
+// nhFlight is one in-progress next-hop row build; done closes after row/err
+// are set.
 type nhFlight struct {
 	done chan struct{}
 	row  []int
 	err  error
 }
 
+// newSnapshot wraps a resident graph and estimate as a hot snapshot.
 func newSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Result, cnt *counters) *snapshot {
-	n := g.N()
 	return &snapshot{
-		version:  version,
-		builtAt:  time.Now(),
-		g:        g,
-		res:      res,
-		n:        n,
-		cnt:      cnt,
-		rowOnce:  make([]sync.Once, n),
-		rowBuilt: make([]atomic.Bool, n),
-		rows:     make([][]int, n),
+		version: version,
+		builtAt: time.Now(),
+		res:     res,
+		n:       g.N(),
+		m:       g.NumEdges(),
+		cnt:     cnt,
+		src:     &resident{g: g, d: res.Distances},
+		nh:      make([]atomic.Pointer[[]int], g.N()),
 	}
 }
 
-// newRepairedSnapshot is newSnapshot plus next-hop carryover: rows the base
-// snapshot already materialized stay valid on the successor wherever the
-// repair proved them untouched (reuse[u]), so a patched tenant does not
-// re-derive its hot routing state. Rows are immutable once built, so sharing
-// the slice with the still-serving base is safe; the atomic rowBuilt load
-// orders this read after the base's builder finished writing.
-func newRepairedSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Result, cnt *counters, base *snapshot, reuse []bool) *snapshot {
-	s := newSnapshot(version, g, res, cnt)
-	if base == nil || base.rowBuilt == nil || base.n != s.n || len(reuse) != s.n {
-		return s
-	}
-	for u := 0; u < s.n; u++ {
-		if reuse[u] && base.rowBuilt[u].Load() {
-			s.rows[u] = base.rows[u]
-			// Consuming the Once here is safe: s is not yet published, so
-			// this goroutine is its only user.
-			s.rowOnce[u].Do(func() {})
-			s.rowBuilt[u].Store(true)
-		}
-	}
-	return s
-}
-
-// newColdSnapshot wraps a tier.Reader as a serving snapshot: provenance
-// comes from the reader's row index, rows come off disk on demand. The
-// reader is owned by the snapshot from here on; it is never explicitly
-// closed while the snapshot may serve (queries racing a swap keep their
-// handle), the file closes when the last reference is collected.
+// newColdSnapshot wraps a tier.Reader as a cold snapshot: provenance comes
+// from the reader's row index, rows come off disk on demand. The reader is
+// owned by the snapshot from here on; it is never explicitly closed while
+// the snapshot may serve (queries racing a swap keep their handle), the
+// file closes when the last reference is collected.
 func newColdSnapshot(r *tier.Reader, cnt *counters) *snapshot {
 	ix := r.Index()
 	return &snapshot{
@@ -123,12 +99,37 @@ func newColdSnapshot(r *tier.Reader, cnt *counters) *snapshot {
 			FactorBound: ix.FactorBound,
 			Seed:        ix.Seed,
 		},
-		n:         ix.N,
-		cnt:       cnt,
-		cold:      r,
-		rows:      make([][]int, ix.N),
-		nhFlights: make(map[int]*nhFlight),
+		n:   ix.N,
+		m:   ix.M,
+		cnt: cnt,
+		src: r,
+		nh:  make([]atomic.Pointer[[]int], ix.N),
 	}
+}
+
+// newRepairedSnapshot is newSnapshot plus next-hop carryover: rows the base
+// snapshot already materialized stay valid on the successor wherever the
+// repair proved them untouched (reuse[u]), so a patched tenant does not
+// re-derive its routing state. Built rows are immutable, so sharing them
+// with the still-serving base is safe.
+func newRepairedSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Result, cnt *counters, base *snapshot, reuse []bool) *snapshot {
+	s := newSnapshot(version, g, res, cnt)
+	if base.n != s.n || len(reuse) != s.n {
+		return s
+	}
+	for u := range s.nh {
+		if reuse[u] {
+			s.nh[u].Store(base.nh[u].Load())
+		}
+	}
+	return s
+}
+
+// reader returns the snapshot's tier reader, or nil when its rows are
+// resident.
+func (s *snapshot) reader() *tier.Reader {
+	r, _ := s.src.(*tier.Reader)
+	return r
 }
 
 func (s *snapshot) check(u, v int) error {
@@ -138,149 +139,120 @@ func (s *snapshot) check(u, v int) error {
 	return nil
 }
 
-// answer resolves one pair. Hot snapshots cannot fail; cold ones surface
-// row-read failures wrapped in ErrColdRead. ctx only carries the active
-// trace span (if the request is sampled); it does not cancel the read.
+// answer resolves one pair from the row source. A failed read is wrapped in
+// ErrColdRead. ctx only carries the active trace span (if the request is
+// sampled); it does not cancel the read.
 func (s *snapshot) answer(ctx context.Context, u, v int) (Answer, error) {
 	a := Answer{U: u, V: v, Distance: Unreachable}
-	if s.cold != nil {
-		row, err := s.cold.RowCtx(ctx, u)
-		if err != nil {
-			return a, fmt.Errorf("%w: %w", ErrColdRead, err)
-		}
-		if d := row[v]; d < cliqueapsp.Inf {
-			a.Distance, a.Reachable = d, true
-		}
-		return a, nil
+	row, err := s.src.RowCtx(ctx, u)
+	if err != nil {
+		return a, fmt.Errorf("%w: %w", ErrColdRead, err)
 	}
-	if s.res.Distances.Reachable(u, v) {
-		a.Distance, a.Reachable = s.res.Distances.At(u, v), true
+	if d := row[v]; d < cliqueapsp.Inf {
+		a.Distance, a.Reachable = d, true
 	}
 	return a, nil
 }
 
-// row returns node u's memoized next-hop row, building it on first use.
-// Hot-only: the resident matrix cannot fail mid-build.
-func (s *snapshot) row(u int) []int {
-	hit := true
-	s.rowOnce[u].Do(func() {
-		hit = false
-		r, err := cliqueapsp.NextHopRow(s.g, s.res.Distances, u)
-		if err != nil {
-			// Unreachable: u and the matrix dimension were validated when the
-			// snapshot was built.
-			panic(fmt.Sprintf("oracle: next-hop row %d: %v", u, err))
-		}
-		s.rows[u] = r
-		s.rowBuilt[u].Store(true)
-		s.cnt.rowsBuilt.Add(1)
-	})
-	if hit {
+// nextHops returns node u's memoized next-hop row, building it on first
+// use from the distance rows of u's neighbors. Concurrent misses on one row
+// share a single build, and a waiter on a successful build counts as a hit.
+func (s *snapshot) nextHops(ctx context.Context, u int) ([]int, error) {
+	if r := s.nh[u].Load(); r != nil {
 		s.cnt.rowHits.Add(1)
+		return *r, nil
 	}
-	return s.rows[u]
-}
-
-// coldRow returns node u's memoized next-hop row on a cold snapshot,
-// deriving it from disk-backed distance rows (one read per neighbor of u,
-// mostly absorbed by the hot-row cache). Failed builds are not memoized:
-// a transient read error must not poison the row.
-func (s *snapshot) coldRow(ctx context.Context, u int) ([]int, error) {
-	s.nhMu.Lock()
-	if r := s.rows[u]; r != nil {
+	s.mu.Lock()
+	if r := s.nh[u].Load(); r != nil {
+		s.mu.Unlock()
 		s.cnt.rowHits.Add(1)
-		s.nhMu.Unlock()
-		return r, nil
+		return *r, nil
 	}
-	if fl, ok := s.nhFlights[u]; ok {
-		s.nhMu.Unlock()
+	if fl, ok := s.flights[u]; ok {
+		s.mu.Unlock()
 		<-fl.done
 		if fl.err == nil {
 			s.cnt.rowHits.Add(1)
 		}
 		return fl.row, fl.err
 	}
+	if s.flights == nil {
+		s.flights = make(map[int]*nhFlight)
+	}
 	fl := &nhFlight{done: make(chan struct{})}
-	s.nhFlights[u] = fl
-	s.nhMu.Unlock()
+	s.flights[u] = fl
+	s.mu.Unlock()
 
-	fl.row, fl.err = s.buildColdRow(ctx, u)
+	fl.row, fl.err = s.buildNextHops(ctx, u)
 
-	s.nhMu.Lock()
-	delete(s.nhFlights, u)
+	s.mu.Lock()
+	delete(s.flights, u)
 	if fl.err == nil {
-		s.rows[u] = fl.row
+		s.nh[u].Store(&fl.row)
 		s.cnt.rowsBuilt.Add(1)
 	}
-	s.nhMu.Unlock()
+	s.mu.Unlock()
 	close(fl.done)
 	return fl.row, fl.err
 }
 
-func (s *snapshot) buildColdRow(ctx context.Context, u int) ([]int, error) {
-	g, err := s.cold.GraphCtx(ctx)
+func (s *snapshot) buildNextHops(ctx context.Context, u int) ([]int, error) {
+	g, err := s.src.GraphCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	// The closure keeps the caller's trace context flowing into the per-
-	// neighbor distance-row reads NextHopRowFrom performs.
+	// neighbor distance-row reads.
 	return cliqueapsp.NextHopRowFrom(g, u, func(x int) ([]int64, error) {
-		return s.cold.RowCtx(ctx, x)
+		return s.src.RowCtx(ctx, x)
 	})
 }
 
-// dead is an all-dead-ends next-hop row: RouteVia reports ErrNoRoute on it
-// immediately, which coldPath then overrides with the real read error.
-func (s *snapshot) dead() []int {
-	s.deadOnce.Do(func() {
-		d := make([]int, s.n)
-		for i := range d {
-			d[i] = -1
-		}
-		s.deadRow = d
-	})
-	return s.deadRow
-}
-
-// coldRouter builds the greedy router over the lazily decoded graph. Like
-// coldRow it retries on failure instead of memoizing an error.
-func (s *snapshot) coldRouter(ctx context.Context) (*cliqueapsp.GreedyRouter, error) {
-	s.crMu.Lock()
-	defer s.crMu.Unlock()
-	if s.crouter != nil {
-		return s.crouter, nil
+// greedyRouter returns the snapshot's router, building it over the source's
+// graph on first use. A failed graph read is not memoized; racing first
+// builds are harmless, one router wins and the others are dropped.
+func (s *snapshot) greedyRouter(ctx context.Context) (*cliqueapsp.GreedyRouter, error) {
+	if r := s.router.Load(); r != nil {
+		return r, nil
 	}
-	g, err := s.cold.GraphCtx(ctx)
+	g, err := s.src.GraphCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// The router's own rows callback is a fallback only: cold routing always
-	// goes through RouteVia with a per-call error slot (and that call's
-	// trace context; this fallback has none).
-	s.crouter = cliqueapsp.NewGreedyRouter(g, func(src int) []int {
-		r, err := s.coldRow(context.Background(), src)
+	// No rows callback: every route goes through RouteVia with its own.
+	s.router.CompareAndSwap(nil, cliqueapsp.NewGreedyRouter(g, nil))
+	return s.router.Load(), nil
+}
+
+// path routes greedily from u to v over memoized next-hop rows. Rows are
+// resolved through RouteVia with a per-call error slot, so a read failure
+// mid-route surfaces as the ErrColdRead it is, not as ErrNoRoute.
+func (s *snapshot) path(ctx context.Context, u, v int) (PathResult, error) {
+	res := PathResult{U: u, V: v, Cost: Unreachable, Version: s.version}
+	a, err := s.answer(ctx, u, v)
+	if err != nil || !a.Reachable {
+		return res, err
+	}
+	router, err := s.greedyRouter(ctx)
+	if err != nil {
+		return res, fmt.Errorf("%w: %w", ErrColdRead, err)
+	}
+	var rerr error
+	path, cost, err := router.RouteVia(u, v, func(src int) []int {
+		r, err := s.nextHops(ctx, src)
 		if err != nil {
-			return s.dead()
+			// A row of dead ends stops the walk at once.
+			rerr = err
+			r = make([]int, s.n)
+			for i := range r {
+				r[i] = -1
+			}
 		}
 		return r
 	})
-	return s.crouter, nil
-}
-
-// path routes greedily from u to v over memoized next-hop rows, via the
-// library's GreedyRouter (built once per snapshot on first use).
-func (s *snapshot) path(ctx context.Context, u, v int) (PathResult, error) {
-	if s.cold != nil {
-		return s.coldPath(ctx, u, v)
+	if rerr != nil {
+		return res, fmt.Errorf("%w: %w", ErrColdRead, rerr)
 	}
-	res := PathResult{U: u, V: v, Cost: Unreachable, Version: s.version}
-	if !s.res.Distances.Reachable(u, v) {
-		return res, nil
-	}
-	s.routerOnce.Do(func() {
-		s.router = cliqueapsp.NewGreedyRouter(s.g, s.row)
-	})
-	path, cost, err := s.router.Route(u, v)
 	if err != nil {
 		// ErrNoRoute on a reachable pair means greedy forwarding looped or
 		// dead-ended on the approximate estimate — surfaced, not guessed.
@@ -288,51 +260,4 @@ func (s *snapshot) path(ctx context.Context, u, v int) (PathResult, error) {
 	}
 	res.Reachable, res.Path, res.Cost = true, path, cost
 	return res, nil
-}
-
-// coldPath is path over disk-backed rows: reachability from one row read,
-// routing over cold next-hop rows resolved through RouteVia so a mid-route
-// read failure surfaces as the I/O error it is, not as ErrNoRoute.
-func (s *snapshot) coldPath(ctx context.Context, u, v int) (PathResult, error) {
-	res := PathResult{U: u, V: v, Cost: Unreachable, Version: s.version}
-	urow, err := s.cold.RowCtx(ctx, u)
-	if err != nil {
-		return res, fmt.Errorf("%w: %w", ErrColdRead, err)
-	}
-	if urow[v] >= cliqueapsp.Inf {
-		return res, nil
-	}
-	router, err := s.coldRouter(ctx)
-	if err != nil {
-		return res, fmt.Errorf("%w: %w", ErrColdRead, err)
-	}
-	var rerr error
-	rows := func(src int) []int {
-		r, err := s.coldRow(ctx, src)
-		if err != nil {
-			if rerr == nil {
-				rerr = err
-			}
-			return s.dead()
-		}
-		return r
-	}
-	path, cost, err := router.RouteVia(u, v, rows)
-	if rerr != nil {
-		return res, fmt.Errorf("%w: %w", ErrColdRead, rerr)
-	}
-	if err != nil {
-		return res, fmt.Errorf("oracle: snapshot v%d: %w", s.version, err)
-	}
-	res.Reachable, res.Path, res.Cost = true, path, cost
-	return res, nil
-}
-
-// graphM returns the snapshot's edge count without forcing a cold graph
-// decode (the row index records it).
-func (s *snapshot) graphM() int {
-	if s.cold != nil {
-		return s.cold.Index().M
-	}
-	return s.g.NumEdges()
 }

@@ -18,12 +18,12 @@ func NextHopRow(g *Graph, distances *DistanceMatrix, src int) ([]int, error) {
 	if err := checkDistances(g, distances); err != nil {
 		return nil, err
 	}
-	if src < 0 || src >= g.N() {
-		return nil, fmt.Errorf("cliqueapsp: source %d out of range for n=%d", src, g.N())
-	}
-	row := make([]int, g.N())
-	nextHopInto(row, arcsOf(g, src), distances, src)
-	return row, nil
+	return NextHopRowFrom(g, src, residentRows(distances))
+}
+
+// residentRows is the row provider over a resident estimate; it never fails.
+func residentRows(distances *DistanceMatrix) func(x int) ([]int64, error) {
+	return func(x int) ([]int64, error) { return distances.Row(x), nil }
 }
 
 // NextHopRowFrom computes node src's next-hop row like NextHopRow, but
@@ -31,8 +31,8 @@ func NextHopRow(g *Graph, distances *DistanceMatrix, src int) ([]int, error) {
 // the building block for estimates that live on disk (the tier package's
 // snapshot readers). row(x) must return node x's full distance vector
 // (length n, treated read-only); it is called once per neighbor of src, so a
-// caching provider pays at most deg(src) row loads. Tie-breaking matches
-// NextHopRow exactly: the smallest neighbor index wins equal costs, so hot
+// caching provider pays at most deg(src) row loads. Ties break toward the
+// smallest neighbor index, so rows are deterministic per estimate and hot
 // and cold serving produce identical routes.
 func NextHopRowFrom(g *Graph, src int, row func(x int) ([]int64, error)) ([]int, error) {
 	n := g.N()
@@ -60,8 +60,11 @@ func NextHopRowFrom(g *Graph, src int, row func(x int) ([]int64, error)) ([]int,
 		}
 		for v := 0; v < n; v++ {
 			d := r[v]
-			// Same Inf saturation as nextHopInto: a candidate at or above
-			// Inf is unreachable and must not be elected.
+			// Saturating addition, mirroring minplus.SatAdd: a candidate whose
+			// cost lands at or above Inf is just as unreachable as one with an
+			// infinite estimate and must not be elected. With both operands
+			// below Inf the sum stays below MaxInt64/2, so the plain addition
+			// cannot overflow.
 			if d >= Inf {
 				continue
 			}
@@ -86,46 +89,16 @@ func NextHopTables(g *Graph, distances *DistanceMatrix) ([][]int, error) {
 	if err := checkDistances(g, distances); err != nil {
 		return nil, err
 	}
-	n := g.N()
-	adj := adjacency(g)
-	table := make([][]int, n)
-	for u := 0; u < n; u++ {
-		table[u] = make([]int, n)
-		nextHopInto(table[u], adj[u], distances, u)
+	rows := residentRows(distances)
+	table := make([][]int, g.N())
+	for u := range table {
+		row, err := NextHopRowFrom(g, u, rows)
+		if err != nil {
+			return nil, err
+		}
+		table[u] = row
 	}
 	return table, nil
-}
-
-// nextHopInto fills row with node u's greedy next hops toward every
-// destination, given u's incident arcs. Ties break toward the smallest
-// neighbor index so rows are deterministic per estimate.
-func nextHopInto(row []int, arcs []wArc, distances *DistanceMatrix, u int) {
-	for v := range row {
-		if u == v {
-			row[v] = u
-			continue
-		}
-		best, bestCost := -1, int64(0)
-		for _, a := range arcs {
-			d := distances.At(a.to, v)
-			// Saturating addition, mirroring minplus.SatAdd: a candidate whose
-			// cost lands at or above Inf is just as unreachable as one with an
-			// infinite estimate and must not be selected as a next hop. With
-			// both operands below Inf the sum stays below MaxInt64/2, so the
-			// plain addition cannot overflow.
-			if d >= Inf || a.w >= Inf {
-				continue
-			}
-			cost := a.w + d
-			if cost >= Inf {
-				continue
-			}
-			if best == -1 || cost < bestCost || (cost == bestCost && a.to < best) {
-				best, bestCost = a.to, cost
-			}
-		}
-		row[v] = best
-	}
 }
 
 // LoopFreeNextHopTables derives next-hop tables that greedy forwarding can
@@ -340,7 +313,7 @@ func adjacency(g *Graph) [][]wArc {
 // memoized against a pre-repair snapshot is still byte-identical after an
 // edge-delta repair of the distance matrix. A source's next-hop row depends
 // only on its own adjacency and its neighbours' distance rows (see
-// nextHopInto), so the row survives exactly when the source is not an
+// NextHopRowFrom), so the row survives exactly when the source is not an
 // endpoint of any changed edge (touched) and no out-neighbour's distance
 // row changed (changedRow). g is the post-delta graph; for an untouched
 // source its adjacency there equals the pre-delta one.
