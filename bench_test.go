@@ -1,6 +1,7 @@
 package cliqueapsp
 
 import (
+	"context"
 	"testing"
 
 	"github.com/congestedclique/cliqueapsp/internal/experiments"
@@ -80,7 +81,7 @@ func BenchmarkPipelineConstant(b *testing.B) {
 	g := RandomGraph(96, 40, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, Options{Algorithm: AlgConstant, Seed: int64(i)}); err != nil {
+		if _, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +93,7 @@ func BenchmarkPipelineLogApprox(b *testing.B) {
 	g := RandomGraph(96, 40, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, Options{Algorithm: AlgLogApprox, Seed: int64(i)}); err != nil {
+		if _, err := New().Run(context.Background(), g, WithAlgorithm(AlgLogApprox), WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,7 +105,7 @@ func BenchmarkPipelineExact(b *testing.B) {
 	g := RandomGraph(96, 40, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, Options{Algorithm: AlgExact}); err != nil {
+		if _, err := New().Run(context.Background(), g, WithAlgorithm(AlgExact)); err != nil {
 			b.Fatal(err)
 		}
 	}

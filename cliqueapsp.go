@@ -27,7 +27,6 @@
 package cliqueapsp
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/congestedclique/cliqueapsp/internal/core"
@@ -98,51 +97,6 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return out
-}
-
-// Options configures the deprecated one-shot Run. The zero value selects
-// AlgConstant with default accuracy and seed 0.
-//
-// Deprecated: construct an Engine with New and pass RunOptions to
-// Engine.Run instead.
-type Options struct {
-	// Algorithm to run; default AlgConstant.
-	Algorithm Algorithm
-	// T is the Theorem 1.2 tradeoff parameter (AlgTradeoff only; default 1).
-	T int
-	// Eps is the accuracy slack of the scaling stages (default 0.1).
-	Eps float64
-	// Seed drives all randomness; runs are reproducible per seed.
-	Seed int64
-	// BandwidthWords overrides the model bandwidth in words per ordered
-	// pair per round. 0 selects the algorithm's natural model (1 for the
-	// standard-model algorithms, ⌈log₂³n⌉ for AlgLargeBandwidth).
-	BandwidthWords int
-	// Deterministic makes the run fully deterministic (independent of Seed)
-	// by replacing the randomized hitting sets with a greedy set-cover
-	// construction, at O(k) extra rounds per skeleton stage and a log n
-	// (instead of log k) factor in the skeleton size bound.
-	Deterministic bool
-}
-
-// defaultEngine backs the deprecated one-shot Run wrapper.
-var defaultEngine = New()
-
-// Run executes the selected algorithm on g with a background context.
-//
-// Deprecated: use New and Engine.Run, which add context cancellation,
-// per-phase progress, per-run seed derivation, and concurrency safety. This
-// wrapper maps Options onto the equivalent RunOptions; per-seed results are
-// identical to the seed API's.
-func Run(g *Graph, opts Options) (*Result, error) {
-	return defaultEngine.Run(context.Background(), g,
-		WithAlgorithm(opts.Algorithm),
-		WithSeed(opts.Seed),
-		WithT(opts.T),
-		WithEps(opts.Eps),
-		WithBandwidth(opts.BandwidthWords),
-		WithDeterministicRun(opts.Deterministic),
-	)
 }
 
 // Exact returns the exact distance matrix of g, computed centrally (no

@@ -2,6 +2,7 @@ package cliqueapsp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestRunAllAlgorithmsSoundness(t *testing.T) {
 	for _, alg := range Algorithms() {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
-			res, err := Run(g, Options{Algorithm: alg, Seed: 3})
+			res, err := New().Run(context.Background(), g, WithAlgorithm(alg), WithSeed(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +41,7 @@ func TestRunAllAlgorithmsSoundness(t *testing.T) {
 
 func TestRunExactIsExact(t *testing.T) {
 	g := RandomGraph(40, 20, 1)
-	res, err := Run(g, Options{Algorithm: AlgExact})
+	res, err := New().Run(context.Background(), g, WithAlgorithm(AlgExact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestRunExactIsExact(t *testing.T) {
 
 func TestRunDeterministicPerSeed(t *testing.T) {
 	g := RandomGraph(48, 25, 2)
-	r1, err := Run(g, Options{Algorithm: AlgConstant, Seed: 9})
+	r1, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(g, Options{Algorithm: AlgConstant, Seed: 9})
+	r2, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRunZeroWeightsTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, Options{Algorithm: AlgConstant, Seed: 1})
+	res, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestRunZeroWeightsTransparent(t *testing.T) {
 func TestRunTradeoffParameter(t *testing.T) {
 	g := RandomGraph(64, 30, 3)
 	for _, tt := range []int{1, 2, 3} {
-		res, err := Run(g, Options{Algorithm: AlgTradeoff, T: tt, Seed: 1})
+		res, err := New().Run(context.Background(), g, WithAlgorithm(AlgTradeoff), WithT(tt), WithSeed(1))
 		if err != nil {
 			t.Fatalf("t=%d: %v", tt, err)
 		}
@@ -129,13 +130,13 @@ func TestGraphValidation(t *testing.T) {
 
 func TestRunUnknownAlgorithm(t *testing.T) {
 	g := RandomGraph(10, 5, 1)
-	if _, err := Run(g, Options{Algorithm: "nope"}); err == nil {
+	if _, err := New().Run(context.Background(), g, WithAlgorithm("nope")); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
 
 func TestRunNilGraph(t *testing.T) {
-	if _, err := Run(nil, Options{}); err == nil {
+	if _, err := New().Run(context.Background(), nil); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 }
@@ -180,7 +181,7 @@ func TestDistancesFromSlicesValidation(t *testing.T) {
 
 func TestResultPhasesPopulated(t *testing.T) {
 	g := RandomGraph(48, 20, 6)
-	res, err := Run(g, Options{Algorithm: AlgConstant, Seed: 2})
+	res, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func TestResultPhasesPopulated(t *testing.T) {
 
 func TestRunDeterministicModeSeedIndependent(t *testing.T) {
 	g := RandomGraph(64, 30, 21)
-	r1, err := Run(g, Options{Algorithm: AlgConstant, Seed: 1, Deterministic: true})
+	r1, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(1), WithDeterministicRun(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(g, Options{Algorithm: AlgConstant, Seed: 999, Deterministic: true})
+	r2, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(999), WithDeterministicRun(true))
 	if err != nil {
 		t.Fatal(err)
 	}

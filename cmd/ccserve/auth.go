@@ -29,9 +29,8 @@ import (
 //
 // The admin key may touch every route (and is the only key that can create
 // or delete tenants); a tenant key may only touch its own
-// /v1/graphs/{name}(/...) routes — a key for "default" additionally grants
-// the legacy single-graph /v1/* routes, which that tenant backs. Quotas
-// listed here are applied to their tenants at boot and on every reload.
+// /v1/graphs/{name}(/...) routes. Quotas listed here are applied to their
+// tenants at boot and on every reload.
 type keyFile struct {
 	Admin   string               `json:"admin"`
 	Tenants map[string]tenantKey `json:"tenants"`
@@ -236,11 +235,6 @@ func cutPrefixFold(s, prefix string) (string, bool) {
 // to, or reports false for admin-only surfaces (tenant create/delete,
 // listings, global stats, and any path outside the serving API).
 func tenantRoute(r *http.Request) (string, bool) {
-	switch r.URL.Path {
-	case "/v1/dist", "/v1/batch", "/v1/path", "/v1/graph":
-		// The legacy single-graph routes are views of the default tenant.
-		return defaultTenant, true
-	}
 	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/graphs/")
 	if !ok || rest == "" {
 		return "", false

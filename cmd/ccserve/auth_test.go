@@ -149,10 +149,6 @@ func TestTenantRouteScoping(t *testing.T) {
 		tenant       string
 		scoped       bool
 	}{
-		{http.MethodGet, "/v1/dist", defaultTenant, true},
-		{http.MethodPost, "/v1/batch", defaultTenant, true},
-		{http.MethodGet, "/v1/path", defaultTenant, true},
-		{http.MethodPost, "/v1/graph", defaultTenant, true},
 		{http.MethodGet, "/v1/graphs/alpha", "alpha", true},
 		{http.MethodGet, "/v1/graphs/alpha/dist", "alpha", true},
 		{http.MethodPost, "/v1/graphs/alpha/batch", "alpha", true},
@@ -164,6 +160,11 @@ func TestTenantRouteScoping(t *testing.T) {
 		{http.MethodDelete, "/v1/graphs/alpha", "", false},
 		{http.MethodGet, "/v1/stats", "", false},
 		{http.MethodGet, "/v1/unknown", "", false},
+		// The single-graph paths of earlier versions name no tenant.
+		{http.MethodGet, "/v1/dist", "", false},
+		{http.MethodPost, "/v1/batch", "", false},
+		{http.MethodGet, "/v1/path", "", false},
+		{http.MethodPost, "/v1/graph", "", false},
 	} {
 		tenant, scoped := tenantRoute(mk(tc.method, tc.path))
 		if tenant != tc.tenant || scoped != tc.scoped {

@@ -74,7 +74,7 @@ func TestServerColdTierAcrossRestart(t *testing.T) {
 
 	// An unconstrained first server persists two 20-node tenants.
 	base, stop := open(0, 0)
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, newTenant(t, base, "", "beta")+"/graph?wait=1", "application/json",
 		pathUploadJSON(20, 2), http.StatusOK, nil)
 	postJSON(t, base+"/v1/graphs", "application/json",
 		`{"name":"alpha"}`, http.StatusCreated, nil)
@@ -83,7 +83,7 @@ func TestServerColdTierAcrossRestart(t *testing.T) {
 	stop()
 
 	// Restart under a budget of 25: restore order is alphabetical, so
-	// "alpha" claims the hot headroom (20 ≤ 25) and "default" comes back
+	// "alpha" claims the hot headroom (20 ≤ 25) and "beta" comes back
 	// cold on its 4-row cache charge — 24 total, one full decode.
 	base, stop = open(25, 4)
 	defer stop()
@@ -103,21 +103,21 @@ func TestServerColdTierAcrossRestart(t *testing.T) {
 	if row := byName["alpha"]; row.Tier != "hot" || !row.Ready || row.Evicted {
 		t.Fatalf("alpha listing row %+v, want a ready hot tenant", row)
 	}
-	if row := byName["default"]; row.Tier != "cold" || !row.Ready || row.Evicted || row.N != 20 {
-		t.Fatalf("default listing row %+v, want a ready cold tenant", row)
+	if row := byName["beta"]; row.Tier != "cold" || !row.Ready || row.Evicted || row.N != 20 {
+		t.Fatalf("beta listing row %+v, want a ready cold tenant", row)
 	}
 
 	var summary tenantSummary
-	getJSON(t, base+"/v1/graphs/default", http.StatusOK, &summary)
+	getJSON(t, base+"/v1/graphs/beta", http.StatusOK, &summary)
 	if summary.Tier != "cold" || summary.Version != 1 || summary.N != 20 {
 		t.Fatalf("cold tenant summary %+v, want cold @ v1 with n=20", summary)
 	}
 
 	// The cold tenant answers from disk with the persisted values.
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=19", http.StatusOK, &dist)
+	getJSON(t, base+"/v1/graphs/beta/dist?u=0&v=19", http.StatusOK, &dist)
 	if dist.Distance != 38 || dist.Version != 1 {
-		t.Fatalf("cold default Dist = %+v, want 38 @ v1", dist)
+		t.Fatalf("cold beta Dist = %+v, want 38 @ v1", dist)
 	}
 	getJSON(t, base+"/v1/graphs/alpha/dist?u=0&v=19", http.StatusOK, &dist)
 	if dist.Distance != 57 || dist.Version != 1 {
@@ -135,20 +135,20 @@ func TestServerColdTierAcrossRestart(t *testing.T) {
 		t.Fatalf("tier occupancy %+v, want 20+4 nodes and row-cache misses", st.Manager)
 	}
 	for _, ts := range st.Manager.Tenants {
-		want := map[string]string{"alpha": "hot", "default": "cold"}[ts.Name]
+		want := map[string]string{"alpha": "hot", "beta": "cold"}[ts.Name]
 		if ts.Tier != want || ts.Oracle.Tier != want {
 			t.Fatalf("tenant %q tier %q/%q, want %q", ts.Name, ts.Tier, ts.Oracle.Tier, want)
 		}
 	}
 
-	// A 24-node rebuild of the cold default needs more room than demoting
+	// A 24-node rebuild of the cold beta needs more room than demoting
 	// can free: admission evicts the idle alpha, whose persisted snapshot
 	// keeps it listed — as a cold, evicted tenant.
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, base+"/v1/graphs/beta/graph?wait=1", "application/json",
 		pathUploadJSON(24, 1), http.StatusOK, nil)
-	getJSON(t, base+"/v1/dist?u=0&v=23", http.StatusOK, &dist)
+	getJSON(t, base+"/v1/graphs/beta/dist?u=0&v=23", http.StatusOK, &dist)
 	if dist.Distance != 23 || dist.Version != 2 {
-		t.Fatalf("rebuilt default Dist = %+v, want 23 @ v2", dist)
+		t.Fatalf("rebuilt beta Dist = %+v, want 23 @ v2", dist)
 	}
 	getJSON(t, base+"/v1/graphs/alpha", http.StatusOK, &summary)
 	if !summary.Evicted || summary.Tier != "cold" {
@@ -162,8 +162,8 @@ func TestServerColdTierAcrossRestart(t *testing.T) {
 	if row := byName["alpha"]; !row.Evicted || row.Tier != "cold" || row.Ready {
 		t.Fatalf("evicted alpha listing row %+v", row)
 	}
-	if row := byName["default"]; row.Tier != "hot" || row.Version != 2 {
-		t.Fatalf("rebuilt default listing row %+v", row)
+	if row := byName["beta"]; row.Tier != "hot" || row.Version != 2 {
+		t.Fatalf("rebuilt beta listing row %+v", row)
 	}
 	getJSON(t, base+"/v1/stats", http.StatusOK, &st)
 	if st.Manager.Evictions != 1 || st.Manager.ColdTenants != 0 {

@@ -4,23 +4,16 @@
 // HTTP/JSON. Every tenant picks its own algorithm/accuracy tradeoff; every
 // rebuild runs in the background while the previous snapshot keeps serving,
 // and every response reports the snapshot version that answered it.
-//
-// The single-graph routes of earlier versions keep working unchanged — they
-// are served by a pinned "default" tenant that exists from startup.
+// Tenants are created with POST /v1/graphs; the daemon starts with none
+// (or with the fleet persisted under -datadir).
 //
 // Endpoints:
 //
-//	POST /v1/graph   upload a graph to the default tenant (JSON
-//	                 {"n":…,"edges":[[u,v,w],…]} or the ccgen edge-list
-//	                 format); ?wait=1 blocks until the rebuild finishes
-//	GET  /v1/dist    ?u=0&v=3 — one distance (default tenant)
-//	POST /v1/batch   {"pairs":[[0,1],[2,3],…]} — many distances, one snapshot
-//	GET  /v1/path    ?u=0&v=3 — greedy next-hop route and its cost
-//	GET  /v1/stats   default-tenant + HTTP counters, manager aggregate,
-//	                 per-tenant breakdown (evictions included) and a
-//	                 process section (uptime, goroutines, heap, GC)
-//	GET  /healthz    200 once the default tenant serves; reports build
-//	                 version and VCS revision
+//	GET  /v1/stats   HTTP counters, manager aggregate, per-tenant
+//	                 breakdown (evictions included) and a process
+//	                 section (uptime, goroutines, heap, GC)
+//	GET  /healthz    200 while the process serves; reports the hosted
+//	                 graph count, build version and VCS revision
 //	GET  /metrics    Prometheus text exposition: request counts and
 //	                 latency histograms by route and status, per-tenant
 //	                 outcome counters, build-phase histograms, manager /
@@ -36,7 +29,10 @@
 //	                                  "max_nodes":…}
 //	GET    /v1/graphs/{name}          one tenant's summary
 //	DELETE /v1/graphs/{name}          remove a tenant
-//	POST   /v1/graphs/{name}/graph    upload that tenant's graph (?wait=1)
+//	POST   /v1/graphs/{name}/graph    upload that tenant's graph (JSON
+//	                                  {"n":…,"edges":[[u,v,w],…]} or the
+//	                                  ccgen edge-list format); ?wait=1
+//	                                  blocks until the rebuild finishes
 //	PATCH  /v1/graphs/{name}/edges    apply an edge delta to the current
 //	                                  graph: {"edges":[{"op":"add"|"remove"|
 //	                                  "reweight","u":…,"v":…,"w":…},…]};
@@ -45,9 +41,11 @@
 //	                                  the full pipeline (?wait=1)
 //	POST   /v1/graphs/{name}/promote  force a cold (disk-tier) tenant back
 //	                                  into memory (admin-only under -keys)
-//	GET    /v1/graphs/{name}/dist     ?u=0&v=3
-//	POST   /v1/graphs/{name}/batch    {"pairs":[…]}
-//	GET    /v1/graphs/{name}/path     ?u=0&v=3
+//	GET    /v1/graphs/{name}/dist     ?u=0&v=3 — one distance
+//	POST   /v1/graphs/{name}/batch    {"pairs":[[0,1],[2,3],…]} — many
+//	                                  distances, one snapshot
+//	GET    /v1/graphs/{name}/path     ?u=0&v=3 — greedy next-hop route
+//	                                  and its cost
 //	GET    /v1/graphs/{name}/stats    that tenant's full counters
 //
 // Admission is bounded by -maxgraphs (hosted tenants) and -maxtotaln
@@ -75,10 +73,9 @@
 // With -keys the server authenticates every route except /healthz via
 // "Authorization: Bearer <key>": the file's admin key may do everything
 // (and alone may create/delete tenants), a per-tenant key only its own
-// /v1/graphs/{name}/* routes (a "default" key also grants the legacy /v1/*
-// routes). The file may also declare per-tenant quotas (requests/sec and
-// answers/sec token buckets) enforced with 429 + Retry-After; SIGHUP
-// reloads the file without a restart. Without -keys the server stays as
+// /v1/graphs/{name}/* routes. The file may also declare per-tenant quotas
+// (requests/sec and answers/sec token buckets) enforced with 429 +
+// Retry-After; SIGHUP reloads the file without a restart. Without -keys the server stays as
 // open as earlier versions. Throttle counts appear in /v1/stats under
 // manager.throttled and per tenant. /metrics and /debug/pprof/ are not
 // tenant-scoped routes, so under -keys only the admin key reaches them.
@@ -137,7 +134,6 @@ func main() {
 		t            = flag.Int("t", 1, "tradeoff parameter (alg=tradeoff)")
 		det          = flag.Bool("det", false, "deterministic rebuilds (greedy hitting sets)")
 		seed         = flag.Int64("seed", 0, "pin the rebuild seed (0 = engine-derived per rebuild)")
-		graphFile    = flag.String("graph", "", "preload the default tenant's graph (ccgen format) before serving")
 		dataDir      = flag.String("datadir", "", "persist published snapshots here and restore the fleet on start (empty = no persistence)")
 		coldCache    = flag.Int("coldcache", 64, "hot-row cache rows per cold (disk-tier) tenant; with -datadir, memory pressure demotes idle tenants to serving rows from disk through this cache instead of evicting them (0 = tiering off)")
 		keysFile     = flag.String("keys", "", "JSON key file enabling auth: admin + per-tenant Bearer keys and quotas; SIGHUP reloads it (empty = open server)")
@@ -227,25 +223,6 @@ func main() {
 		fatal(err)
 	}
 	defer handler.Close()
-
-	if *graphFile != "" {
-		f, err := os.Open(*graphFile)
-		if err != nil {
-			fatal(err)
-		}
-		g, err := cliqueapsp.ReadGraph(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		v, err := handler.def.SetGraph(g)
-		if err != nil {
-			fatal(err)
-		}
-		logger.Info("graph preloaded", "file", *graphFile, "n", g.N(), "m", g.NumEdges(), "version", v)
-	}
 
 	srv := &http.Server{
 		Addr:              *addr,

@@ -220,8 +220,7 @@ func buildInfo() (version, revision string) {
 // or probe garbage.
 func routeTemplate(path string) string {
 	switch path {
-	case "/v1/dist", "/v1/batch", "/v1/path", "/v1/graph",
-		"/v1/stats", "/v1/graphs", "/v1/traces", "/healthz", "/metrics":
+	case "/v1/stats", "/v1/graphs", "/v1/traces", "/healthz", "/metrics":
 		return path
 	}
 	if strings.HasPrefix(path, "/debug/pprof/") {

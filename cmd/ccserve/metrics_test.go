@@ -60,11 +60,12 @@ func metricValue(t *testing.T, text, series string) float64 {
 func TestMetricsExposition(t *testing.T) {
 	base := startServer(t, testConfig(defaultLimits()))
 
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	g := newTenant(t, base, "", "g")
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		`{"n":3,"edges":[[0,1,2],[1,2,3]]}`, http.StatusOK, nil)
-	getJSON(t, base+"/v1/dist?u=0&v=2", http.StatusOK, nil)
-	getJSON(t, base+"/v1/dist?u=0&v=2", http.StatusOK, nil)
-	getJSON(t, base+"/v1/dist?u=99&v=0", http.StatusBadRequest, nil) // out of range
+	getJSON(t, g+"/dist?u=0&v=2", http.StatusOK, nil)
+	getJSON(t, g+"/dist?u=0&v=2", http.StatusOK, nil)
+	getJSON(t, g+"/dist?u=99&v=0", http.StatusBadRequest, nil) // out of range
 
 	text := scrape(t, base, "")
 	for _, want := range []string{
@@ -83,26 +84,25 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	if v := metricValue(t, text,
-		`ccserve_requests_total{route="/v1/dist",method="GET",status="200"}`); v != 2 {
+		`ccserve_requests_total{route="/v1/graphs/{name}/dist",method="GET",status="200"}`); v != 2 {
 		t.Errorf("dist 200 count = %v, want 2", v)
 	}
 	if v := metricValue(t, text,
-		`ccserve_requests_total{route="/v1/dist",method="GET",status="400"}`); v != 1 {
+		`ccserve_requests_total{route="/v1/graphs/{name}/dist",method="GET",status="400"}`); v != 1 {
 		t.Errorf("dist 400 count = %v, want 1", v)
 	}
 	if v := metricValue(t, text,
-		`ccserve_request_duration_seconds_bucket{route="/v1/dist",status="200",le="+Inf"}`); v != 2 {
+		`ccserve_request_duration_seconds_bucket{route="/v1/graphs/{name}/dist",status="200",le="+Inf"}`); v != 2 {
 		t.Errorf("dist latency +Inf bucket = %v, want 2", v)
 	}
-	// Legacy /v1/* routes are views of the default tenant: the 200s count
-	// as served, the 400 as error.
+	// Tenant routes count per tenant: the 200s as served, the 400 as error.
 	if v := metricValue(t, text,
-		`ccserve_tenant_requests_total{tenant="default",outcome="served"}`); v < 3 {
-		t.Errorf("default served = %v, want >= 3 (upload + 2 dist)", v)
+		`ccserve_tenant_requests_total{tenant="g",outcome="served"}`); v < 3 {
+		t.Errorf("g served = %v, want >= 3 (upload + 2 dist)", v)
 	}
 	if v := metricValue(t, text,
-		`ccserve_tenant_requests_total{tenant="default",outcome="error"}`); v != 1 {
-		t.Errorf("default error = %v, want 1", v)
+		`ccserve_tenant_requests_total{tenant="g",outcome="error"}`); v != 1 {
+		t.Errorf("g error = %v, want 1", v)
 	}
 	if v := metricValue(t, text, `ccserve_manager{stat="graphs"}`); v != 1 {
 		t.Errorf("manager graphs = %v, want 1", v)
@@ -211,7 +211,7 @@ func TestMetricsAdminOnly(t *testing.T) {
 // leaves the manager's recency order exactly as the queries set it.
 func TestScrapeDoesNotTouchLRU(t *testing.T) {
 	cfg := testConfig(defaultLimits())
-	cfg.maxGraphs = 3 // default + two named tenants
+	cfg.maxGraphs = 2
 	base := startServer(t, cfg)
 
 	postJSON(t, base+"/v1/graphs", "application/json", `{"name":"a"}`, http.StatusCreated, nil)
@@ -296,7 +296,7 @@ func TestBuildPhaseMetrics(t *testing.T) {
 // section and the build metadata /healthz reports.
 func TestStatsProcessSectionAndHealthzBuild(t *testing.T) {
 	base := startServer(t, testConfig(defaultLimits()))
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, newTenant(t, base, "", "g")+"/graph?wait=1", "application/json",
 		`{"n":2,"edges":[[0,1,1]]}`, http.StatusOK, nil)
 
 	var stats struct {
@@ -309,14 +309,13 @@ func TestStatsProcessSectionAndHealthzBuild(t *testing.T) {
 	}
 
 	var health struct {
-		Ready    bool   `json:"ready"`
 		Build    string `json:"build"`
 		Revision string `json:"revision"`
 	}
 	getJSON(t, base+"/healthz", http.StatusOK, &health)
 	version, revision := buildInfo()
-	if !health.Ready || health.Build != version || health.Revision != revision {
-		t.Errorf("healthz %+v, want ready with build %q revision %q", health, version, revision)
+	if health.Build != version || health.Revision != revision {
+		t.Errorf("healthz %+v, want build %q revision %q", health, version, revision)
 	}
 }
 
@@ -332,11 +331,17 @@ func TestFailLogsServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	// No graph yet: /v1/dist fails 503 — a server-side failure.
-	req := httptest.NewRequest(http.MethodGet, "/v1/dist?u=0&v=1", nil)
-	req.Header.Set("X-Request-Id", "err-trace-1")
 	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs", strings.NewReader(`{"name":"g"}`)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d, want 201", rec.Code)
+	}
+	buf.Reset()
+
+	// No graph yet: dist fails 503 — a server-side failure.
+	req := httptest.NewRequest(http.MethodGet, "/v1/graphs/g/dist?u=0&v=1", nil)
+	req.Header.Set("X-Request-Id", "err-trace-1")
+	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", rec.Code)
@@ -352,7 +357,7 @@ func TestFailLogsServerErrors(t *testing.T) {
 	// A malformed query is the client's fault: logged, but below info.
 	buf.Reset()
 	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/dist?u=zzz&v=1", nil))
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/graphs/g/dist?u=zzz&v=1", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", rec.Code)
 	}

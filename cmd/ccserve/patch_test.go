@@ -25,19 +25,20 @@ func patchConfig(lim limits) serverConfig {
 	return cfg
 }
 
-// TestServerPatchEdges drives the whole incremental-update surface on the
-// default tenant: a PATCH publishes a repaired snapshot, answers move, the
-// repair shows up in the tenant stats, the flattened /v1/stats fields, and
-// the /metrics exposition.
+// TestServerPatchEdges drives the whole incremental-update surface on one
+// tenant: a PATCH publishes a repaired snapshot, answers move, the repair
+// shows up in the tenant stats (typed and under its JSON names) and the
+// /metrics exposition.
 func TestServerPatchEdges(t *testing.T) {
 	base := startServer(t, patchConfig(defaultLimits()))
 	const js = "application/json"
+	g := newTenant(t, base, "", "g")
 
 	// Path 0-1-2-3-4-5 with weight 2: d(0,5) = 10 at v1.
-	postJSON(t, base+"/v1/graph?wait=1", js, pathUploadJSON(6, 2), http.StatusOK, nil)
+	postJSON(t, g+"/graph?wait=1", js, pathUploadJSON(6, 2), http.StatusOK, nil)
 
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=5", http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=0&v=5", http.StatusOK, &dist)
 	if dist.Distance != 10 || dist.Version != 1 {
 		t.Fatalf("pre-patch dist %+v, want 10 @ v1", dist)
 	}
@@ -54,55 +55,58 @@ func TestServerPatchEdges(t *testing.T) {
 		resp := doAuth(t, method, url, "", js, body)
 		decodeBody(t, resp, wantStatus, out)
 	}
-	doBody(http.MethodPatch, base+"/v1/graphs/default/edges?wait=1",
+	doBody(http.MethodPatch, g+"/edges?wait=1",
 		`{"edges":[{"op":"reweight","u":0,"v":1,"w":7}]}`, http.StatusOK, &patched)
 	if patched.Version != 2 || patched.Edges != 1 || !patched.Ready {
 		t.Fatalf("patch response %+v, want ready v2 with 1 edge", patched)
 	}
-	getJSON(t, base+"/v1/dist?u=0&v=5", http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=0&v=5", http.StatusOK, &dist)
 	if dist.Distance != 15 || dist.Version != 2 {
 		t.Fatalf("post-patch dist %+v, want 15 @ v2", dist)
 	}
 
 	// A mixed add+remove batch: the shortcut wins, the removed edge is gone.
-	doBody(http.MethodPatch, base+"/v1/graphs/default/edges?wait=1",
+	doBody(http.MethodPatch, g+"/edges?wait=1",
 		`{"edges":[{"op":"add","u":0,"v":5,"w":1},{"op":"remove","u":4,"v":5}]}`,
 		http.StatusOK, &patched)
 	if patched.Version != 3 || patched.Edges != 2 {
 		t.Fatalf("second patch response %+v, want v3 with 2 edges", patched)
 	}
-	getJSON(t, base+"/v1/dist?u=0&v=5", http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=0&v=5", http.StatusOK, &dist)
 	if dist.Distance != 1 {
 		t.Fatalf("post-add dist %+v, want the 1-weight shortcut", dist)
 	}
 	// With {4,5} gone, 4 reaches 5 only the long way round: 4-3-2-1 costs
 	// 6, 1-0 the reweighted 7, 0-5 the new shortcut 1 ⇒ 14.
-	getJSON(t, base+"/v1/dist?u=4&v=5", http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=4&v=5", http.StatusOK, &dist)
 	if dist.Distance != 14 {
 		t.Fatalf("post-remove dist %+v, want 14 via the shortcut", dist)
 	}
 
 	// Tenant stats: one upload rebuild, two repairs, no fallbacks.
 	var ts oracle.TenantStats
-	getJSON(t, base+"/v1/graphs/default/stats", http.StatusOK, &ts)
+	getJSON(t, g+"/stats", http.StatusOK, &ts)
 	if ts.Oracle.Rebuilds != 1 || ts.Oracle.Repairs != 2 || ts.Oracle.RepairFallbacks != 0 {
 		t.Fatalf("tenant stats rebuilds=%d repairs=%d fallbacks=%d, want 1/2/0",
 			ts.Oracle.Rebuilds, ts.Oracle.Repairs, ts.Oracle.RepairFallbacks)
 	}
 
-	// The flattened default-tenant block in /v1/stats carries the new
-	// counters under their documented JSON names.
-	var flat struct {
-		Repairs         *uint64 `json:"repairs"`
-		RepairFallbacks *uint64 `json:"repair_fallbacks"`
-		CoalescedDeltas *uint64 `json:"coalesced_deltas"`
+	// The tenant's stats carry the new counters under their documented
+	// JSON names.
+	var named struct {
+		Oracle struct {
+			Repairs         *uint64 `json:"repairs"`
+			RepairFallbacks *uint64 `json:"repair_fallbacks"`
+			CoalescedDeltas *uint64 `json:"coalesced_deltas"`
+		} `json:"oracle"`
 	}
-	getJSON(t, base+"/v1/stats", http.StatusOK, &flat)
+	getJSON(t, g+"/stats", http.StatusOK, &named)
+	flat := named.Oracle
 	if flat.Repairs == nil || flat.RepairFallbacks == nil || flat.CoalescedDeltas == nil {
-		t.Fatalf("/v1/stats missing repair fields: %+v", flat)
+		t.Fatalf("tenant stats missing repair fields: %+v", flat)
 	}
 	if *flat.Repairs != 2 || *flat.RepairFallbacks != 0 {
-		t.Fatalf("/v1/stats repairs=%d fallbacks=%d, want 2/0", *flat.Repairs, *flat.RepairFallbacks)
+		t.Fatalf("tenant stats repairs=%d fallbacks=%d, want 2/0", *flat.Repairs, *flat.RepairFallbacks)
 	}
 
 	// The fleet metric counted both repaired publishes.
@@ -117,6 +121,7 @@ func TestServerPatchEdges(t *testing.T) {
 func TestServerPatchEdgesErrors(t *testing.T) {
 	base := startServer(t, patchConfig(defaultLimits()))
 	const js = "application/json"
+	g := newTenant(t, base, "", "g")
 	patch := func(url, body string, wantStatus int) errorBody {
 		t.Helper()
 		var eb errorBody
@@ -126,19 +131,19 @@ func TestServerPatchEdgesErrors(t *testing.T) {
 	}
 
 	// No base graph yet: a delta has nothing to patch — 409, not 400.
-	patch(base+"/v1/graphs/default/edges", `{"edges":[{"op":"add","u":0,"v":1,"w":1}]}`,
+	patch(g+"/edges", `{"edges":[{"op":"add","u":0,"v":1,"w":1}]}`,
 		http.StatusConflict)
 
-	postJSON(t, base+"/v1/graph?wait=1", js, pathUploadJSON(4, 2), http.StatusOK, nil)
+	postJSON(t, g+"/graph?wait=1", js, pathUploadJSON(4, 2), http.StatusOK, nil)
 
 	// Invalid deltas are 400s naming the offending index.
-	if eb := patch(base+"/v1/graphs/default/edges",
+	if eb := patch(g+"/edges",
 		`{"edges":[{"op":"reweight","u":0,"v":1,"w":5},{"op":"add","u":2,"v":2,"w":1}]}`,
 		http.StatusBadRequest); !strings.Contains(eb.Error, "delta 1") ||
 		!strings.Contains(eb.Error, "self loop") {
 		t.Fatalf("self-loop delta error %q, want the index and cause named", eb.Error)
 	}
-	if eb := patch(base+"/v1/graphs/default/edges",
+	if eb := patch(g+"/edges",
 		`{"edges":[{"op":"add","u":0,"v":1,"w":1}]}`,
 		http.StatusBadRequest); !strings.Contains(eb.Error, "already exists") {
 		t.Fatalf("duplicate-add error %q", eb.Error)
@@ -146,18 +151,18 @@ func TestServerPatchEdgesErrors(t *testing.T) {
 	// A rejected delta publishes nothing: the graph still serves v1
 	// unchanged (the valid reweight at index 0 must not have leaked).
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=1", http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=0&v=1", http.StatusOK, &dist)
 	if dist.Distance != 2 || dist.Version != 1 {
 		t.Fatalf("dist after rejected deltas %+v, want untouched 2 @ v1", dist)
 	}
 
 	// Body shape errors.
-	patch(base+"/v1/graphs/default/edges", `{"edges":[]}`, http.StatusBadRequest)
-	patch(base+"/v1/graphs/default/edges", `{"edges":`, http.StatusBadRequest)
-	patch(base+"/v1/graphs/default/edges", `{"deltas":[{"op":"add"}]}`, http.StatusBadRequest)
+	patch(g+"/edges", `{"edges":[]}`, http.StatusBadRequest)
+	patch(g+"/edges", `{"edges":`, http.StatusBadRequest)
+	patch(g+"/edges", `{"deltas":[{"op":"add"}]}`, http.StatusBadRequest)
 
 	// Wrong method and unknown tenant.
-	doJSON(t, http.MethodGet, base+"/v1/graphs/default/edges", http.StatusMethodNotAllowed, nil)
+	doJSON(t, http.MethodGet, g+"/edges", http.StatusMethodNotAllowed, nil)
 	patch(base+"/v1/graphs/nope/edges", `{"edges":[{"op":"add","u":0,"v":1,"w":1}]}`,
 		http.StatusNotFound)
 }
@@ -167,22 +172,23 @@ func TestServerPatchEdgesErrors(t *testing.T) {
 // that would panic or normalize them away.
 func TestServerUploadRejectsSelfLoops(t *testing.T) {
 	base := startServer(t, testConfig(defaultLimits()))
+	g := newTenant(t, base, "", "g")
 
 	var eb errorBody
-	postJSON(t, base+"/v1/graph", "application/json",
+	postJSON(t, g+"/graph", "application/json",
 		`{"n":3,"edges":[[0,1,1],[2,2,5]]}`, http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, "edge 1") || !strings.Contains(eb.Error, "self loop") {
 		t.Fatalf("JSON self-loop error %q, want edge 1 named", eb.Error)
 	}
 
-	postJSON(t, base+"/v1/graph", "text/plain",
+	postJSON(t, g+"/graph", "text/plain",
 		"p 3 2\ne 0 1 4\ne 2 2 5\n", http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, "self loop") {
 		t.Fatalf("edge-list self-loop error %q", eb.Error)
 	}
 
 	// Valid uploads still pass after the rejections.
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		`{"n":3,"edges":[[0,1,1],[1,2,5]]}`, http.StatusOK, nil)
 }
 
@@ -230,7 +236,7 @@ func TestServerPromote(t *testing.T) {
 	}
 
 	base, stop := openAt(0, 0)
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, newTenant(t, base, "", "beta")+"/graph?wait=1", "application/json",
 		pathUploadJSON(20, 2), http.StatusOK, nil)
 	postJSON(t, base+"/v1/graphs", "application/json", `{"name":"alpha"}`, http.StatusCreated, nil)
 	postJSON(t, base+"/v1/graphs/alpha/graph?wait=1", "application/json",
@@ -238,21 +244,21 @@ func TestServerPromote(t *testing.T) {
 	stop()
 
 	// Budget 25, cache 4 rows: alphabetical restore brings "alpha" up hot
-	// (20) and "default" cold (4).
+	// (20) and "beta" cold (4).
 	base, stop = openAt(25, 4)
 	defer stop()
 
 	var summary tenantSummary
-	getJSON(t, base+"/v1/graphs/default", http.StatusOK, &summary)
+	getJSON(t, base+"/v1/graphs/beta", http.StatusOK, &summary)
 	if summary.Tier != "cold" {
-		t.Fatalf("default tier %q before promote, want cold", summary.Tier)
+		t.Fatalf("beta tier %q before promote, want cold", summary.Tier)
 	}
 
-	// Promote swaps the tiers: default earns its matrix back, alpha drops
+	// Promote swaps the tiers: beta earns its matrix back, alpha drops
 	// to the cold cache charge to fit the budget.
-	postJSON(t, base+"/v1/graphs/default/promote", "application/json", "", http.StatusOK, &summary)
-	if summary.Tier != "hot" || summary.Name != "default" {
-		t.Fatalf("promote response %+v, want hot default", summary)
+	postJSON(t, base+"/v1/graphs/beta/promote", "application/json", "", http.StatusOK, &summary)
+	if summary.Tier != "hot" || summary.Name != "beta" {
+		t.Fatalf("promote response %+v, want hot beta", summary)
 	}
 	getJSON(t, base+"/v1/graphs/alpha", http.StatusOK, &summary)
 	if summary.Tier != "cold" {
@@ -261,20 +267,20 @@ func TestServerPromote(t *testing.T) {
 
 	// The promoted tenant serves full-matrix answers.
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=19", http.StatusOK, &dist)
+	getJSON(t, base+"/v1/graphs/beta/dist?u=0&v=19", http.StatusOK, &dist)
 	if dist.Distance != 38 {
-		t.Fatalf("promoted default dist %+v, want 38", dist)
+		t.Fatalf("promoted beta dist %+v, want 38", dist)
 	}
 
 	// Idempotent: promoting a hot tenant is a 200 no-op.
-	postJSON(t, base+"/v1/graphs/default/promote", "application/json", "", http.StatusOK, &summary)
+	postJSON(t, base+"/v1/graphs/beta/promote", "application/json", "", http.StatusOK, &summary)
 	if summary.Tier != "hot" {
 		t.Fatalf("re-promote response %+v, want hot", summary)
 	}
 
 	// Unknown tenant and wrong method.
 	postJSON(t, base+"/v1/graphs/nope/promote", "application/json", "", http.StatusNotFound, nil)
-	getJSON(t, base+"/v1/graphs/default/promote", http.StatusMethodNotAllowed, nil)
+	getJSON(t, base+"/v1/graphs/beta/promote", http.StatusMethodNotAllowed, nil)
 }
 
 // TestServerPatchAuth: with -keys, a tenant key may PATCH its own edges but
@@ -313,7 +319,7 @@ func TestServerPatchAuth(t *testing.T) {
 	}
 	authJSON(t, http.MethodPatch, base+"/v1/graphs/alpha/edges", "", js,
 		`{"edges":[{"op":"reweight","u":0,"v":1,"w":3}]}`, http.StatusUnauthorized, nil)
-	authJSON(t, http.MethodPatch, base+"/v1/graphs/default/edges", "alpha-key", js,
+	authJSON(t, http.MethodPatch, base+"/v1/graphs/beta/edges", "alpha-key", js,
 		`{"edges":[{"op":"reweight","u":0,"v":1,"w":3}]}`, http.StatusForbidden, nil)
 
 	// Promote is an admin surface even for the tenant's own key.
@@ -331,6 +337,7 @@ func TestServerPatchAuth(t *testing.T) {
 func TestServerConcurrentPatchAndQueries(t *testing.T) {
 	base := startServer(t, patchConfig(defaultLimits()))
 	const js = "application/json"
+	g := newTenant(t, base, "", "g")
 
 	// Star-free path graph: 0's only neighbor is 1, so d(0,1) is exactly
 	// the patched edge weight at every version.
@@ -340,7 +347,7 @@ func TestServerConcurrentPatchAndQueries(t *testing.T) {
 		fmt.Fprintf(&sb, ",[%d,%d,1]", u, u+1)
 	}
 	sb.WriteString("]}")
-	postJSON(t, base+"/v1/graph?wait=1", js, sb.String(), http.StatusOK, nil)
+	postJSON(t, g+"/graph?wait=1", js, sb.String(), http.StatusOK, nil)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -354,7 +361,7 @@ func TestServerConcurrentPatchAndQueries(t *testing.T) {
 					return
 				default:
 				}
-				resp := doAuth(t, http.MethodGet, base+"/v1/dist?u=0&v=1", "", "", "")
+				resp := doAuth(t, http.MethodGet, g+"/dist?u=0&v=1", "", "", "")
 				var dist oracle.DistResult
 				decodeBody(t, resp, http.StatusOK, &dist)
 				if dist.Distance != int64(100+dist.Version) {
@@ -362,7 +369,7 @@ func TestServerConcurrentPatchAndQueries(t *testing.T) {
 					return
 				}
 				var batch oracle.BatchResult
-				resp = doAuth(t, http.MethodPost, base+"/v1/batch", "", js, `{"pairs":[[0,1],[0,2]]}`)
+				resp = doAuth(t, http.MethodPost, g+"/batch", "", js, `{"pairs":[[0,1],[0,2]]}`)
 				decodeBody(t, resp, http.StatusOK, &batch)
 				if batch.Answers[0].Distance != int64(100+batch.Version) {
 					t.Errorf("batch d(0,1) = %d at v%d", batch.Answers[0].Distance, batch.Version)
@@ -376,7 +383,7 @@ func TestServerConcurrentPatchAndQueries(t *testing.T) {
 		var patched struct {
 			Version uint64 `json:"version"`
 		}
-		resp := doAuth(t, http.MethodPatch, base+"/v1/graphs/default/edges?wait=1", "", js,
+		resp := doAuth(t, http.MethodPatch, g+"/edges?wait=1", "", js,
 			fmt.Sprintf(`{"edges":[{"op":"reweight","u":0,"v":1,"w":%d}]}`, 100+k))
 		decodeBody(t, resp, http.StatusOK, &patched)
 		if patched.Version != k {
@@ -387,7 +394,7 @@ func TestServerConcurrentPatchAndQueries(t *testing.T) {
 	wg.Wait()
 
 	var ts oracle.TenantStats
-	getJSON(t, base+"/v1/graphs/default/stats", http.StatusOK, &ts)
+	getJSON(t, g+"/stats", http.StatusOK, &ts)
 	if ts.Oracle.Repairs != 12 || ts.Oracle.Rebuilds != 1 {
 		t.Fatalf("repairs=%d rebuilds=%d after 12 patches, want 12/1",
 			ts.Oracle.Repairs, ts.Oracle.Rebuilds)

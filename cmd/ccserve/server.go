@@ -25,14 +25,10 @@ import (
 	"github.com/congestedclique/cliqueapsp/tier"
 )
 
-// defaultTenant is the pinned tenant behind the single-graph /v1/* routes;
-// it exists from startup so the pre-manager API keeps its exact behavior.
-const defaultTenant = "default"
-
 // limits bounds what one request may ask of the server.
 type limits struct {
 	maxNodes int   // largest accepted graph (nodes)
-	maxBatch int   // most pairs per /v1/batch call
+	maxBatch int   // most pairs per batch call
 	maxBody  int64 // request body cap in bytes
 }
 
@@ -71,9 +67,8 @@ const defaultTraceBuf = 256
 // manager's and every tenant's own, plus the obs registry behind /metrics.
 type server struct {
 	mgr   *oracle.Manager
-	def   *oracle.Tenant // the pinned default tenant
-	snaps *store.Dir     // nil without -datadir
-	auth  *keyring       // nil without -keys: every route open
+	snaps *store.Dir // nil without -datadir
+	auth  *keyring   // nil without -keys: every route open
 	lim   limits
 	mux   *http.ServeMux
 	start time.Time
@@ -188,15 +183,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		}
 	}
 	s.mgr = oracle.NewManager(mcfg)
-	// AdoptPersisted: the default tenant is re-created on every boot, and its
-	// previous incarnation's snapshot is exactly what RestoreAll should bring
-	// back — a replacing create would erase it.
-	def, err := s.mgr.Create(defaultTenant, oracle.TenantConfig{Pinned: true, AdoptPersisted: true})
-	if err != nil {
-		s.mgr.Close()
-		return nil, fmt.Errorf("creating the default tenant: %w", err)
-	}
-	s.def = def
 
 	// Restore the persisted fleet before taking traffic: every tenant that
 	// comes back from disk serves immediately, at zero rebuilds.
@@ -219,14 +205,8 @@ func newServer(cfg serverConfig) (*server, error) {
 	// tenant before the first request is served.
 	s.applyFileQuotas()
 
-	// Single-graph routes: the pre-manager API, served by the default tenant.
-	s.mux.HandleFunc("/v1/dist", s.handleDist)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/path", s.handlePath)
-	s.mux.HandleFunc("/v1/graph", s.handleGraph)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	// Multi-tenant routes.
 	s.mux.HandleFunc("/v1/graphs", s.handleGraphs)
 	s.mux.HandleFunc("/v1/graphs/", s.handleTenant)
 	// Observability surfaces. None of these paths are tenant-scoped in
@@ -502,7 +482,7 @@ func expectEOF(dec *json.Decoder) error {
 	}
 }
 
-// ---- per-tenant core handlers (shared by /v1/* and /v1/graphs/{name}/*) ----
+// ---- per-tenant handlers (/v1/graphs/{name}/*) ----
 
 // GET …/dist?u=0&v=3
 func (s *server) dist(w http.ResponseWriter, r *http.Request, t *oracle.Tenant) {
@@ -849,41 +829,13 @@ func (s *server) promoteTenant(w http.ResponseWriter, r *http.Request, t *oracle
 	s.writeJSON(w, http.StatusOK, summarize(ts))
 }
 
-// ---- single-graph routes (default tenant, pre-manager behavior) ----
-
-func (s *server) handleDist(w http.ResponseWriter, r *http.Request) {
-	if s.requireMethod(w, r, http.MethodGet) {
-		s.dist(w, r, s.def)
-	}
-}
-
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.requireMethod(w, r, http.MethodPost) {
-		s.batch(w, r, s.def)
-	}
-}
-
-func (s *server) handlePath(w http.ResponseWriter, r *http.Request) {
-	if s.requireMethod(w, r, http.MethodGet) {
-		s.path(w, r, s.def)
-	}
-}
-
-func (s *server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	if s.requireMethod(w, r, http.MethodPost) {
-		s.uploadGraph(w, r, s.def)
-	}
-}
-
-// GET /v1/stats — the default tenant's counters (flattened, the
-// pre-manager shape) plus HTTP counters and the manager aggregate with
-// per-tenant breakdown.
+// GET /v1/stats — HTTP counters, the manager aggregate with per-tenant
+// breakdown, and the process section.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, struct {
-		oracle.Stats
 		UptimeNS     time.Duration       `json:"uptime_ns"`
 		HTTPRequests uint64              `json:"http_requests"`
 		HTTPErrors   uint64              `json:"http_errors"`
@@ -891,7 +843,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Manager      oracle.ManagerStats `json:"manager"`
 		Process      processStats        `json:"process"`
 	}{
-		Stats:        s.def.Stats().Oracle,
 		UptimeNS:     time.Since(s.start),
 		HTTPRequests: s.reqs.Load(),
 		HTTPErrors:   s.errs.Load(),
@@ -901,27 +852,15 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// GET /healthz — 200 once the default tenant serves a snapshot, 503
-// before. Not-ready probes bypass the error counter: a liveness check
-// polling through a long initial build would otherwise drown real client
-// errors in /v1/stats.
+// GET /healthz — always 200 while the process serves: the hosted graph
+// count plus build metadata.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ready := s.def.Ready()
-	status := http.StatusOK
-	if !ready {
-		status = http.StatusServiceUnavailable
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	build, revision := buildInfo()
-	_ = json.NewEncoder(w).Encode(struct {
-		Ready    bool   `json:"ready"`
-		Version  uint64 `json:"version"`
+	s.writeJSON(w, http.StatusOK, struct {
 		Graphs   int    `json:"graphs"`
 		Build    string `json:"build"`
 		Revision string `json:"revision"`
-	}{Ready: ready, Version: s.def.Version(), Graphs: len(s.mgr.Names()),
-		Build: build, Revision: revision})
+	}{Graphs: len(s.mgr.Names()), Build: build, Revision: revision})
 }
 
 // ---- multi-tenant routes ----
@@ -1225,11 +1164,6 @@ func (s *server) tenantStats(w http.ResponseWriter, r *http.Request, t *oracle.T
 
 // DELETE /v1/graphs/{name}
 func (s *server) deleteTenant(w http.ResponseWriter, r *http.Request, name string) {
-	if name == defaultTenant {
-		s.fail(w, r, http.StatusBadRequest,
-			fmt.Errorf("the %q tenant backs the single-graph /v1 routes and cannot be deleted", defaultTenant))
-		return
-	}
 	err := s.mgr.Delete(name)
 	// The override goes away when the tenant is gone — including the
 	// already-gone 404 case, which is the only path left to the entry of an

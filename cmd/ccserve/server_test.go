@@ -258,18 +258,31 @@ func decodeBody(t *testing.T, resp *http.Response, wantStatus int, out any) {
 	}
 }
 
+// newTenant creates name through POST /v1/graphs (key "" on an open
+// server, else the admin key) and returns the base URL of its
+// /v1/graphs/{name} routes.
+func newTenant(t *testing.T, base, key, name string) string {
+	t.Helper()
+	authJSON(t, http.MethodPost, base+"/v1/graphs", key, "application/json",
+		fmt.Sprintf(`{"name":%q}`, name), http.StatusCreated, nil)
+	return base + "/v1/graphs/" + name
+}
+
 func TestServerEndToEnd(t *testing.T) {
 	base := startServer(t, testConfig(defaultLimits()))
 
-	// Before any graph: health says not ready, queries say 503.
+	// Health answers from the start; it reports the fleet, it does not wait.
 	var health struct {
-		Ready bool `json:"ready"`
+		Graphs int `json:"graphs"`
 	}
-	getJSON(t, base+"/healthz", http.StatusServiceUnavailable, &health)
-	if health.Ready {
-		t.Fatal("ready before any graph")
+	getJSON(t, base+"/healthz", http.StatusOK, &health)
+	if health.Graphs != 0 {
+		t.Fatalf("healthz graphs = %d before any create, want 0", health.Graphs)
 	}
-	getJSON(t, base+"/v1/dist?u=0&v=1", http.StatusServiceUnavailable, nil)
+
+	// Before any graph: queries say 503.
+	g := newTenant(t, base, "", "g")
+	getJSON(t, g+"/dist?u=0&v=1", http.StatusServiceUnavailable, nil)
 
 	// Upload the quickstart path 0-3-1-1-2-2-3 and wait for the build.
 	var up struct {
@@ -278,20 +291,20 @@ func TestServerEndToEnd(t *testing.T) {
 		M       int    `json:"m"`
 		Ready   bool   `json:"ready"`
 	}
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		`{"n":4,"edges":[[0,1,3],{"u":1,"v":2,"w":1},[2,3,2]]}`, http.StatusOK, &up)
 	if up.Version == 0 || up.N != 4 || up.M != 3 || !up.Ready {
 		t.Fatalf("upload response %+v", up)
 	}
 
 	var dist oracle.DistResult
-	getJSON(t, fmt.Sprintf("%s/v1/dist?u=0&v=3", base), http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=0&v=3", http.StatusOK, &dist)
 	if !dist.Reachable || dist.Distance != 6 || dist.Version != up.Version {
 		t.Fatalf("dist response %+v", dist)
 	}
 
 	var batch oracle.BatchResult
-	postJSON(t, base+"/v1/batch", "application/json",
+	postJSON(t, g+"/batch", "application/json",
 		`{"pairs":[[0,1],[0,3],{"u":3,"v":0}]}`, http.StatusOK, &batch)
 	if batch.Version != up.Version || len(batch.Answers) != 3 {
 		t.Fatalf("batch response %+v", batch)
@@ -301,44 +314,43 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	var path oracle.PathResult
-	getJSON(t, fmt.Sprintf("%s/v1/path?u=0&v=3", base), http.StatusOK, &path)
+	getJSON(t, g+"/path?u=0&v=3", http.StatusOK, &path)
 	if !path.Reachable || path.Cost != 6 || len(path.Path) != 4 || path.Version != up.Version {
 		t.Fatalf("path response %+v", path)
 	}
 
 	var stats struct {
-		oracle.Stats
 		HTTPRequests uint64              `json:"http_requests"`
 		HTTPErrors   uint64              `json:"http_errors"`
 		GraphUploads uint64              `json:"graph_uploads"`
 		Manager      oracle.ManagerStats `json:"manager"`
 	}
 	getJSON(t, base+"/v1/stats", http.StatusOK, &stats)
-	if stats.Version != up.Version || stats.GraphN != 4 || stats.GraphUploads != 1 {
+	if stats.GraphUploads != 1 {
 		t.Fatalf("stats %+v", stats)
 	}
-	// Exactly one error so far: the not-ready /v1/dist. The not-ready
-	// /healthz probe must NOT have counted.
+	// Exactly one error so far: the not-ready dist.
 	if stats.HTTPErrors != 1 {
-		t.Fatalf("http_errors = %d, want 1 (healthz probes excluded)", stats.HTTPErrors)
-	}
-	if stats.DistQueries != 1 || stats.BatchQueries != 1 || stats.PathQueries != 1 {
-		t.Fatalf("query counters %+v", stats)
+		t.Fatalf("http_errors = %d, want 1", stats.HTTPErrors)
 	}
 	if stats.HTTPRequests == 0 {
 		t.Fatal("no http requests counted")
 	}
-	// The manager aggregate reports the default tenant.
+	// The manager aggregate reports the tenant with its own counters.
 	if stats.Manager.Graphs != 1 || len(stats.Manager.Tenants) != 1 {
 		t.Fatalf("manager stats %+v", stats.Manager)
 	}
-	if ts := stats.Manager.Tenants[0]; ts.Name != "default" || !ts.Pinned || ts.Nodes != 4 {
-		t.Fatalf("default tenant stats %+v", ts)
+	ts := stats.Manager.Tenants[0]
+	if ts.Name != "g" || ts.Nodes != 4 || ts.Oracle.Version != up.Version || ts.Oracle.GraphN != 4 {
+		t.Fatalf("tenant stats %+v", ts)
+	}
+	if ts.Oracle.DistQueries != 1 || ts.Oracle.BatchQueries != 1 || ts.Oracle.PathQueries != 1 {
+		t.Fatalf("query counters %+v", ts.Oracle)
 	}
 
 	getJSON(t, base+"/healthz", http.StatusOK, &health)
-	if !health.Ready {
-		t.Fatal("not ready after build")
+	if health.Graphs != 1 {
+		t.Fatalf("healthz graphs = %d after the create, want 1", health.Graphs)
 	}
 }
 
@@ -347,7 +359,8 @@ func TestServerEdgeListUploadAndSecondGraph(t *testing.T) {
 
 	// First graph via JSON, second via the ccgen edge-list format; versions
 	// must increase and answers must switch to the new snapshot.
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	tn := newTenant(t, base, "", "g")
+	postJSON(t, tn+"/graph?wait=1", "application/json",
 		`{"n":2,"edges":[[0,1,9]]}`, http.StatusOK, nil)
 
 	g := cliqueapsp.NewGraph(3)
@@ -364,12 +377,12 @@ func TestServerEdgeListUploadAndSecondGraph(t *testing.T) {
 	var up struct {
 		Version uint64 `json:"version"`
 	}
-	postJSON(t, base+"/v1/graph?wait=1", "text/plain", buf.String(), http.StatusOK, &up)
+	postJSON(t, tn+"/graph?wait=1", "text/plain", buf.String(), http.StatusOK, &up)
 	if up.Version != 2 {
 		t.Fatalf("second upload version %d", up.Version)
 	}
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=2", http.StatusOK, &dist)
+	getJSON(t, tn+"/dist?u=0&v=2", http.StatusOK, &dist)
 	if dist.Distance != 8 || dist.Version != 2 {
 		t.Fatalf("dist after swap %+v", dist)
 	}
@@ -380,32 +393,33 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	lim.maxBatch = 2
 	lim.maxNodes = 8
 	base := startServer(t, testConfig(lim))
+	g := newTenant(t, base, "", "g")
 
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		`{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1]]}`, http.StatusOK, nil)
 
 	// Method and parameter errors.
-	postJSON(t, base+"/v1/dist", "application/json", `{}`, http.StatusMethodNotAllowed, nil)
-	getJSON(t, base+"/v1/dist?u=zero&v=1", http.StatusBadRequest, nil)
-	getJSON(t, base+"/v1/dist?u=0&v=99", http.StatusBadRequest, nil)
-	getJSON(t, base+"/v1/path?u=0", http.StatusBadRequest, nil)
+	postJSON(t, g+"/dist", "application/json", `{}`, http.StatusMethodNotAllowed, nil)
+	getJSON(t, g+"/dist?u=zero&v=1", http.StatusBadRequest, nil)
+	getJSON(t, g+"/dist?u=0&v=99", http.StatusBadRequest, nil)
+	getJSON(t, g+"/path?u=0", http.StatusBadRequest, nil)
 
 	// Malformed and oversized bodies.
-	postJSON(t, base+"/v1/batch", "application/json", `{"pairs":`, http.StatusBadRequest, nil)
-	postJSON(t, base+"/v1/batch", "application/json", `{"pairs":[]}`, http.StatusBadRequest, nil)
-	postJSON(t, base+"/v1/batch", "application/json",
+	postJSON(t, g+"/batch", "application/json", `{"pairs":`, http.StatusBadRequest, nil)
+	postJSON(t, g+"/batch", "application/json", `{"pairs":[]}`, http.StatusBadRequest, nil)
+	postJSON(t, g+"/batch", "application/json",
 		`{"pairs":[[0,1],[1,2],[2,3]]}`, http.StatusRequestEntityTooLarge, nil)
-	postJSON(t, base+"/v1/batch", "application/json",
+	postJSON(t, g+"/batch", "application/json",
 		`{"pairs":[[0,1,2]]}`, http.StatusBadRequest, nil)
-	postJSON(t, base+"/v1/graph", "application/json",
+	postJSON(t, g+"/graph", "application/json",
 		`{"n":9,"edges":[]}`, http.StatusRequestEntityTooLarge, nil)
-	postJSON(t, base+"/v1/graph", "application/json",
+	postJSON(t, g+"/graph", "application/json",
 		`{"n":2,"edges":[[0,0,1]]}`, http.StatusBadRequest, nil)
-	postJSON(t, base+"/v1/graph", "text/plain", "not a graph", http.StatusBadRequest, nil)
+	postJSON(t, g+"/graph", "text/plain", "not a graph", http.StatusBadRequest, nil)
 
 	// The serving snapshot survived all of the above.
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=3", http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=0&v=3", http.StatusOK, &dist)
 	if dist.Distance != 3 {
 		t.Fatalf("dist after bad requests %+v", dist)
 	}
@@ -413,18 +427,19 @@ func TestServerRejectsBadRequests(t *testing.T) {
 
 func TestServerAsyncUploadEventuallyServes(t *testing.T) {
 	base := startServer(t, testConfig(defaultLimits()))
+	g := newTenant(t, base, "", "g")
 	var up struct {
 		Version uint64 `json:"version"`
 		Ready   bool   `json:"ready"`
 	}
-	postJSON(t, base+"/v1/graph", "application/json",
+	postJSON(t, g+"/graph", "application/json",
 		`{"n":2,"edges":[[0,1,5]]}`, http.StatusAccepted, &up)
 	if up.Ready {
 		t.Fatal("async upload reported ready")
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(base + "/v1/dist?u=0&v=1")
+		resp, err := http.Get(g + "/dist?u=0&v=1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,12 +461,13 @@ func TestServerAsyncUploadEventuallyServes(t *testing.T) {
 
 // TestServerMultiTenantEndToEnd is the acceptance criterion: one ccserve
 // process serves two named graphs under different algorithms concurrently,
-// while the single-graph routes keep serving the default tenant untouched.
+// while a third tenant on the server's default algorithm keeps serving
+// untouched.
 func TestServerMultiTenantEndToEnd(t *testing.T) {
 	base := startServer(t, testConfig(defaultLimits()))
 
-	// Default tenant via the legacy route.
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	plain := newTenant(t, base, "", "plain")
+	postJSON(t, plain+"/graph?wait=1", "application/json",
 		`{"n":2,"edges":[[0,1,11]]}`, http.StatusOK, nil)
 
 	// Two named tenants: exact and doubled estimates over the same graph.
@@ -469,7 +485,7 @@ func TestServerMultiTenantEndToEnd(t *testing.T) {
 	postJSON(t, base+"/v1/graphs/double/graph?wait=1", "application/json", graph, http.StatusOK, nil)
 
 	// Concurrent queries across tenants: each answers under its own
-	// algorithm, and the default tenant is unaffected.
+	// algorithm, and the plain tenant is unaffected.
 	var wg sync.WaitGroup
 	errc := make(chan error, 3)
 	for _, tc := range []struct {
@@ -478,7 +494,7 @@ func TestServerMultiTenantEndToEnd(t *testing.T) {
 	}{
 		{"/v1/graphs/exact/dist?u=0&v=3", 6},
 		{"/v1/graphs/double/dist?u=0&v=3", 12},
-		{"/v1/dist?u=0&v=1", 11},
+		{"/v1/graphs/plain/dist?u=0&v=1", 11},
 	} {
 		wg.Add(1)
 		go func(path string, want int64) {
@@ -543,8 +559,8 @@ func TestServerMultiTenantEndToEnd(t *testing.T) {
 	if byName["exact"].Algorithm != "ccserve-test-exact" || byName["double"].Algorithm != "ccserve-test-double" {
 		t.Fatalf("algorithms in listing: %+v", byName)
 	}
-	if !byName["default"].Pinned || byName["default"].N != 2 {
-		t.Fatalf("default in listing: %+v", byName["default"])
+	if byName["plain"].N != 2 {
+		t.Fatalf("plain in listing: %+v", byName["plain"])
 	}
 
 	var ts oracle.TenantStats
@@ -566,7 +582,7 @@ func TestServerMultiTenantEndToEnd(t *testing.T) {
 // checks the eviction shows up in /v1/stats.
 func TestServerLRUEvictionObservable(t *testing.T) {
 	cfg := testConfig(defaultLimits())
-	cfg.maxGraphs = 3 // default + two named tenants
+	cfg.maxGraphs = 2
 	base := startServer(t, cfg)
 
 	postJSON(t, base+"/v1/graphs", "application/json", `{"name":"a"}`, http.StatusCreated, nil)
@@ -587,28 +603,29 @@ func TestServerLRUEvictionObservable(t *testing.T) {
 		Manager oracle.ManagerStats `json:"manager"`
 	}
 	getJSON(t, base+"/v1/stats", http.StatusOK, &stats)
-	if stats.Manager.Evictions != 1 || stats.Manager.Graphs != 3 {
+	if stats.Manager.Evictions != 1 || stats.Manager.Graphs != 2 {
 		t.Fatalf("manager stats after eviction %+v", stats.Manager)
 	}
-	names := make([]string, 0, 3)
+	names := make([]string, 0, 2)
 	for _, ts := range stats.Manager.Tenants {
 		names = append(names, ts.Name)
 	}
-	if fmt.Sprint(names) != "[a c default]" {
+	if fmt.Sprint(names) != "[a c]" {
 		t.Fatalf("tenants after eviction %v", names)
 	}
-
-	// The pinned default tenant is never the victim even when it is LRU.
-	postJSON(t, base+"/v1/graphs", "application/json", `{"name":"d"}`, http.StatusCreated, nil)
-	getJSON(t, base+"/healthz", http.StatusServiceUnavailable, nil) // default alive, no graph yet
 }
 
 // TestServerTenantRouteErrors covers the 404/405/limit surfaces of the
 // /v1/graphs tree.
 func TestServerTenantRouteErrors(t *testing.T) {
+	resetGate() // never released: held's build keeps it from being idle
 	cfg := testConfig(defaultLimits())
-	cfg.maxGraphs = 1 // only the pinned default fits
+	cfg.maxGraphs = 1
 	base := startServer(t, cfg)
+	postJSON(t, base+"/v1/graphs", "application/json",
+		`{"name":"held","algorithm":"ccserve-test-gated"}`, http.StatusCreated, nil)
+	postJSON(t, base+"/v1/graphs/held/graph", "application/json",
+		`{"n":2,"edges":[[0,1,1]]}`, http.StatusAccepted, nil)
 
 	// Create validation.
 	postJSON(t, base+"/v1/graphs", "application/json", `{"name":""}`, http.StatusBadRequest, nil)
@@ -617,22 +634,20 @@ func TestServerTenantRouteErrors(t *testing.T) {
 	postJSON(t, base+"/v1/graphs", "application/json",
 		`{"name":"x","algorithm":"no-such-algorithm"}`, http.StatusBadRequest, nil)
 	postJSON(t, base+"/v1/graphs", "application/json",
-		`{"name":"default"}`, http.StatusConflict, nil)
-	// Capacity: the only slot is held by the pinned default tenant.
+		`{"name":"held"}`, http.StatusConflict, nil)
+	// Capacity: the only slot is held by a building (so not idle) tenant.
 	postJSON(t, base+"/v1/graphs", "application/json", `{"name":"x"}`, http.StatusTooManyRequests, nil)
 
 	// Unknown tenants and ops are 404; wrong methods are 405 with Allow.
 	getJSON(t, base+"/v1/graphs/ghost", http.StatusNotFound, nil)
 	getJSON(t, base+"/v1/graphs/ghost/dist?u=0&v=1", http.StatusNotFound, nil)
-	getJSON(t, base+"/v1/graphs/default/nosuchop", http.StatusNotFound, nil)
-	getJSON(t, base+"/v1/graphs/default/dist/extra", http.StatusNotFound, nil)
+	getJSON(t, base+"/v1/graphs/held/nosuchop", http.StatusNotFound, nil)
+	getJSON(t, base+"/v1/graphs/held/dist/extra", http.StatusNotFound, nil)
 	doJSON(t, http.MethodPut, base+"/v1/graphs", http.StatusMethodNotAllowed, nil)
-	doJSON(t, http.MethodPost, base+"/v1/graphs/default", http.StatusMethodNotAllowed, nil)
-	doJSON(t, http.MethodPost, base+"/v1/graphs/default/dist", http.StatusMethodNotAllowed, nil)
-	doJSON(t, http.MethodGet, base+"/v1/graphs/default/batch", http.StatusMethodNotAllowed, nil)
+	doJSON(t, http.MethodPost, base+"/v1/graphs/held", http.StatusMethodNotAllowed, nil)
+	doJSON(t, http.MethodPost, base+"/v1/graphs/held/dist", http.StatusMethodNotAllowed, nil)
+	doJSON(t, http.MethodGet, base+"/v1/graphs/held/batch", http.StatusMethodNotAllowed, nil)
 	doJSON(t, http.MethodDelete, base+"/v1/graphs/ghost", http.StatusNotFound, nil)
-	// The default tenant backs the legacy routes and cannot be deleted.
-	doJSON(t, http.MethodDelete, base+"/v1/graphs/default", http.StatusBadRequest, nil)
 }
 
 // TestServerPerTenantNodeLimit checks a tenant's max_nodes tightens the
@@ -646,8 +661,8 @@ func TestServerPerTenantNodeLimit(t *testing.T) {
 		`{"n":4,"edges":[[0,1,1]]}`, http.StatusRequestEntityTooLarge, nil)
 	postJSON(t, base+"/v1/graphs/small/graph?wait=1", "application/json",
 		`{"n":3,"edges":[[0,1,1],[1,2,1]]}`, http.StatusOK, nil)
-	// The default tenant still accepts up to the global limit.
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	// Another tenant still accepts up to the global limit.
+	postJSON(t, newTenant(t, base, "", "big")+"/graph?wait=1", "application/json",
 		`{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1]]}`, http.StatusOK, nil)
 }
 
@@ -696,25 +711,25 @@ func TestServerNodeBudgetAdmission(t *testing.T) {
 // name the offending edge index, never 5xx.
 func TestServerRejectsDuplicateAndBadEdges(t *testing.T) {
 	base := startServer(t, testConfig(defaultLimits()))
+	g := newTenant(t, base, "", "g")
 	var errBody struct {
 		Error string `json:"error"`
 	}
 
-	postJSON(t, base+"/v1/graph", "application/json",
+	postJSON(t, g+"/graph", "application/json",
 		`{"n":4,"edges":[[0,1,3],[1,2,1],[1,0,9]]}`, http.StatusBadRequest, &errBody)
 	if !strings.Contains(errBody.Error, "edge 2") || !strings.Contains(errBody.Error, "duplicate of edge 0") {
 		t.Fatalf("duplicate-edge error %q, want the offending and original indices", errBody.Error)
 	}
 
-	postJSON(t, base+"/v1/graph", "application/json",
+	postJSON(t, g+"/graph", "application/json",
 		`{"n":4,"edges":[[0,1,3],[1,7,1]]}`, http.StatusBadRequest, &errBody)
 	if !strings.Contains(errBody.Error, "edge 1") || !strings.Contains(errBody.Error, "out of range") {
 		t.Fatalf("out-of-range error %q, want the offending index", errBody.Error)
 	}
 
-	// The multi-tenant upload route shares the validation.
-	postJSON(t, base+"/v1/graphs", "application/json", `{"name":"dup"}`, http.StatusCreated, nil)
-	postJSON(t, base+"/v1/graphs/dup/graph", "application/json",
+	// Object-form edges share the validation.
+	postJSON(t, g+"/graph", "application/json",
 		`{"n":3,"edges":[{"u":0,"v":1},{"u":1,"v":0,"w":5}]}`, http.StatusBadRequest, &errBody)
 	if !strings.Contains(errBody.Error, "edge 1") || !strings.Contains(errBody.Error, "duplicate of edge 0") {
 		t.Fatalf("tenant duplicate-edge error %q", errBody.Error)
@@ -722,7 +737,7 @@ func TestServerRejectsDuplicateAndBadEdges(t *testing.T) {
 
 	// The plain edge-list branch is just as strict (pair, not index: the
 	// parser reports line numbers, not edge indices).
-	postJSON(t, base+"/v1/graph", "text/plain",
+	postJSON(t, g+"/graph", "text/plain",
 		"p 3 2\ne 0 1 3\ne 1 0 9\n", http.StatusBadRequest, &errBody)
 	if !strings.Contains(errBody.Error, "duplicate edge {0,1}") {
 		t.Fatalf("edge-list duplicate error %q", errBody.Error)
@@ -769,7 +784,7 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	}
 
 	base, stop := open()
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, newTenant(t, base, "", "alpha")+"/graph?wait=1", "application/json",
 		`{"n":4,"edges":[[0,1,3],[1,2,1],[2,3,2]]}`, http.StatusOK, nil)
 	postJSON(t, base+"/v1/graphs", "application/json",
 		`{"name":"beta","algorithm":"ccserve-test-double"}`, http.StatusCreated, nil)
@@ -780,18 +795,19 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	base, stop = open()
 	defer stop()
 
-	// Restored fleet serves immediately: health is green before any upload.
+	// Restored fleet serves immediately: both tenants are hosted before any
+	// upload.
 	var health struct {
-		Ready bool `json:"ready"`
+		Graphs int `json:"graphs"`
 	}
 	getJSON(t, base+"/healthz", http.StatusOK, &health)
-	if !health.Ready {
-		t.Fatal("default tenant not ready after restore")
+	if health.Graphs != 2 {
+		t.Fatalf("healthz graphs = %d after restore, want 2", health.Graphs)
 	}
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=3", http.StatusOK, &dist)
+	getJSON(t, base+"/v1/graphs/alpha/dist?u=0&v=3", http.StatusOK, &dist)
 	if dist.Distance != 6 || dist.Version != 1 {
-		t.Fatalf("restored default Dist = %+v, want 6 @ v1", dist)
+		t.Fatalf("restored alpha Dist = %+v, want 6 @ v1", dist)
 	}
 	getJSON(t, base+"/v1/graphs/beta/dist?u=0&v=2", http.StatusOK, &dist)
 	if dist.Distance != 8 { // test-double persisted doubled distances
@@ -815,12 +831,12 @@ func TestServerPersistenceAcrossRestart(t *testing.T) {
 	var up struct {
 		Version uint64 `json:"version"`
 	}
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, base+"/v1/graphs/alpha/graph?wait=1", "application/json",
 		`{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1]]}`, http.StatusOK, &up)
 	if up.Version <= 1 {
 		t.Fatalf("post-restore upload version %d, want > 1", up.Version)
 	}
-	getJSON(t, base+"/v1/dist?u=0&v=3", http.StatusOK, &dist)
+	getJSON(t, base+"/v1/graphs/alpha/dist?u=0&v=3", http.StatusOK, &dist)
 	if dist.Distance != 3 {
 		t.Fatalf("post-restore rebuild Dist = %+v, want 3", dist)
 	}
@@ -833,8 +849,9 @@ func TestServerOversizedBodyIs413(t *testing.T) {
 	lim := defaultLimits()
 	lim.maxBody = 256
 	base := startServer(t, testConfig(lim))
+	g := newTenant(t, base, "", "g")
 
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		`{"n":3,"edges":[[0,1,1],[1,2,1]]}`, http.StatusOK, nil)
 
 	// JSON batch over the cap: the decoder hits the byte limit mid-array.
@@ -842,23 +859,23 @@ func TestServerOversizedBodyIs413(t *testing.T) {
 	var errBody struct {
 		Error string `json:"error"`
 	}
-	postJSON(t, base+"/v1/batch", "application/json", big, http.StatusRequestEntityTooLarge, &errBody)
+	postJSON(t, g+"/batch", "application/json", big, http.StatusRequestEntityTooLarge, &errBody)
 	if !strings.Contains(errBody.Error, "request body too large") {
 		t.Fatalf("413 error %q does not name the body limit", errBody.Error)
 	}
 
 	// JSON graph upload and the plain edge-list branch map the same way.
 	bigGraph := `{"n":3,"edges":[` + strings.Repeat(`[0,1,1],`, 100) + `[0,1,1]]}`
-	postJSON(t, base+"/v1/graph", "application/json", bigGraph, http.StatusRequestEntityTooLarge, nil)
-	postJSON(t, base+"/v1/graph", "text/plain",
+	postJSON(t, g+"/graph", "application/json", bigGraph, http.StatusRequestEntityTooLarge, nil)
+	postJSON(t, g+"/graph", "text/plain",
 		"p 2 1\n"+strings.Repeat("c padding comment line\n", 50), http.StatusRequestEntityTooLarge, nil)
 
 	// A small malformed body is still a plain 400.
-	postJSON(t, base+"/v1/batch", "application/json", `{"pairs":`, http.StatusBadRequest, nil)
+	postJSON(t, g+"/batch", "application/json", `{"pairs":`, http.StatusBadRequest, nil)
 
 	// The serving snapshot survived all of it.
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=2", http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=0&v=2", http.StatusOK, &dist)
 	if dist.Distance != 2 {
 		t.Fatalf("dist after oversized bodies %+v", dist)
 	}
@@ -869,33 +886,34 @@ func TestServerOversizedBodyIs413(t *testing.T) {
 // truncated into a half-honored request.
 func TestServerTrailingGarbageIs400(t *testing.T) {
 	base := startServer(t, testConfig(defaultLimits()))
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	g := newTenant(t, base, "", "g")
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		`{"n":2,"edges":[[0,1,5]]}`, http.StatusOK, nil)
 
 	var errBody struct {
 		Error string `json:"error"`
 	}
-	postJSON(t, base+"/v1/batch", "application/json",
+	postJSON(t, g+"/batch", "application/json",
 		`{"pairs":[[0,1]]}{"oops":1}`, http.StatusBadRequest, &errBody)
 	if !strings.Contains(errBody.Error, "trailing data") {
 		t.Fatalf("trailing-garbage error %q", errBody.Error)
 	}
-	postJSON(t, base+"/v1/batch", "application/json",
+	postJSON(t, g+"/batch", "application/json",
 		`{"pairs":[[0,1]]} garbage`, http.StatusBadRequest, nil)
-	postJSON(t, base+"/v1/graph", "application/json",
+	postJSON(t, g+"/graph", "application/json",
 		`{"n":2,"edges":[[0,1,5]]}[1,2]`, http.StatusBadRequest, nil)
 	postJSON(t, base+"/v1/graphs", "application/json",
 		`{"name":"x"}{"name":"y"}`, http.StatusBadRequest, nil)
 
 	// Trailing whitespace is not garbage.
-	postJSON(t, base+"/v1/batch", "application/json",
+	postJSON(t, g+"/batch", "application/json",
 		"{\"pairs\":[[0,1]]}\n\t \n", http.StatusOK, nil)
 
 	// Nothing above disturbed the snapshot, and the half-valid bodies were
 	// NOT half-applied: "x" was never created.
 	getJSON(t, base+"/v1/graphs/x", http.StatusNotFound, nil)
 	var dist oracle.DistResult
-	getJSON(t, base+"/v1/dist?u=0&v=1", http.StatusOK, &dist)
+	getJSON(t, g+"/dist?u=0&v=1", http.StatusOK, &dist)
 	if dist.Distance != 5 {
 		t.Fatalf("dist after trailing-garbage bodies %+v", dist)
 	}
@@ -1039,19 +1057,19 @@ func TestServerAuthAndQuotaEndToEnd(t *testing.T) {
 	cfg := testConfig(defaultLimits())
 	cfg.keys = keys
 	cfg.snapshots = snapshots
-	cfg.maxGraphs = 4 // default + three of {alpha, beta, delta, gamma}
+	cfg.maxGraphs = 3 // three of {alpha, beta, delta, gamma}
 	base := startServer(t, cfg)
 	const js = "application/json"
 
 	// No key, wrong key: 401 with a WWW-Authenticate challenge. /healthz
-	// stays open (503 only because no graph serves yet — not 401).
+	// stays open.
 	hdr := authJSON(t, http.MethodGet, base+"/v1/stats", "", "", "", http.StatusUnauthorized, nil)
 	if hdr.Get("WWW-Authenticate") == "" {
 		t.Fatal("401 without WWW-Authenticate")
 	}
 	authJSON(t, http.MethodGet, base+"/v1/stats", "wrong-key", "", "", http.StatusUnauthorized, nil)
 	authJSON(t, http.MethodGet, base+"/v1/graphs/alpha/dist?u=0&v=1", "", "", "", http.StatusUnauthorized, nil)
-	getJSON(t, base+"/healthz", http.StatusServiceUnavailable, nil)
+	getJSON(t, base+"/healthz", http.StatusOK, nil)
 
 	// Tenant keys cannot create tenants; the admin can. beta's quota comes
 	// from the key file, delta's key and quota from the create body.
@@ -1075,7 +1093,7 @@ func TestServerAuthAndQuotaEndToEnd(t *testing.T) {
 	authJSON(t, http.MethodPost, base+"/v1/graphs/delta/graph?wait=1", "delta-key", js, graph, http.StatusOK, nil)
 
 	// Scoping: alpha's key touches alpha only — not beta, not the
-	// admin-only surfaces, not the default tenant behind the legacy routes.
+	// admin-only surfaces.
 	var dist oracle.DistResult
 	authJSON(t, http.MethodGet, base+"/v1/graphs/alpha/dist?u=0&v=3", "alpha-key", "", "", http.StatusOK, &dist)
 	if dist.Distance != 6 {
@@ -1085,7 +1103,6 @@ func TestServerAuthAndQuotaEndToEnd(t *testing.T) {
 	authJSON(t, http.MethodGet, base+"/v1/graphs", "alpha-key", "", "", http.StatusForbidden, nil)
 	authJSON(t, http.MethodGet, base+"/v1/stats", "alpha-key", "", "", http.StatusForbidden, nil)
 	authJSON(t, http.MethodDelete, base+"/v1/graphs/alpha", "alpha-key", "", "", http.StatusForbidden, nil)
-	authJSON(t, http.MethodGet, base+"/v1/dist?u=0&v=1", "alpha-key", "", "", http.StatusForbidden, nil)
 
 	// The API-registered delta key works and its quota bites: burst 1, so
 	// the second request is 429.
@@ -1165,4 +1182,52 @@ func TestServerAuthAndQuotaEndToEnd(t *testing.T) {
 	// unknown (401), not merely unscoped (403).
 	authJSON(t, http.MethodDelete, base+"/v1/graphs/delta", "root-key", "", "", http.StatusOK, nil)
 	authJSON(t, http.MethodGet, base+"/v1/graphs/delta/dist?u=0&v=3", "delta-key", "", "", http.StatusUnauthorized, nil)
+}
+
+// TestServerRetiredSingleGraphRoutes pins that the single-graph routes of
+// earlier versions are gone, not aliased to some tenant: they name no
+// tenant, so a tenant key is refused with 403 and the admin gets 404.
+func TestServerRetiredSingleGraphRoutes(t *testing.T) {
+	dir := t.TempDir()
+	keys, err := loadKeyring(writeKeys(t, dir, `{
+		"admin": "root-key",
+		"tenants": {"alpha": {"key": "alpha-key"}}
+	}`), testLogger(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(defaultLimits())
+	cfg.keys = keys
+	base := startServer(t, cfg)
+	const js = "application/json"
+
+	// alpha serves a graph, so an alias would have something to answer.
+	alpha := newTenant(t, base, "root-key", "alpha")
+	graph := `{"n":4,"edges":[[0,1,3],[1,2,1],[2,3,2]]}`
+	authJSON(t, http.MethodPost, alpha+"/graph?wait=1", "alpha-key", js, graph, http.StatusOK, nil)
+
+	for _, tc := range []struct {
+		name, method, path, body string
+	}{
+		{"dist", http.MethodGet, "/v1/dist?u=0&v=3", ""},
+		{"batch", http.MethodPost, "/v1/batch", `{"pairs":[[0,3]]}`},
+		{"path", http.MethodGet, "/v1/path?u=0&v=3", ""},
+		{"graph", http.MethodPost, "/v1/graph?wait=1", graph},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct := ""
+			if tc.body != "" {
+				ct = js
+			}
+			authJSON(t, tc.method, base+tc.path, "alpha-key", ct, tc.body, http.StatusForbidden, nil)
+			authJSON(t, tc.method, base+tc.path, "root-key", ct, tc.body, http.StatusNotFound, nil)
+		})
+	}
+
+	// The refused uploads left alpha's graph as it was.
+	var dist oracle.DistResult
+	authJSON(t, http.MethodGet, alpha+"/dist?u=0&v=3", "alpha-key", "", "", http.StatusOK, &dist)
+	if dist.Distance != 6 || dist.Version != 1 {
+		t.Fatalf("alpha dist %+v, want distance 6 at version 1", dist)
+	}
 }

@@ -94,10 +94,11 @@ func TestServerTraceEndToEnd(t *testing.T) {
 	cfg.traceSample = 1
 	base := startServer(t, cfg)
 
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	g := newTenant(t, base, "", "g")
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		pathUploadJSON(8, 3), http.StatusOK, nil)
 
-	resp, err := http.Get(base + "/v1/dist?u=0&v=3")
+	resp, err := http.Get(g + "/dist?u=0&v=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestServerTraceEndToEnd(t *testing.T) {
 	if tree.ID != traceID {
 		t.Fatalf("trace id = %q, want %q", tree.ID, traceID)
 	}
-	root, ok := findSpan(tree.Spans, "GET /v1/dist")
+	root, ok := findSpan(tree.Spans, "GET /v1/graphs/{name}/dist")
 	if !ok {
 		t.Fatalf("no handler root span in %+v", tree.Spans)
 	}
@@ -181,7 +182,7 @@ func TestServerTraceColdTierSpans(t *testing.T) {
 	cfg := testConfig(defaultLimits())
 	cfg.snapshots = snapshots
 	base := startServer(t, cfg)
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	postJSON(t, newTenant(t, base, "", "beta")+"/graph?wait=1", "application/json",
 		pathUploadJSON(16, 2), http.StatusOK, nil)
 	postJSON(t, base+"/v1/graphs", "application/json",
 		`{"name":"alpha"}`, http.StatusCreated, nil)
@@ -189,7 +190,7 @@ func TestServerTraceColdTierSpans(t *testing.T) {
 		pathUploadJSON(16, 5), http.StatusOK, nil)
 
 	// Second server over the same datadir: budget fits one hot tenant, so
-	// one of {default, alpha} restores cold.
+	// one of {alpha, beta} restores cold.
 	snapshots2, err := store.Open(dataDir)
 	if err != nil {
 		t.Fatal(err)
@@ -218,9 +219,6 @@ func TestServerTraceColdTierSpans(t *testing.T) {
 		t.Fatalf("no cold tenant after constrained restart: %+v", graphs.Graphs)
 	}
 	distURL := base2 + "/v1/graphs/" + coldName + "/dist?u=0&v=5"
-	if coldName == "default" {
-		distURL = base2 + "/v1/dist?u=0&v=5"
-	}
 
 	query := func() traceTreeBody {
 		resp, err := http.Get(distURL)
@@ -268,13 +266,14 @@ func TestServerTraceForcedCapture(t *testing.T) {
 	cfg.slowQuery = time.Nanosecond
 	base := startServer(t, cfg)
 
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	g := newTenant(t, base, "", "g")
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		pathUploadJSON(8, 3), http.StatusOK, nil)
 
 	// A 32-lowercase-hex X-Request-Id doubles as the forced trace's ID, so
 	// the captured trace is addressable without scraping the listing.
 	const reqID = "c0ffee00c0ffee00c0ffee00c0ffee00"
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/dist?u=0&v=3", nil)
+	req, err := http.NewRequest(http.MethodGet, g+"/dist?u=0&v=3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +292,7 @@ func TestServerTraceForcedCapture(t *testing.T) {
 
 	var tree traceTreeBody
 	getJSON(t, base+"/v1/traces/"+reqID, http.StatusOK, &tree)
-	root, ok := findSpan(tree.Spans, "GET /v1/dist")
+	root, ok := findSpan(tree.Spans, "GET /v1/graphs/{name}/dist")
 	if !ok {
 		t.Fatalf("forced capture missing handler root: %+v", tree.Spans)
 	}
@@ -313,12 +312,13 @@ func TestServerTraceparentPropagation(t *testing.T) {
 	cfg := testConfig(defaultLimits())
 	base := startServer(t, cfg)
 
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	g := newTenant(t, base, "", "g")
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		pathUploadJSON(8, 3), http.StatusOK, nil)
 
 	const parentTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
 	const parentSpan = "00f067aa0ba902b7"
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/dist?u=0&v=3", nil)
+	req, err := http.NewRequest(http.MethodGet, g+"/dist?u=0&v=3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestServerTraceparentPropagation(t *testing.T) {
 
 	var tree traceTreeBody
 	getJSON(t, base+"/v1/traces/"+parentTrace, http.StatusOK, &tree)
-	root, ok := findSpan(tree.Spans, "GET /v1/dist")
+	root, ok := findSpan(tree.Spans, "GET /v1/graphs/{name}/dist")
 	if !ok {
 		t.Fatalf("joined trace missing handler root: %+v", tree.Spans)
 	}
@@ -358,7 +358,8 @@ func TestServerHostileTraceparent(t *testing.T) {
 	cfg := testConfig(defaultLimits())
 	base := startServer(t, cfg)
 
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	g := newTenant(t, base, "", "g")
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		pathUploadJSON(8, 3), http.StatusOK, nil)
 
 	hostile := []string{
@@ -381,7 +382,7 @@ func TestServerHostileTraceparent(t *testing.T) {
 		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // non-hex version
 	}
 	for i, tp := range hostile {
-		req, err := http.NewRequest(http.MethodGet, base+"/v1/dist?u=0&v=3", nil)
+		req, err := http.NewRequest(http.MethodGet, g+"/dist?u=0&v=3", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,10 +453,11 @@ func TestServerTraceListLimit(t *testing.T) {
 	cfg.traceSample = 1
 	base := startServer(t, cfg)
 
-	postJSON(t, base+"/v1/graph?wait=1", "application/json",
+	g := newTenant(t, base, "", "g")
+	postJSON(t, g+"/graph?wait=1", "application/json",
 		pathUploadJSON(8, 3), http.StatusOK, nil)
 	for i := 0; i < 5; i++ {
-		getJSON(t, fmt.Sprintf("%s/v1/dist?u=0&v=%d", base, i), http.StatusOK, nil)
+		getJSON(t, fmt.Sprintf("%s/dist?u=0&v=%d", g, i), http.StatusOK, nil)
 	}
 
 	var list traceListBody

@@ -20,7 +20,7 @@ import (
 // trace worth opening without shipping every span of every trace.
 type traceSummary struct {
 	ID         string    `json:"id"`
-	Name       string    `json:"name"` // root span name, e.g. "GET /v1/dist"
+	Name       string    `json:"name"` // root span name, e.g. "GET /v1/graphs/{name}/dist"
 	Tenant     string    `json:"tenant,omitempty"`
 	Status     int       `json:"status,omitempty"`
 	Error      string    `json:"error,omitempty"`

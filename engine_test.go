@@ -208,7 +208,7 @@ func TestEngineNilReceiverAndNilContext(t *testing.T) {
 // copies.
 func TestDistanceMatrixViewSemantics(t *testing.T) {
 	g := RandomGraph(24, 10, 6)
-	res, err := Run(g, Options{Algorithm: AlgExact})
+	res, err := New().Run(context.Background(), g, WithAlgorithm(AlgExact))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,14 +30,14 @@ func ExampleEngine_Run() {
 	// factor = 1
 }
 
-// The deprecated one-shot wrapper still works and maps onto the Engine.
-func ExampleRun() {
+// A one-shot run needs no shared Engine: New().Run with the same options.
+func ExampleNew() {
 	g := cliqueapsp.NewGraph(4)
 	_ = g.AddEdge(0, 1, 3)
 	_ = g.AddEdge(1, 2, 1)
 	_ = g.AddEdge(2, 3, 2)
 
-	res, err := cliqueapsp.Run(g, cliqueapsp.Options{Algorithm: cliqueapsp.AlgExact})
+	res, err := cliqueapsp.New().Run(context.Background(), g, cliqueapsp.WithAlgorithm(cliqueapsp.AlgExact))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -141,17 +141,8 @@ type TenantConfig struct {
 	// runtime with Tenant.SetQuota.
 	Quota Quota
 	// Pinned exempts the tenant from eviction (it still counts against the
-	// budgets). The serving default tenant of a daemon is the typical pin.
+	// budgets).
 	Pinned bool
-	// AdoptPersisted, on a store-backed Manager, makes Create leave any
-	// persisted snapshots under this name in place — to be served again by
-	// RestoreAll or rehydration — and reserves versions above them so new
-	// builds still supersede the files. The daemon's recreated-every-boot
-	// default tenant wants this. When false (the default), creating a
-	// tenant REPLACES any previous persisted incarnation: its snapshot
-	// files are removed, so stale data can never resurrect under a name
-	// the caller just configured afresh.
-	AdoptPersisted bool
 }
 
 // Manager hosts many named, independently versioned Oracles behind one
@@ -235,7 +226,10 @@ func NewManager(cfg ManagerConfig) *Manager {
 
 // Create adds a tenant under name. When MaxGraphs is reached the
 // least-recently-used idle, unpinned tenant is evicted to make room;
-// ErrOverCapacity is returned if none is evictable.
+// ErrOverCapacity is returned if none is evictable. On a store-backed
+// Manager, creating a tenant REPLACES any previous persisted incarnation of
+// the name: its snapshot files are removed, so stale data can never
+// resurrect under a name the caller just configured afresh.
 func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
 	if name == "" {
 		return nil, fmt.Errorf("oracle: empty tenant name")
@@ -244,38 +238,16 @@ func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
 		return nil, err
 	}
 
-	// Reconcile with any persisted snapshots under this name: an adopting
-	// create seeds its version counter above them, a replacing create
-	// removes them after it succeeds (stale incarnation data must not
-	// resurrect under a freshly configured tenant — but a create that FAILS
-	// must not have destroyed anything either).
-	var reserve uint64
+	// Persisted snapshots under this name are removed after the create
+	// succeeds — but a create that FAILS must not have destroyed anything.
 	wipe := false
 	if m.cfg.Store != nil {
-		if tc.AdoptPersisted {
-			vs, err := m.cfg.Store.Versions(name)
-			switch {
-			case err == nil:
-				if len(vs) > 0 {
-					reserve = vs[len(vs)-1]
-				}
-			case errors.Is(err, store.ErrInvalidName):
-				// Nothing can be persisted under an unstorable name.
-			default:
-				// "Could not tell" must not become "nothing persisted": an
-				// unreserved counter would let stale files shadow (and GC
-				// swallow) this tenant's fresh builds.
-				return nil, fmt.Errorf("oracle: probing persisted snapshots of %q: %w", name, err)
-			}
-		} else {
-			// The flight keeps rehydrations (and Deletes) out for the whole
-			// create, so none can restore the files the wipe below removes.
-			// An adopting create leaves the files in place and needs none.
-			release := m.lockHydration(name)
-			defer release()
-			if _, err := m.Peek(name); err != nil {
-				wipe = true // hosted names keep their files: Create fails below
-			}
+		// The flight keeps rehydrations (and Deletes) out for the whole
+		// create, so none can restore the files the wipe below removes.
+		release := m.lockHydration(name)
+		defer release()
+		if _, err := m.Peek(name); err != nil {
+			wipe = true // hosted names keep their files: Create fails below
 		}
 	}
 
@@ -287,13 +259,6 @@ func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
 		// are gone, so the wipe can never swallow a fresh snapshot.
 		t.setMu.Lock()
 		defer t.setMu.Unlock()
-	}
-	if reserve > 0 {
-		// Start above the previous incarnation's persisted versions, so this
-		// tenant's publishes supersede the old files on disk instead of
-		// being shadowed by them on the next rehydration or restart (and so
-		// keep-K GC never collects a fresh snapshot in favor of stale ones).
-		t.o.reserveVersions(reserve)
 	}
 	if err := m.host(t, 0); err != nil {
 		t.o.Close()
@@ -931,9 +896,7 @@ func (m *Manager) rehydrate(name string) (*Tenant, error) {
 	m.mu.Lock()
 	tc, remembered := m.evictedCfg[name]
 	m.mu.Unlock()
-	if remembered {
-		tc.AdoptPersisted = true // never wipe the files being rehydrated
-	} else {
+	if !remembered {
 		tc = tenantConfigFromIndex(p.ix)
 	}
 	t, err := m.restoreNew(name, tc, p)
@@ -1027,24 +990,6 @@ func (m *Manager) restoreNew(name string, tc TenantConfig, p *persisted) (*Tenan
 	return t, nil
 }
 
-// restoreInto publishes p on a hosted tenant that is not serving yet (the
-// daemon's pinned default, created empty at boot): admit p's node charge,
-// publish, and roll the charge back if the publish is refused.
-func (m *Manager) restoreInto(t *Tenant, p *persisted) error {
-	t.setMu.Lock()
-	defer t.setMu.Unlock()
-	prev, err := m.admitNodes(t, p.nodes(m))
-	if err == nil {
-		if err = p.publish(t.o); err != nil {
-			m.rollbackNodes(t, prev)
-		}
-	}
-	if err != nil {
-		p.discard()
-	}
-	return err
-}
-
 // hasHeadroom reports whether an n-node hot restore fits the node budget
 // without evicting or demoting anyone — the tier choice at restore time:
 // decode hot while memory is free, serve cold once it is not.
@@ -1056,13 +1001,10 @@ func (m *Manager) hasHeadroom(n int) bool {
 
 // tenantConfigFromIndex turns persisted provenance back into the tenant
 // config future rebuilds of the restored tenant should run with.
-// AdoptPersisted is essential: the restore flows must not wipe the very
-// files they are restoring from.
 func tenantConfigFromIndex(ix store.RowIndex) TenantConfig {
 	tc := TenantConfig{
-		Algorithm:      cliqueapsp.Algorithm(ix.Algorithm),
-		Eps:            ix.Eps,
-		AdoptPersisted: true,
+		Algorithm: cliqueapsp.Algorithm(ix.Algorithm),
+		Eps:       ix.Eps,
 	}
 	// Seed is always the concrete seed of the persisted run; re-pin it only
 	// if the tenant's own config had pinned it, or a tenant that wanted
@@ -1085,12 +1027,10 @@ func (m *Manager) dropTenant(t *Tenant) {
 }
 
 // RestoreAll restores every tenant persisted in the store, bringing the
-// whole fleet up to serving before any rebuild runs: tenants that do not
-// exist are created from their persisted provenance, existing tenants that
-// are not yet serving (the daemon's pinned default, created empty at boot)
-// have their snapshot published in place, and tenants that already serve a
-// snapshot are left alone. A tenant whose snapshot fails to load or restore
-// — corrupt file, unknown format, over-budget graph — is skipped and
+// whole fleet up to serving before any rebuild runs: tenants that are not
+// hosted are created from their persisted provenance, and hosted tenants,
+// serving or not, are left alone. A tenant whose snapshot fails to load or
+// restore — corrupt file, unknown format, over-budget graph — is skipped and
 // reported; the rest of the fleet still restores. report (optional)
 // observes every attempted tenant with nil or its error; the returned
 // counts summarize the sweep, and err is non-nil only when the store
@@ -1107,19 +1047,18 @@ func (m *Manager) RestoreAll(report func(tenant string, err error)) (restored, f
 		return 0, 0, err
 	}
 	for _, name := range names {
-		// Liveness check before the O(n²) decode: a tenant that already
-		// serves does not need its snapshot read at all.
-		t, terr := m.Peek(name)
-		if terr == nil && t.Ready() {
+		// Checked before the O(n²) decode: a hosted tenant's own state wins
+		// over its files, so they need not be read at all.
+		if _, terr := m.Peek(name); terr == nil {
 			continue
 		}
-		switch outcome, rerr := m.restoreOne(name, t); outcome {
+		switch outcome, rerr := m.restoreOne(name); outcome {
 		case restoreOK:
 			m.restored.Add(1)
 			restored++
 			report(name, nil)
 		case restoreSkip:
-			// Nothing persisted, or a live upload beat the restore.
+			// Nothing persisted, or a live Create beat the restore.
 		case restoreFail:
 			m.restoreErrors.Add(1)
 			failed++
@@ -1136,9 +1075,8 @@ const (
 	restoreFail
 )
 
-// restoreOne restores one persisted tenant: into t when it is hosted but
-// not serving, as a new tenant when t is nil.
-func (m *Manager) restoreOne(name string, t *Tenant) (int, error) {
+// restoreOne restores one persisted tenant that is not hosted.
+func (m *Manager) restoreOne(name string) (int, error) {
 	p, err := m.openPersisted(name)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
@@ -1146,16 +1084,12 @@ func (m *Manager) restoreOne(name string, t *Tenant) (int, error) {
 		}
 		return restoreFail, err
 	}
-	if t == nil {
-		_, err = m.restoreNew(name, tenantConfigFromIndex(p.ix), p)
-	} else {
-		err = m.restoreInto(t, p)
-	}
+	_, err = m.restoreNew(name, tenantConfigFromIndex(p.ix), p)
 	switch {
 	case err == nil:
 		return restoreOK, nil
-	case errors.Is(err, ErrSuperseded):
-		return restoreSkip, nil // a live upload beat the restore; its build wins
+	case errors.Is(err, ErrTenantExists):
+		return restoreSkip, nil // hosted since the check: its own state wins
 	default:
 		return restoreFail, err
 	}

@@ -790,20 +790,6 @@ func (o *Oracle) wakeLocked() {
 	o.notify = make(chan struct{})
 }
 
-// reserveVersions raises the version counter to at least v without
-// publishing anything: future SetGraph calls are assigned versions > v. The
-// Manager uses it when (re-)creating a tenant that has persisted snapshots,
-// so a new incarnation's builds always supersede the old incarnation's
-// files on disk. It does not count as a SetGraph: a restore of version ≤ v
-// is still allowed into the pristine oracle.
-func (o *Oracle) reserveVersions(v uint64) {
-	o.mu.Lock()
-	if o.version < v {
-		o.version = v
-	}
-	o.mu.Unlock()
-}
-
 // Wait blocks until a snapshot with version ≥ version is serving, the build
 // responsible for it fails (returning that build's error), the context is
 // done, or the oracle is closed. It returns only once the publishing

@@ -118,7 +118,7 @@ func TestOracleRestoreSnapshotValidates(t *testing.T) {
 }
 
 // TestManagerRecreateReplacesPersistedIncarnation pins the incarnation
-// rule: a plain (non-adopting) re-Create of a name with persisted
+// rule: a re-Create of a name with persisted
 // snapshots replaces the old incarnation entirely — its files are removed
 // at Create, so stale data can never resurrect under the fresh config,
 // and the new incarnation's publishes are the only files on disk.
@@ -154,21 +154,6 @@ func TestManagerRecreateReplacesPersistedIncarnation(t *testing.T) {
 	}
 	if d := snap.Distances.At(0, 4); d != 8 { // test-double doubles the exact 4
 		t.Fatalf("persisted d(0,4) = %d, want the new graph's doubled 8", d)
-	}
-
-	// An adopting re-create keeps the files and reserves versions above
-	// them instead.
-	mustTenant(t, m, "filler2", oracle.TenantConfig{}) // evicts alpha again
-	tn3 := mustTenant(t, m, "alpha", oracle.TenantConfig{Algorithm: "test-double", AdoptPersisted: true})
-	if vs, err := dir.Versions("alpha"); err != nil || len(vs) == 0 {
-		t.Fatalf("adopting re-create lost the persisted files: %v, %v", vs, err)
-	}
-	v2 := setAndWait(t, tn3, pathGraph(t, 5, 2))
-	if v2 <= v {
-		t.Fatalf("adopting incarnation built v%d, want > the persisted v%d", v2, v)
-	}
-	if snap, err = dir.Load("alpha"); err != nil || snap.Version != v2 {
-		t.Fatalf("newest persisted version %d (%v), want v%d", snap.Version, err, v2)
 	}
 }
 
@@ -442,27 +427,51 @@ func TestManagerRehydrateConcurrentGets(t *testing.T) {
 
 // TestManagerRestoreAllAfterRestart is the full process-restart property:
 // a second Manager over the same store directory serves the whole fleet
-// with correct answers and zero engine runs.
+// with correct answers and zero engine runs. Tenants the second Manager
+// already hosts keep their own state, whether or not they serve yet.
 func TestManagerRestoreAllAfterRestart(t *testing.T) {
 	dir := openStore(t)
-	ga, gb := pathGraph(t, 8, 3), pathGraph(t, 5, 4)
+	ga, gb, gc := pathGraph(t, 8, 3), pathGraph(t, 5, 4), pathGraph(t, 6, 1)
 
 	m1 := oracle.NewManager(oracle.ManagerConfig{
 		Base:  oracle.Config{Algorithm: "test-exact"},
 		Store: dir,
 	})
-	setAndWait(t, mustTenant(t, m1, "alpha", oracle.TenantConfig{}), ga)
-	setAndWait(t, mustTenant(t, m1, "beta", oracle.TenantConfig{Algorithm: "test-double"}), gb)
-	m1.Close()
-
 	m2 := oracle.NewManager(oracle.ManagerConfig{
 		Base:  oracle.Config{Algorithm: "test-exact"},
 		Store: dir,
 	})
 	defer m2.Close()
+	// m2 hosts gamma serving its own build, and delta not serving yet. Both
+	// are created before m1 persists delta, so Create's wipe cannot erase
+	// the files RestoreAll will find under both names.
+	gamma := mustTenant(t, m2, "gamma", oracle.TenantConfig{})
+	vGamma := setAndWait(t, gamma, gc)
+	delta := mustTenant(t, m2, "delta", oracle.TenantConfig{})
+
+	setAndWait(t, mustTenant(t, m1, "alpha", oracle.TenantConfig{}), ga)
+	setAndWait(t, mustTenant(t, m1, "beta", oracle.TenantConfig{Algorithm: "test-double"}), gb)
+	setAndWait(t, mustTenant(t, m1, "delta", oracle.TenantConfig{}), ga)
+	m1.Close()
+	if names, err := dir.Tenants(); err != nil || len(names) != 4 {
+		t.Fatalf("persisted tenants %v, %v: want alpha, beta, delta and gamma", names, err)
+	}
+
 	restored, failed, err := m2.RestoreAll(nil)
 	if err != nil || restored != 2 || failed != 0 {
 		t.Fatalf("RestoreAll = (%d, %d, %v), want (2, 0, nil)", restored, failed, err)
+	}
+	if ts := gamma.Stats().Oracle; ts.Version != vGamma || ts.Restores != 0 || ts.Rebuilds != 1 {
+		t.Fatalf("hosted serving tenant touched by RestoreAll: %+v", ts)
+	}
+	if dr, err := gamma.Dist(0, 5); err != nil || dr.Distance != 5 {
+		t.Fatalf("gamma Dist(0,5) = %+v, %v, want its own build's 5", dr, err)
+	}
+	if ts := delta.Stats().Oracle; delta.Ready() || ts.Restores != 0 {
+		t.Fatalf("hosted not-ready tenant restored into: ready=%v %+v", delta.Ready(), ts)
+	}
+	if tn, err := m2.Peek("delta"); err != nil || tn != delta {
+		t.Fatalf("Peek(delta) = %p, %v, want the hosted tenant %p", tn, err, delta)
 	}
 
 	for name, want := range map[string]int64{
@@ -486,7 +495,8 @@ func TestManagerRestoreAllAfterRestart(t *testing.T) {
 		}
 	}
 	st := m2.Stats()
-	if st.Restored != 2 || st.RestoreErrors != 0 || st.TotalNodes != 13 {
+	// 13 restored nodes (alpha 8, beta 5) plus gamma's own 6; delta has none.
+	if st.Restored != 2 || st.RestoreErrors != 0 || st.TotalNodes != 13+6 {
 		t.Fatalf("restart stats %+v", st)
 	}
 
@@ -566,42 +576,6 @@ func TestManagerRestoreAllSkipsCorrupt(t *testing.T) {
 	}
 	if dr, err := tn.Dist(0, 5); err != nil || dr.Distance != 10 {
 		t.Fatalf("good tenant: %+v, %v", dr, err)
-	}
-}
-
-// TestManagerRestoreAllIntoExistingTenant mirrors the daemon boot order:
-// the pinned default tenant is created empty first, then RestoreAll
-// publishes its persisted snapshot in place.
-func TestManagerRestoreAllIntoExistingTenant(t *testing.T) {
-	dir := openStore(t)
-	g := pathGraph(t, 7, 2)
-
-	m1 := oracle.NewManager(oracle.ManagerConfig{
-		Base:  oracle.Config{Algorithm: "test-exact"},
-		Store: dir,
-	})
-	setAndWait(t, mustTenant(t, m1, "default", oracle.TenantConfig{Pinned: true}), g)
-	m1.Close()
-
-	m2 := oracle.NewManager(oracle.ManagerConfig{
-		Base:  oracle.Config{Algorithm: "test-exact"},
-		Store: dir,
-	})
-	defer m2.Close()
-	def := mustTenant(t, m2, "default", oracle.TenantConfig{Pinned: true, AdoptPersisted: true})
-	restored, failed, err := m2.RestoreAll(nil)
-	if err != nil || restored != 1 || failed != 0 {
-		t.Fatalf("RestoreAll = (%d, %d, %v)", restored, failed, err)
-	}
-	if !def.Ready() || !def.Pinned() {
-		t.Fatalf("default tenant after restore: ready=%v pinned=%v", def.Ready(), def.Pinned())
-	}
-	if dr, err := def.Dist(0, 6); err != nil || dr.Distance != 12 {
-		t.Fatalf("default Dist = %+v, %v", dr, err)
-	}
-	// Restoring again is a no-op: the tenant already serves.
-	if restored, failed, err = m2.RestoreAll(nil); err != nil || restored != 0 || failed != 0 {
-		t.Fatalf("second RestoreAll = (%d, %d, %v), want (0, 0, nil)", restored, failed, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cliqueapsp
 
 import (
+	"context"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func TestNextHopTablesExactDistancesRouteOptimally(t *testing.T) {
 
 func TestNextHopTablesApproximateDistances(t *testing.T) {
 	g := RandomGraph(64, 40, 13)
-	res, err := Run(g, Options{Algorithm: AlgConstant, Seed: 2})
+	res, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
