@@ -87,6 +87,20 @@ func BenchmarkPipelineConstant(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild512 measures one Theorem 1.1 build at n=512, the size the
+// serving benchmark's rebuild workload uploads. Run with -benchmem: the
+// allocation volume of the simulator is part of what it tracks.
+func BenchmarkBuild512(b *testing.B) {
+	g := RandomGraph(512, 100, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPipelineLogApprox measures the CZ22 baseline through the public
 // API.
 func BenchmarkPipelineLogApprox(b *testing.B) {

@@ -144,7 +144,7 @@ func main() {
 		maxGraphs    = flag.Int("maxgraphs", 64, "most hosted graphs; LRU-evicts idle tenants when full (0 = unlimited)")
 		maxTotalN    = flag.Int("maxtotaln", 65536, "summed node budget across all hosted graphs (0 = unlimited)")
 		buildPar     = flag.Int("buildpar", 0, "concurrent tenant rebuilds; extra builds queue at the admission gate (0 = NumCPU, negative = unlimited)")
-		kernelPar    = flag.Int("kernelpar", 0, "shared-pool workers each rebuild's min-plus kernels may use (0 = whole pool)")
+		kernelPar    = flag.Int("kernelpar", 0, "shared-pool workers each rebuild's min-plus kernels and k-nearest combo fan-out may use (0 = whole pool)")
 		buildTimeout = flag.Duration("buildtimeout", 0, "abort a rebuild after this duration (0 = no limit)")
 		repairFrac   = flag.Float64("repairfrac", 0, "edge-delta repairs whose dirty node set exceeds this fraction of n fall back to a full rebuild (0 = default 0.25, negative = always rebuild)")
 		drainTimeout = flag.Duration("draintimeout", 10*time.Second, "graceful-shutdown drain window")

@@ -46,7 +46,7 @@ type serverConfig struct {
 	snapshots     *store.Dir    // nil = no persistence (-datadir unset)
 	coldCacheRows int           // hot-row cache rows per cold tenant (0 = tiering off)
 	buildPar      int           // concurrent tenant builds (-buildpar; 0 = NumCPU, < 0 = unlimited)
-	kernelPar     int           // shared-pool workers per build's kernels (-kernelpar; 0 = whole pool)
+	kernelPar     int           // shared-pool workers per build's kernels and k-nearest fan-out (-kernelpar; 0 = whole pool)
 	keys          *keyring      // nil = open server (-keys unset)
 	slowQuery     time.Duration // log completed requests over this at warn (-slowquery; 0 = off)
 	traceSample   float64       // fraction of requests traced end-to-end (-tracesample)

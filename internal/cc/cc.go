@@ -23,8 +23,9 @@
 package cc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Word is one O(log n)-bit message word.
@@ -208,8 +209,48 @@ func (c *Clique) Route(msgs []Message, opts RouteOpts) [][]Message {
 		totalWords += w
 		networkMsgs++
 	}
-	maxSend := maxOf(sendLoad)
-	maxRecv := maxOf(recvLoad)
+	c.chargeRoute(maxOf(sendLoad), maxOf(recvLoad), networkMsgs, totalWords, opts)
+
+	// Inboxes share one backing array, each sized by a counting pass.
+	counts := make([]int, c.n)
+	for _, m := range msgs {
+		counts[m.To]++
+	}
+	backing := make([]Message, len(msgs))
+	inbox := make([][]Message, c.n)
+	off := 0
+	for v, cnt := range counts {
+		if cnt > 0 {
+			inbox[v] = backing[off : off : off+cnt]
+			off += cnt
+		}
+	}
+	for _, m := range msgs {
+		inbox[m.To] = append(inbox[m.To], m)
+	}
+	for v := range inbox {
+		sortInbox(inbox[v])
+	}
+	return inbox
+}
+
+// AllToAll charges exactly what Route charges for n·(n−1) data-free
+// messages of w ≥ 1 words each, one from every node to every other node,
+// without materialising them: every node sends and receives (n−1)·w words.
+// Protocols use it for announcements whose content the simulation already
+// holds, such as one membership word per node pair.
+func (c *Clique) AllToAll(w int64, opts RouteOpts) {
+	if w < 1 {
+		panic(fmt.Sprintf("cc: invalid all-to-all message size %d", w))
+	}
+	n := int64(c.n)
+	load := (n - 1) * w
+	c.chargeRoute(load, load, n*(n-1), n*(n-1)*w, opts)
+}
+
+// chargeRoute records the loads, budget violations, rounds and traffic of
+// one routing operation from its per-node maxima and network totals.
+func (c *Clique) chargeRoute(maxSend, maxRecv, networkMsgs, totalWords int64, opts RouteOpts) {
 	c.recordLoads(maxSend, maxRecv)
 	if opts.RecvBudget > 0 && maxRecv > opts.RecvBudget {
 		c.Violate("route %q: receive load %d exceeds budget %d", opts.Note, maxRecv, opts.RecvBudget)
@@ -228,15 +269,6 @@ func (c *Clique) Route(msgs []Message, opts RouteOpts) [][]Message {
 	}
 	c.ChargeRounds(rounds)
 	c.chargeTraffic(networkMsgs, totalWords)
-
-	inbox := make([][]Message, c.n)
-	for _, m := range msgs {
-		inbox[m.To] = append(inbox[m.To], m)
-	}
-	for v := range inbox {
-		sortInbox(inbox[v])
-	}
-	return inbox
 }
 
 // Broadcast models making totalWords words (held collectively by the nodes)
@@ -310,7 +342,7 @@ func (c *Clique) Subclique(m, childBW int) (*Clique, func()) {
 }
 
 func sortInbox(msgs []Message) {
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
+	slices.SortStableFunc(msgs, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
 }
 
 func maxOf(xs []int64) int64 {

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -336,5 +337,44 @@ func TestPropertyRouteChargeMonotoneInLoad(t *testing.T) {
 			t.Fatalf("load %d charged %d rounds, less than previous %d", load, r, prev)
 		}
 		prev = r
+	}
+}
+
+// AllToAll must charge exactly what Route charges for the explicit
+// n·(n−1) message list it stands for: loads, rounds, traffic, phase
+// maxima and violation strings alike.
+func TestAllToAllMatchesRoute(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 64} {
+		for _, bw := range []int{1, 3} {
+			for _, w := range []int64{1, 2} {
+				load := int64(n-1) * w
+				for _, dup := range []bool{false, true} {
+					for _, budget := range []int64{0, load - 1, load, load + 1} {
+						opts := RouteOpts{Duplicable: dup, RecvBudget: budget, SendBudget: budget, Note: "announce"}
+						var payload []Word // data-free: an empty message occupies one word
+						if w > 1 {
+							payload = make([]Word, w)
+						}
+						var msgs []Message
+						for u := 0; u < n; u++ {
+							for v := 0; v < n; v++ {
+								if u != v {
+									msgs = append(msgs, Message{From: u, To: v, Payload: payload})
+								}
+							}
+						}
+						want, got := New(n, bw), New(n, bw)
+						want.Phase("p")
+						got.Phase("p")
+						want.Route(msgs, opts)
+						got.AllToAll(w, opts)
+						if !reflect.DeepEqual(got.Metrics(), want.Metrics()) {
+							t.Fatalf("n=%d bw=%d w=%d dup=%v budget=%d:\n AllToAll %+v\n Route    %+v",
+								n, bw, w, dup, budget, got.Metrics(), want.Metrics())
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package cc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/minplus"
 )
@@ -92,7 +93,7 @@ func (e *LiveEngine) Hopset(adj [][]LiveArc, deltaRows [][]Word, k int) ([][]Liv
 			}
 		}
 		ctx.EndRound()
-		sort.Slice(arcs, func(i, j int) bool { return arcs[i].To < arcs[j].To })
+		slices.SortFunc(arcs, func(a, b LiveArc) int { return cmp.Compare(a.To, b.To) })
 		out[id] = arcs
 		return nil
 	})
@@ -107,7 +108,7 @@ func kSmallestRow(row []Word, k int) []minplus.Entry {
 			ents = append(ents, minplus.Entry{Col: col, W: v})
 		}
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].Less(ents[j]) })
+	slices.SortFunc(ents, minplus.Entry.Compare)
 	if len(ents) > k {
 		ents = ents[:k]
 	}
@@ -128,11 +129,11 @@ func lightestArcs(arcs []LiveArc, k int) []LiveArc {
 	for to, w := range best {
 		out = append(out, LiveArc{To: to, W: w})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].W != out[j].W {
-			return out[i].W < out[j].W
+	slices.SortFunc(out, func(a, b LiveArc) int {
+		if c := cmp.Compare(a.W, b.W); c != 0 {
+			return c
 		}
-		return out[i].To < out[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	if len(out) > k {
 		out = out[:k]

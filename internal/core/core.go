@@ -69,10 +69,11 @@ type Config struct {
 	// boundary, before the cancellation check. It must be safe for the
 	// caller's use; pipelines call it synchronously.
 	Progress func(phase string)
-	// Par is the compute group the pipelines hand to the min-plus kernels:
-	// it bounds kernel parallelism and carries the run's context into the
-	// tiles, so a cancelled run aborts mid-product instead of at the next
-	// phase boundary. Nil falls back to the shared pool at full width.
+	// Par is the compute group the pipelines hand to the min-plus kernels
+	// and the k-nearest combo nodes: it bounds their parallelism and
+	// carries the run's context into them, so a cancelled run aborts
+	// mid-phase instead of at the next phase boundary. Nil falls back to
+	// the shared pool at full width.
 	Par *sched.Group
 }
 

@@ -43,7 +43,7 @@ func APSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
 	for pow := hPar; pow < k; pow *= hPar {
 		iPar++
 	}
-	res, err := knearest.Compute(clq, g.AsDirected(), k, hPar, iPar)
+	res, err := knearest.Compute(cfg.Par, clq, g.AsDirected(), k, hPar, iPar)
 	if err != nil {
 		return Estimate{}, err
 	}

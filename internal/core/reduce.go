@@ -57,7 +57,7 @@ func ReduceApprox(clq *cc.Clique, g *graph.Graph, est Estimate, cfg Config) (Est
 
 	// Step 2: exact distances to the k-nearest nodes (Lemma 3.3), with
 	// h^iters ≥ β so the hopset's low-hop paths are within reach.
-	res, err := knearest.Compute(clq, gh, p.k, p.h, p.iters)
+	res, err := knearest.Compute(cfg.Par, clq, gh, p.k, p.h, p.iters)
 	if err != nil {
 		return Estimate{}, fmt.Errorf("reduce: %w", err)
 	}

@@ -78,7 +78,7 @@ func SmallDiameterAPSP(clq *cc.Clique, g *graph.Graph, cfg Config, bigBandwidth 
 	for pow := 2; pow < beta; pow *= 2 {
 		i++
 	}
-	res, err := knearest.Compute(clq, gh, k, 2, i)
+	res, err := knearest.Compute(cfg.Par, clq, gh, k, 2, i)
 	if err != nil {
 		return Estimate{}, err
 	}

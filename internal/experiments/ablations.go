@@ -70,7 +70,7 @@ func A1HopsetAblation(s Suite) Table {
 func itersToExact(g *graph.Graph, k int, want [][]graph.NodeDist) (int, int64) {
 	for iters := 1; iters <= 12; iters++ {
 		clq := cc.New(g.N(), 1)
-		res, err := knearest.Compute(clq, g, k, 2, iters)
+		res, err := knearest.Compute(nil, clq, g, k, 2, iters)
 		if err != nil {
 			panic(err)
 		}
@@ -263,7 +263,7 @@ func A5KNearestMethods(s Suite) Table {
 	want := knearest.Reference(g, k, target)
 
 	clqBins := cc.New(n, 1)
-	bins, err := knearest.Compute(clqBins, g, k, h, iters)
+	bins, err := knearest.Compute(nil, clqBins, g, k, h, iters)
 	if err != nil {
 		panic(err)
 	}

@@ -298,7 +298,7 @@ func T4KNearest(s Suite) Table {
 				continue
 			}
 			clq := cc.New(n, 1)
-			res, err := knearest.Compute(clq, g, k, 2, iters)
+			res, err := knearest.Compute(nil, clq, g, k, 2, iters)
 			if err != nil {
 				panic(err)
 			}

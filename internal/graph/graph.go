@@ -6,8 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/minplus"
 )
@@ -248,11 +249,11 @@ func (g *Graph) Normalize() *Graph {
 	total := 0
 	for u := range g.adj {
 		arcs := g.adj[u]
-		sort.Slice(arcs, func(i, j int) bool {
-			if arcs[i].To != arcs[j].To {
-				return arcs[i].To < arcs[j].To
+		slices.SortFunc(arcs, func(a, b Arc) int {
+			if c := cmp.Compare(a.To, b.To); c != 0 {
+				return c
 			}
-			return arcs[i].W < arcs[j].W
+			return cmp.Compare(a.W, b.W)
 		})
 		out := arcs[:0]
 		for _, a := range arcs {
@@ -365,11 +366,11 @@ func (g *Graph) LightestOut(u, k int) []Arc {
 	for to, w := range best {
 		arcs = append(arcs, Arc{To: to, W: w})
 	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].W != arcs[j].W {
-			return arcs[i].W < arcs[j].W
+	slices.SortFunc(arcs, func(a, b Arc) int {
+		if c := cmp.Compare(a.W, b.W); c != 0 {
+			return c
 		}
-		return arcs[i].To < arcs[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	if g.cap == 0 {
 		if len(arcs) > k {

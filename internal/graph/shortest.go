@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/minplus"
 	"github.com/congestedclique/cliqueapsp/internal/sched"
@@ -176,11 +177,11 @@ func KNearestFrom(dist []int64, k int) []NodeDist {
 			nd = append(nd, NodeDist{Node: v, Dist: dv})
 		}
 	}
-	sort.Slice(nd, func(i, j int) bool {
-		if nd[i].Dist != nd[j].Dist {
-			return nd[i].Dist < nd[j].Dist
+	slices.SortFunc(nd, func(a, b NodeDist) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return nd[i].Node < nd[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 	if len(nd) > k {
 		nd = nd[:k]

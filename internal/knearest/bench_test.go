@@ -11,10 +11,11 @@ import (
 func BenchmarkCompute(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnected(256, 5, graph.WeightRange{Min: 1, Max: 50}, rng).AsDirected()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clq := cc.New(g.N(), 1)
-		if _, err := Compute(clq, g, 16, 2, 2); err != nil {
+		if _, err := Compute(nil, clq, g, 16, 2, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

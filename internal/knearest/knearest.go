@@ -21,11 +21,11 @@ package knearest
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
 	"github.com/congestedclique/cliqueapsp/internal/minplus"
+	"github.com/congestedclique/cliqueapsp/internal/sched"
 )
 
 // Result holds the outcome of a k-nearest computation: Lists[u] are u's k
@@ -40,8 +40,10 @@ type Result struct {
 
 // Compute runs Lemma 5.2: iters applications of the Lemma 5.1 algorithm on
 // the directed (possibly capped) graph g. It requires k ≥ 1, h ≥ 1,
-// iters ≥ 1; k is clamped to n.
-func Compute(clq *cc.Clique, g *graph.Graph, k, h, iters int) (*Result, error) {
+// iters ≥ 1; k is clamped to n. The combo nodes' local work fans out over
+// par, which also carries the run's context; nil means the shared pool at
+// full width.
+func Compute(par *sched.Group, clq *cc.Clique, g *graph.Graph, k, h, iters int) (*Result, error) {
 	n := g.N()
 	if k < 1 {
 		return nil, fmt.Errorf("knearest: invalid k %d", k)
@@ -52,13 +54,16 @@ func Compute(clq *cc.Clique, g *graph.Graph, k, h, iters int) (*Result, error) {
 	if k > n {
 		k = n
 	}
+	if par == nil {
+		par = sched.Background()
+	}
 	clq.Phase("knearest")
 
 	rows := initialRows(g, k)
 	hops := 1
 	for it := 0; it < iters; it++ {
 		var err error
-		rows, err = iterate(clq, n, k, h, rows)
+		rows, err = iterate(par, clq, n, k, h, rows)
 		if err != nil {
 			return nil, err
 		}
@@ -66,19 +71,14 @@ func Compute(clq *cc.Clique, g *graph.Graph, k, h, iters int) (*Result, error) {
 			hops *= h
 		}
 	}
+	// Rows leave iterate sorted by (W, Col), which is the (Dist, Node)
+	// order the lists promise.
 	lists := make([][]graph.NodeDist, n)
 	for u, row := range rows {
-		lists[u] = make([]graph.NodeDist, 0, len(row))
-		for _, e := range row {
-			lists[u] = append(lists[u], graph.NodeDist{Node: e.Col, Dist: e.W})
+		lists[u] = make([]graph.NodeDist, len(row))
+		for i, e := range row {
+			lists[u][i] = graph.NodeDist{Node: e.Col, Dist: e.W}
 		}
-		sort.Slice(lists[u], func(a, b int) bool {
-			x, y := lists[u][a], lists[u][b]
-			if x.Dist != y.Dist {
-				return x.Dist < y.Dist
-			}
-			return x.Node < y.Node
-		})
 	}
 	return &Result{Lists: lists, K: k, Hops: hops}, nil
 }
@@ -100,10 +100,31 @@ func initialRows(g *graph.Graph, k int) [][]minplus.Entry {
 	return rows
 }
 
+// rowWords flattens each row into (col, w) word pairs, the wire form of a
+// list segment. Rows hold at most k entries.
+func rowWords(rows [][]minplus.Entry) [][]cc.Word {
+	total := 0
+	for _, row := range rows {
+		total += 2 * len(row)
+	}
+	words := make([]cc.Word, total)
+	out := make([][]cc.Word, len(rows))
+	off := 0
+	for u, row := range rows {
+		start := off
+		for _, e := range row {
+			words[off], words[off+1] = int64(e.Col), e.W
+			off += 2
+		}
+		out[u] = words[start:off:off]
+	}
+	return out
+}
+
 // iterate performs one application of the Lemma 5.1 algorithm: from rows
 // representing a filtered matrix Ā, it returns the rows of the k smallest
 // entries per row of Ā^h.
-func iterate(clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) ([][]minplus.Entry, error) {
+func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) ([][]minplus.Entry, error) {
 	p := int(math.Floor(math.Pow(float64(n), 1.0/float64(h)) * float64(h) / 4.0))
 	binSize := 0
 	if p >= 1 {
@@ -129,43 +150,26 @@ func iterate(clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) ([][]minplus.E
 		combos = enumerateCombos(p, h)
 	}
 
-	// The global list M: position j holds entry j%k of node j/k's row (rows
-	// are padded to exactly k entries with Col = -1 sentinels, skipped on
-	// receipt). Bin b covers positions [b·binSize, (b+1)·binSize).
-	padded := make([][]minplus.Entry, n)
-	for u, row := range rows {
-		pr := make([]minplus.Entry, k)
-		copy(pr, row)
-		for i := len(row); i < k; i++ {
-			pr[i] = minplus.Entry{Col: -1, W: minplus.Inf}
-		}
-		padded[u] = pr
-	}
+	// The global list M: position j holds entry j%k of node j/k's row. Rows
+	// shorter than k are padded with sentinels that are never sent, so a
+	// node's real entries are its first len(row) positions. Bin b covers
+	// positions [b·binSize, (b+1)·binSize).
+	words := rowWords(rows)
 
 	// Step 3: each combo node collects the edges of its bins. A node's
 	// segment within a bin is one message; senders duplicate across combos,
-	// which is the Lemma 2.2 regime.
-	var collect []cc.Message
+	// which is the Lemma 2.2 regime. Duplicates share their payload.
+	// A bin spans at most binSize/k + 2 rows.
+	collect := make([]cc.Message, 0, len(combos)*h*(binSize/k+2))
 	for comboID, cb := range combos {
 		for _, b := range cb.bins() {
-			lo, hi := b*binSize, (b+1)*binSize
-			if hi > n*k {
-				hi = n * k
-			}
+			lo, hi := b*binSize, min((b+1)*binSize, n*k)
 			for pos := lo; pos < hi; {
 				owner := pos / k
-				end := (owner + 1) * k
-				if end > hi {
-					end = hi
-				}
-				payload := make([]cc.Word, 0, 2*(end-pos))
-				for q := pos; q < end; q++ {
-					e := padded[owner][q%k]
-					if e.Col >= 0 {
-						payload = append(payload, int64(e.Col), e.W)
-					}
-				}
-				if len(payload) > 0 {
+				end := min((owner+1)*k, hi)
+				from, to := pos-owner*k, min(end-owner*k, len(rows[owner]))
+				if from < to {
+					payload := words[owner][2*from : 2*to : 2*to]
 					collect = append(collect, cc.Message{From: owner, To: comboID, Payload: payload})
 				}
 				pos = end
@@ -186,7 +190,8 @@ func iterate(clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) ([][]minplus.E
 	for id, cb := range combos {
 		firstBinOf[cb.first] = append(firstBinOf[cb.first], id)
 	}
-	var queries []cc.Message
+	// A list segment meets at most two bins, since binSize > k.
+	queries := make([]cc.Message, 0, 2*n*(len(combos)/p))
 	for u := 0; u < n; u++ {
 		for _, b := range binsOfRange(u*k, (u+1)*k, binSize, p) {
 			for _, comboID := range firstBinOf[b] {
@@ -203,17 +208,33 @@ func iterate(clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) ([][]minplus.E
 
 	// Step 4b: each combo node answers every querying source with the k
 	// nearest nodes it can certify from its local edges within h hops.
-	var responses []cc.Message
-	for comboID := range combos {
-		local := newLocalGraph(collected[comboID])
-		for _, q := range queryInbox[comboID] {
-			best := local.hopKNearest(q.From, k, h)
-			payload := make([]cc.Word, 0, 2*len(best))
-			for _, nd := range best {
-				payload = append(payload, int64(nd.Node), nd.Dist)
+	// Combo nodes work independently within the round, so they fan out
+	// over par; answers are concatenated in combo order, so Route sees the
+	// same message sequence as a serial loop would produce.
+	perCombo := make([][]cc.Message, len(combos))
+	err := par.ForN(len(combos), chunkFor(par, len(combos)), func(lo, hi int) {
+		var lg localGraph
+		for comboID := lo; comboID < hi; comboID++ {
+			lg.load(n, collected[comboID])
+			inbox := queryInbox[comboID]
+			msgs := make([]cc.Message, len(inbox))
+			payloads := make([]cc.Word, 0, 2*k*len(inbox))
+			for i, q := range inbox {
+				start := len(payloads)
+				for _, e := range lg.hopKNearest(q.From, k, h) {
+					payloads = append(payloads, int64(e.Col), e.W)
+				}
+				msgs[i] = cc.Message{From: comboID, To: q.From, Payload: payloads[start:len(payloads):len(payloads)]}
 			}
-			responses = append(responses, cc.Message{From: comboID, To: q.From, Payload: payload})
+			perCombo[comboID] = msgs
 		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	responses := make([]cc.Message, 0, len(queries))
+	for _, msgs := range perCombo {
+		responses = append(responses, msgs...)
 	}
 	respBudget := int64(2*k*(2*(len(combos)/p+1)) + n)
 	respInbox := clq.Route(responses, cc.RouteOpts{
@@ -222,29 +243,51 @@ func iterate(clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) ([][]minplus.E
 		Note:       "knearest responses",
 	})
 
-	// Union-min over responses, then keep the k smallest (Lemma 5.4).
+	// Union-min over responses, then keep the k smallest (Lemma 5.4). Each
+	// node merges into a dense best-distance vector, reset through the list
+	// of nodes it touched.
 	next := make([][]minplus.Entry, n)
-	for u := 0; u < n; u++ {
-		bestBy := map[int]int64{u: 0}
-		for _, m := range respInbox[u] {
-			for i := 0; i+1 < len(m.Payload); i += 2 {
-				node, d := int(m.Payload[i]), m.Payload[i+1]
-				if old, ok := bestBy[node]; !ok || d < old {
-					bestBy[node] = d
+	backing := make([]minplus.Entry, n*k)
+	err = par.ForN(n, chunkFor(par, n), func(lo, hi int) {
+		best := make([]int64, n)
+		for i := range best {
+			best[i] = minplus.Inf
+		}
+		var cand []minplus.Entry
+		for u := lo; u < hi; u++ {
+			best[u] = 0
+			cand = append(cand[:0], minplus.Entry{Col: u})
+			for _, m := range respInbox[u] {
+				for i := 0; i+1 < len(m.Payload); i += 2 {
+					node, d := int(m.Payload[i]), m.Payload[i+1]
+					if d < best[node] {
+						if minplus.IsInf(best[node]) {
+							cand = append(cand, minplus.Entry{Col: node})
+						}
+						best[node] = d
+					}
 				}
 			}
+			for i := range cand {
+				cand[i].W = best[cand[i].Col]
+				best[cand[i].Col] = minplus.Inf
+			}
+			row := backing[u*k : u*k : (u+1)*k]
+			next[u] = append(row, minplus.SmallestK(cand, k)...)
 		}
-		ents := make([]minplus.Entry, 0, len(bestBy))
-		for node, d := range bestBy {
-			ents = append(ents, minplus.Entry{Col: node, W: d})
-		}
-		sort.Slice(ents, func(a, b int) bool { return ents[a].Less(ents[b]) })
-		if len(ents) > k {
-			ents = ents[:k]
-		}
-		next[u] = ents
+	})
+	if err != nil {
+		return nil, err
 	}
 	return next, nil
+}
+
+// chunkFor splits n independent nodes into about four chunks per worker of
+// par: enough to balance uneven work, few enough that per-chunk scratch is
+// negligible.
+func chunkFor(par *sched.Group, n int) int {
+	parts := 4 * par.Max()
+	return max(1, (n+parts-1)/parts)
 }
 
 // fallbackBroadcast handles the degenerate parameter regimes of §5.2: all
@@ -256,48 +299,17 @@ func fallbackBroadcast(clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) [][]
 	}
 	clq.Broadcast(total, "knearest fallback list broadcast")
 	// Every node now knows all rows; compute h-hop k-nearest locally.
+	all := make([]cc.Message, n)
+	for u, w := range rowWords(rows) {
+		all[u] = cc.Message{From: u, Payload: w}
+	}
+	var lg localGraph
+	lg.load(n, all)
 	next := make([][]minplus.Entry, n)
 	for u := 0; u < n; u++ {
-		next[u] = hopBellmanFord(n, u, rows, k, h)
+		next[u] = append([]minplus.Entry(nil), lg.hopKNearest(u, k, h)...)
 	}
 	return next
-}
-
-// hopBellmanFord computes the k smallest h-hop distances from src over the
-// given rows (global arc view), used by the fallback path.
-func hopBellmanFord(n, src int, arcs [][]minplus.Entry, k, h int) []minplus.Entry {
-	dist := make([]int64, n)
-	next := make([]int64, n)
-	for i := range dist {
-		dist[i] = minplus.Inf
-	}
-	dist[src] = 0
-	for step := 0; step < h; step++ {
-		copy(next, dist)
-		for u := 0; u < n; u++ {
-			du := dist[u]
-			if minplus.IsInf(du) {
-				continue
-			}
-			for _, e := range arcs[u] {
-				if nd := minplus.SatAdd(du, e.W); nd < next[e.Col] {
-					next[e.Col] = nd
-				}
-			}
-		}
-		dist, next = next, dist
-	}
-	ents := make([]minplus.Entry, 0, k)
-	for v, dv := range dist {
-		if !minplus.IsInf(dv) {
-			ents = append(ents, minplus.Entry{Col: v, W: dv})
-		}
-	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a].Less(ents[b]) })
-	if len(ents) > k {
-		ents = ents[:k]
-	}
-	return ents
 }
 
 // combo is one h-combination: a distinguished first bin and h−1 further
@@ -355,81 +367,136 @@ func binsOfRange(lo, hi, binSize, p int) []int {
 	return out
 }
 
-// localGraph is the edge multiset a combo node received, indexed densely
-// over the nodes that occur in it.
+// localGraph is the edge multiset a node received, in CSR form over the
+// nodes that occur in it, together with the buffers of its h-hop queries.
+// Loading a new multiset reuses every buffer, so one localGraph serves a
+// run of combo nodes; a localGraph is not safe for concurrent use.
 type localGraph struct {
-	index map[int]int // global node → local index
-	nodes []int       // local index → global node
-	adj   [][]minplus.Entry
+	index []int32 // global node → local index, -1 when absent
+	nodes []int   // local index → global node: the touched list of index
+	start []int   // node i's arcs are arcs[start[i]:start[i+1]]
+	arcs  []localArc
+
+	dist    []int64 // h-hop distances by local index, Inf between queries
+	stamp   []int   // step in which a node last joined the frontier
+	steps   int     // steps run so far, so stamps never need resetting
+	reached []int32
+	cand    []minplus.Entry
+	// frontier holds (node, distance at the start of the step) pairs.
+	frontier, nextFrontier []localArc
 }
 
-func newLocalGraph(msgs []cc.Message) *localGraph {
-	lg := &localGraph{index: make(map[int]int)}
-	touch := func(global int) int {
-		if li, ok := lg.index[global]; ok {
-			return li
+type localArc struct {
+	to int32
+	w  int64
+}
+
+// load replaces the edge multiset with the arcs of msgs: message m carries
+// (to, w) word pairs for arcs leaving m.From, over global IDs in [0, n).
+func (lg *localGraph) load(n int, msgs []cc.Message) {
+	if len(lg.index) < n {
+		lg.index = make([]int32, n)
+		for i := range lg.index {
+			lg.index[i] = -1
 		}
-		li := len(lg.nodes)
-		lg.index[global] = li
-		lg.nodes = append(lg.nodes, global)
-		lg.adj = append(lg.adj, nil)
+	}
+	for _, v := range lg.nodes {
+		lg.index[v] = -1
+	}
+	lg.nodes, lg.start = lg.nodes[:0], lg.start[:0]
+	// Pass 1 indexes the nodes and counts out-degrees; pass 2 places each
+	// arc below its node's running end offset.
+	for _, m := range msgs {
+		from := lg.touch(m.From)
+		lg.start[from] += len(m.Payload) / 2
+		for i := 0; i+1 < len(m.Payload); i += 2 {
+			lg.touch(int(m.Payload[i]))
+		}
+	}
+	lg.start = append(lg.start, 0)
+	end := 0
+	for i := range lg.start {
+		end += lg.start[i]
+		lg.start[i] = end
+	}
+	if cap(lg.arcs) < end {
+		lg.arcs = make([]localArc, end)
+	}
+	lg.arcs = lg.arcs[:end]
+	for _, m := range msgs {
+		from := lg.index[m.From]
+		for i := 0; i+1 < len(m.Payload); i += 2 {
+			lg.start[from]--
+			lg.arcs[lg.start[from]] = localArc{to: lg.index[m.Payload[i]], w: m.Payload[i+1]}
+		}
+	}
+	for len(lg.dist) < len(lg.nodes) {
+		lg.dist = append(lg.dist, minplus.Inf)
+		lg.stamp = append(lg.stamp, 0)
+	}
+}
+
+func (lg *localGraph) touch(global int) int32 {
+	if li := lg.index[global]; li >= 0 {
 		return li
 	}
-	for _, m := range msgs {
-		from := touch(m.From)
-		for i := 0; i+1 < len(m.Payload); i += 2 {
-			to := touch(int(m.Payload[i]))
-			lg.adj[from] = append(lg.adj[from], minplus.Entry{Col: to, W: m.Payload[i+1]})
-		}
-	}
-	return lg
+	li := int32(len(lg.nodes))
+	lg.index[global] = li
+	lg.nodes = append(lg.nodes, global)
+	lg.start = append(lg.start, 0)
+	return li
 }
 
 // hopKNearest runs an h-hop Bellman–Ford from the global source node over
-// the local edges and returns the k nearest (node, dist) pairs it certifies.
-func (lg *localGraph) hopKNearest(src, k, h int) []graph.NodeDist {
-	li, ok := lg.index[src]
-	if !ok {
-		return []graph.NodeDist{{Node: src, Dist: 0}}
+// the local edges and returns the k nearest (node, dist) pairs it certifies,
+// as entries ordered by (dist, node). The slice is reused by the next call.
+//
+// Each step relaxes only the nodes whose distance dropped in the previous
+// step (the frontier), from their distances at the start of the step. The
+// other nodes' arcs were relaxed with the same distance one step earlier,
+// so the result equals the full h-hop relaxation.
+func (lg *localGraph) hopKNearest(src, k, h int) []minplus.Entry {
+	li := lg.index[src]
+	if li < 0 {
+		lg.cand = append(lg.cand[:0], minplus.Entry{Col: src, W: 0})
+		return lg.cand
 	}
-	m := len(lg.nodes)
-	dist := make([]int64, m)
-	next := make([]int64, m)
-	for i := range dist {
-		dist[i] = minplus.Inf
-	}
+	dist := lg.dist
 	dist[li] = 0
-	for step := 0; step < h; step++ {
-		copy(next, dist)
-		for u := 0; u < m; u++ {
-			du := dist[u]
-			if minplus.IsInf(du) {
-				continue
-			}
-			for _, e := range lg.adj[u] {
-				if nd := minplus.SatAdd(du, e.W); nd < next[e.Col] {
-					next[e.Col] = nd
+	lg.reached = append(lg.reached[:0], li)
+	cur, nxt := append(lg.frontier[:0], localArc{to: li}), lg.nextFrontier
+	for step := 0; step < h && len(cur) > 0; step++ {
+		lg.steps++
+		nxt = nxt[:0]
+		for _, f := range cur {
+			for _, a := range lg.arcs[lg.start[f.to]:lg.start[f.to+1]] {
+				nd := minplus.SatAdd(f.w, a.w)
+				if nd >= dist[a.to] {
+					continue
+				}
+				if minplus.IsInf(dist[a.to]) {
+					lg.reached = append(lg.reached, a.to)
+				}
+				dist[a.to] = nd
+				if lg.stamp[a.to] != lg.steps {
+					lg.stamp[a.to] = lg.steps
+					nxt = append(nxt, localArc{to: a.to})
 				}
 			}
 		}
-		dist, next = next, dist
-	}
-	out := make([]graph.NodeDist, 0, k)
-	for i, dv := range dist {
-		if !minplus.IsInf(dv) {
-			out = append(out, graph.NodeDist{Node: lg.nodes[i], Dist: dv})
+		for i := range nxt {
+			nxt[i].w = dist[nxt[i].to]
 		}
+		cur, nxt = nxt, cur
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
-		}
-		return out[a].Node < out[b].Node
-	})
-	if len(out) > k {
-		out = out[:k]
+	lg.frontier, lg.nextFrontier = cur, nxt
+	cand := lg.cand[:0]
+	for _, v := range lg.reached {
+		cand = append(cand, minplus.Entry{Col: lg.nodes[v], W: dist[v]})
+		dist[v] = minplus.Inf
 	}
-	return out
+	lg.cand = cand
+	return minplus.SmallestK(cand, k)
 }
 
 // Reference computes the k-nearest lists under hops-hop distances by direct

@@ -1,12 +1,16 @@
 package knearest
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
+	"github.com/congestedclique/cliqueapsp/internal/sched"
 )
 
 // assertMatchesReference compares the distributed result with the
@@ -35,7 +39,7 @@ func TestComputeSingleIterationMatchesReference(t *testing.T) {
 		h := 2
 		k := int(math.Floor(math.Sqrt(float64(n))))
 		clq := cc.New(n, 1)
-		got, err := Compute(clq, g, k, h, 1)
+		got, err := Compute(nil, clq, g, k, h, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +58,7 @@ func TestComputeIteratedMatchesReference(t *testing.T) {
 		h, iters := 2, 3 // 8-hop k-nearest
 		k := int(math.Floor(math.Sqrt(float64(n))))
 		clq := cc.New(n, 1)
-		got, err := Compute(clq, g, k, h, iters)
+		got, err := Compute(nil, clq, g, k, h, iters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +76,7 @@ func TestComputeH3(t *testing.T) {
 	h := 3
 	k := int(math.Floor(math.Pow(float64(n), 1.0/3.0)))
 	clq := cc.New(n, 1)
-	got, err := Compute(clq, g, k, h, 2)
+	got, err := Compute(nil, clq, g, k, h, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestComputeOnDirectedAsymmetric(t *testing.T) {
 	}
 	k := 7
 	clq := cc.New(n, 1)
-	got, err := Compute(clq, g, k, 2, 2)
+	got, err := Compute(nil, clq, g, k, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +108,7 @@ func TestComputeOnCappedGraph(t *testing.T) {
 	g.SetCap(9)
 	k := 6
 	clq := cc.New(n, 1)
-	got, err := Compute(clq, g, k, 2, 2)
+	got, err := Compute(nil, clq, g, k, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestComputeFallbackTinyK(t *testing.T) {
 	n := 30
 	g := graph.RandomConnected(n, 4, graph.WeightRange{Min: 1, Max: 9}, rng).AsDirected()
 	clq := cc.New(n, 1)
-	got, err := Compute(clq, g, 2, 5, 1)
+	got, err := Compute(nil, clq, g, 2, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +133,7 @@ func TestComputeTinyGraph(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		g := graph.RandomConnected(n, 2, graph.WeightRange{Min: 1, Max: 5}, rng).AsDirected()
 		clq := cc.New(n, 1)
-		got, err := Compute(clq, g, 2, 2, 1)
+		got, err := Compute(nil, clq, g, 2, 2, 1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -142,7 +146,7 @@ func TestComputeKClampedToN(t *testing.T) {
 	n := 12
 	g := graph.RandomConnected(n, 3, graph.WeightRange{Min: 1, Max: 5}, rng).AsDirected()
 	clq := cc.New(n, 1)
-	got, err := Compute(clq, g, 99, 2, 4)
+	got, err := Compute(nil, clq, g, 99, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +159,13 @@ func TestComputeKClampedToN(t *testing.T) {
 func TestComputeValidation(t *testing.T) {
 	g := graph.NewDirected(4)
 	clq := cc.New(4, 1)
-	if _, err := Compute(clq, g, 0, 2, 1); err == nil {
+	if _, err := Compute(nil, clq, g, 0, 2, 1); err == nil {
 		t.Fatal("k=0 must error")
 	}
-	if _, err := Compute(clq, g, 2, 0, 1); err == nil {
+	if _, err := Compute(nil, clq, g, 2, 0, 1); err == nil {
 		t.Fatal("h=0 must error")
 	}
-	if _, err := Compute(clq, g, 2, 2, 0); err == nil {
+	if _, err := Compute(nil, clq, g, 2, 2, 0); err == nil {
 		t.Fatal("iters=0 must error")
 	}
 }
@@ -174,7 +178,7 @@ func TestComputeConstantRoundsPerIteration(t *testing.T) {
 		g := graph.RandomConnected(n, 4, graph.WeightRange{Min: 1, Max: 9}, rng).AsDirected()
 		k := int(math.Floor(math.Sqrt(float64(n))))
 		clq := cc.New(n, 1)
-		if _, err := Compute(clq, g, k, 2, 1); err != nil {
+		if _, err := Compute(nil, clq, g, k, 2, 1); err != nil {
 			t.Fatal(err)
 		}
 		m := clq.Metrics()
@@ -188,11 +192,43 @@ func TestComputeConstantRoundsPerIteration(t *testing.T) {
 	}
 }
 
+// The combo nodes' local work fans out over the compute group: the
+// worker cap must not change the lists or the model cost, and a cancelled
+// group must abort the run with the context's error.
+func TestComputeHonoursGroup(t *testing.T) {
+	pool := sched.NewPool(4)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(61))
+	g := graph.RandomConnected(200, 4, graph.WeightRange{Min: 1, Max: 30}, rng).AsDirected()
+	run := func(par *sched.Group) (*Result, cc.Metrics, error) {
+		clq := cc.New(g.N(), 1)
+		res, err := Compute(par, clq, g, 14, 2, 3)
+		return res, clq.Metrics(), err
+	}
+	serial, serialM, err := run(pool.Group(context.Background(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, wideM, err := run(pool.Group(context.Background(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, wide) || !reflect.DeepEqual(serialM, wideM) {
+		t.Fatal("1-worker and full-width groups disagree")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := run(pool.Group(ctx, 0)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled group: err = %v, want context.Canceled", err)
+	}
+}
+
 func TestComputeIncludesSelfFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	g := graph.RandomConnected(40, 4, graph.WeightRange{Min: 1, Max: 9}, rng).AsDirected()
 	clq := cc.New(40, 1)
-	got, err := Compute(clq, g, 5, 2, 2)
+	got, err := Compute(nil, clq, g, 5, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +295,7 @@ func TestComputeFallbackPLessThanH(t *testing.T) {
 	n := 20
 	g := graph.RandomConnected(n, 3, graph.WeightRange{Min: 1, Max: 9}, rng).AsDirected()
 	clq := cc.New(n, 1)
-	got, err := Compute(clq, g, 2, 9, 1)
+	got, err := Compute(nil, clq, g, 2, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +308,7 @@ func TestComputeDisconnectedDirected(t *testing.T) {
 	g.AddArc(0, 1, 2)
 	g.AddArc(1, 2, 3)
 	clq := cc.New(6, 1)
-	got, err := Compute(clq, g, 3, 2, 2)
+	got, err := Compute(nil, clq, g, 3, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +340,7 @@ func TestComputeViaSquaringAgreesWithBinsMethod(t *testing.T) {
 	g := graph.RandomConnected(n, 4, graph.WeightRange{Min: 1, Max: 30}, rng).AsDirected()
 	k := 8
 	clq1 := cc.New(n, 1)
-	bins, err := Compute(clq1, g, k, 2, 2) // 4-hop
+	bins, err := Compute(nil, clq1, g, k, 2, 2) // 4-hop
 	if err != nil {
 		t.Fatal(err)
 	}

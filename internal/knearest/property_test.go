@@ -30,7 +30,7 @@ func TestPropertyComputeMatchesReference(t *testing.T) {
 		k := 1 + rng.Intn(int(math.Pow(float64(n), 1/float64(h)))+1)
 		iters := 1 + rng.Intn(2)
 		clq := cc.New(n, 1)
-		res, err := Compute(clq, g, k, h, iters)
+		res, err := Compute(nil, clq, g, k, h, iters)
 		if err != nil {
 			return false
 		}
@@ -65,7 +65,7 @@ func TestPropertyListsSortedAndDominated(t *testing.T) {
 		n := 10 + rng.Intn(50)
 		g := graph.RandomConnected(n, 3, graph.WeightRange{Min: 1, Max: 20}, rng).AsDirected()
 		clq := cc.New(n, 1)
-		res, err := Compute(clq, g, 1+rng.Intn(6), 2, 1+rng.Intn(2))
+		res, err := Compute(nil, clq, g, 1+rng.Intn(6), 2, 1+rng.Intn(2))
 		if err != nil {
 			return false
 		}

@@ -2,7 +2,7 @@ package knearest
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
@@ -46,7 +46,7 @@ func ComputeViaSquaring(clq *cc.Clique, g *graph.Graph, k, iters int) (*Result, 
 		next := minplus.NewRowSparse(n)
 		for u := 0; u < n; u++ {
 			row := append([]minplus.Entry(nil), prod.Row(u)...)
-			sort.Slice(row, func(a, b int) bool { return row[a].Less(row[b]) })
+			slices.SortFunc(row, minplus.Entry.Compare)
 			if len(row) > k {
 				row = row[:k]
 			}
@@ -61,7 +61,7 @@ func ComputeViaSquaring(clq *cc.Clique, g *graph.Graph, k, iters int) (*Result, 
 	lists := make([][]graph.NodeDist, n)
 	for u := 0; u < n; u++ {
 		row := append([]minplus.Entry(nil), cur.Row(u)...)
-		sort.Slice(row, func(a, b int) bool { return row[a].Less(row[b]) })
+		slices.SortFunc(row, minplus.Entry.Compare)
 		lists[u] = make([]graph.NodeDist, 0, len(row))
 		for _, e := range row {
 			lists[u] = append(lists[u], graph.NodeDist{Node: e.Col, Dist: e.W})

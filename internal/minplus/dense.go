@@ -2,6 +2,7 @@ package minplus
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/sched"
 )
@@ -179,6 +180,33 @@ func (d *Dense) KSmallestInRow(i, k int) []Entry {
 		ents[0], ents[end] = ents[end], ents[0]
 		siftDown(ents[:end], 0)
 	}
+	return ents
+}
+
+// SmallestK reorders ents in place so that its first min(k, len(ents))
+// entries are the k smallest in (value, column) order, ascending, and
+// returns that prefix. Columns must be distinct, which makes the order total
+// and the result identical to sorting ents and truncating to k. Selection
+// keeps a bounded max-heap in the prefix, so only the k survivors are
+// sorted and nothing is allocated.
+func SmallestK(ents []Entry, k int) []Entry {
+	if k <= 0 {
+		return ents[:0]
+	}
+	if k < len(ents) {
+		heap := ents[:k]
+		for i := range heap {
+			siftUp(heap, i)
+		}
+		for _, e := range ents[k:] {
+			if e.Less(heap[0]) {
+				heap[0] = e
+				siftDown(heap, 0)
+			}
+		}
+		ents = heap
+	}
+	slices.SortFunc(ents, Entry.Compare)
 	return ents
 }
 

@@ -10,7 +10,10 @@
 // Theorem 8; quoted as Theorem 6.1 in the paper).
 package minplus
 
-import "math"
+import (
+	"cmp"
+	"math"
+)
 
 // Inf is the additive identity of the tropical semiring ("no path").
 // It is chosen with ample headroom so that Inf+Inf does not overflow int64.
@@ -48,4 +51,13 @@ func (e Entry) Less(o Entry) bool {
 		return e.W < o.W
 	}
 	return e.Col < o.Col
+}
+
+// Compare orders e and o by (value, column ID), returning -1, 0 or +1: the
+// comparator form of Less, for slices.SortFunc.
+func (e Entry) Compare(o Entry) int {
+	if c := cmp.Compare(e.W, o.W); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.Col, o.Col)
 }

@@ -1,8 +1,9 @@
 package minplus
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RowSparse is a row-sparse n×n tropical matrix: only non-infinite entries
@@ -44,7 +45,7 @@ func (s *RowSparse) SetRow(i int, ents []Entry) {
 	for col, w := range merged {
 		row = append(row, Entry{Col: col, W: w})
 	}
-	sort.Slice(row, func(a, b int) bool { return row[a].Col < row[b].Col })
+	slices.SortFunc(row, compareCol)
 	s.rows[i] = row
 }
 
@@ -120,8 +121,11 @@ func MulSparse(x, y *RowSparse) *RowSparse {
 			row = append(row, Entry{Col: col, W: scratch[col]})
 			seen[col] = false
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a].Col < row[b].Col })
+		slices.SortFunc(row, compareCol)
 		out.rows[i] = row
 	}
 	return out
 }
+
+// compareCol orders entries by column; row entries have distinct columns.
+func compareCol(a, b Entry) int { return cmp.Compare(a.Col, b.Col) }

@@ -193,16 +193,8 @@ func hittingSet(clq *cc.Clique, in Input) []int {
 	// Announce sampled membership: every node tells every node its trial
 	// bitmask (one word); then fix-ups announce the same way; then trial
 	// sizes are aggregated and the verdict broadcast (2 more rounds).
-	var announce []cc.Message
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v {
-				announce = append(announce, cc.Message{From: u, To: v})
-			}
-		}
-	}
-	clq.Route(announce, cc.RouteOpts{RecvBudget: int64(n), Note: "hitting-set sample announce"})
-	clq.Route(announce, cc.RouteOpts{RecvBudget: int64(n), Note: "hitting-set fixup announce"})
+	clq.AllToAll(1, cc.RouteOpts{RecvBudget: int64(n), Note: "hitting-set sample announce"})
+	clq.AllToAll(1, cc.RouteOpts{RecvBudget: int64(n), Note: "hitting-set fixup announce"})
 	clq.ChargeRounds(2)
 
 	best := []int(nil)

@@ -19,9 +19,10 @@
 package spanner
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/graph"
 )
@@ -52,14 +53,14 @@ func collectEdges(g *graph.Graph) []edgeRec {
 			}
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].w != edges[j].w {
-			return edges[i].w < edges[j].w
+	slices.SortFunc(edges, func(a, b edgeRec) int {
+		if c := cmp.Compare(a.w, b.w); c != 0 {
+			return c
 		}
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		return edges[i].v < edges[j].v
+		return cmp.Compare(a.v, b.v)
 	})
 	return edges
 }
