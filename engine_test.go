@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/congestedclique/cliqueapsp/internal/registry"
 )
 
 // One shared Engine must serve many concurrent runs, and pinned seeds must
@@ -254,6 +256,7 @@ func TestRegisterCustomAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { registry.Unregister(string(name)) })
 
 	found := false
 	for _, a := range Algorithms() {
@@ -296,6 +299,7 @@ func TestRegisteredAlgorithmMalformedOutput(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { registry.Unregister(string(name)) })
 	g := RandomGraph(8, 5, 1)
 	if _, err := New().Run(context.Background(), g, WithAlgorithm(name)); err == nil {
 		t.Fatal("malformed estimate accepted")
@@ -309,6 +313,7 @@ func TestRegisteredAlgorithmMalformedOutput(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { registry.Unregister(string(negName)) })
 	if _, err := New().Run(context.Background(), g, WithAlgorithm(negName)); err == nil {
 		t.Fatal("negative round charge accepted")
 	}

@@ -13,6 +13,7 @@ func benchGraph(b *testing.B, n int) *Graph {
 
 func BenchmarkDijkstra(b *testing.B) {
 	g := benchGraph(b, 512)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Dijkstra(i % g.N())
@@ -38,6 +39,7 @@ func BenchmarkHopLimited(b *testing.B) {
 func BenchmarkLightestOut(b *testing.B) {
 	g := benchGraph(b, 512).AsDirected()
 	g.SetCap(500)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.LightestOut(i%g.N(), 22)

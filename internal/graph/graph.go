@@ -249,12 +249,7 @@ func (g *Graph) Normalize() *Graph {
 	total := 0
 	for u := range g.adj {
 		arcs := g.adj[u]
-		slices.SortFunc(arcs, func(a, b Arc) int {
-			if c := cmp.Compare(a.To, b.To); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.W, b.W)
-		})
+		slices.SortFunc(arcs, compareToW)
 		out := arcs[:0]
 		for _, a := range arcs {
 			if len(out) > 0 && out[len(out)-1].To == a.To {
@@ -352,27 +347,23 @@ func (g *Graph) LightestOut(u, k int) []Arc {
 	if k <= 0 {
 		return nil
 	}
-	best := make(map[int]int64, len(g.adj[u]))
-	for _, a := range g.adj[u] {
-		w := a.W
-		if g.cap > 0 && w > g.cap {
-			w = g.cap
-		}
-		if old, ok := best[a.To]; !ok || w < old {
-			best[a.To] = w
+	adj := g.adj[u]
+	room := len(adj)
+	if g.cap > 0 {
+		room += min(k, g.n) // the cap band is built in the tail
+	}
+	arcs := append(make([]Arc, 0, room), adj...)
+	if g.cap > 0 {
+		for i := range arcs {
+			arcs[i].W = min(arcs[i].W, g.cap)
 		}
 	}
-	arcs := make([]Arc, 0, len(best))
-	for to, w := range best {
-		arcs = append(arcs, Arc{To: to, W: w})
-	}
-	slices.SortFunc(arcs, func(a, b Arc) int {
-		if c := cmp.Compare(a.W, b.W); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.To, b.To)
-	})
+	// Merge parallel arcs: sorted by (To, W), the lightest arc to each
+	// destination comes first and CompactFunc keeps it.
+	slices.SortFunc(arcs, compareToW)
+	arcs = slices.CompactFunc(arcs, func(a, b Arc) bool { return a.To == b.To })
 	if g.cap == 0 {
+		slices.SortFunc(arcs, compareWTo)
 		if len(arcs) > k {
 			arcs = arcs[:k]
 		}
@@ -380,28 +371,46 @@ func (g *Graph) LightestOut(u, k int) []Arc {
 	}
 	// With a cap, nodes without a lighter stored arc sit at weight == cap,
 	// tie-broken by ascending ID. Stored arcs at weight < cap come first;
-	// then the weight-cap band is filled in ID order (stored arcs clamped to
-	// cap compete with synthetic ones purely by ID).
-	out := make([]Arc, 0, k)
-	seen := make(map[int]bool, k)
+	// then the weight-cap band is filled in ID order. Stored arcs clamped to
+	// exactly cap are indistinguishable from the synthetic universal arcs,
+	// so they compete purely by ID. arcs is still in To order here, so the
+	// band skips the stored arcs below the cap by walking it alongside v.
+	m := len(arcs)
+	under := 0
 	for _, a := range arcs {
 		if a.W < g.cap {
-			out = append(out, a)
-			seen[a.To] = true
+			under++
 		}
 	}
-	if len(out) >= k {
-		return out[:k]
-	}
-	// Stored arcs clamped to exactly cap are indistinguishable from the
-	// synthetic universal arcs, so the cap band is filled purely in ID order.
-	for v := 0; v < g.n && len(out) < k; v++ {
-		if v == u || seen[v] {
+	for v, j := 0, 0; v < g.n && under+len(arcs)-m < k; v++ {
+		for j < m && arcs[j].To < v {
+			j++
+		}
+		if v == u || (j < m && arcs[j].To == v && arcs[j].W < g.cap) {
 			continue
 		}
-		out = append(out, Arc{To: v, W: g.cap})
+		arcs = append(arcs, Arc{To: v, W: g.cap})
 	}
-	return out
+	head := slices.DeleteFunc(arcs[:m], func(a Arc) bool { return a.W >= g.cap })
+	slices.SortFunc(head, compareWTo)
+	if len(head) >= k {
+		return head[:k]
+	}
+	return append(head, arcs[m:]...)
+}
+
+func compareToW(a, b Arc) int {
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.W, b.W)
+}
+
+func compareWTo(a, b Arc) int {
+	if c := cmp.Compare(a.W, b.W); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.To, b.To)
 }
 
 func min64(a, b int64) int64 {

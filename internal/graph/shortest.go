@@ -2,7 +2,6 @@ package graph
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/minplus"
@@ -19,17 +18,18 @@ func (g *Graph) Dijkstra(src int) []int64 {
 		dist[i] = Inf
 	}
 	dist[src] = 0
-	pq := &arcHeap{{To: src, W: 0}}
+	pq := DistHeap{a: make([]NodeDist, 0, g.n)}
+	pq.Push(src, 0)
 	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(Arc)
-		if cur.W > dist[cur.To] {
+		cur := pq.Pop()
+		if cur.Dist > dist[cur.Node] {
 			continue
 		}
-		for _, a := range g.adj[cur.To] {
-			nd := minplus.SatAdd(cur.W, a.W)
+		for _, a := range g.adj[cur.Node] {
+			nd := minplus.SatAdd(cur.Dist, a.W)
 			if nd < dist[a.To] {
 				dist[a.To] = nd
-				heap.Push(pq, Arc{To: a.To, W: nd})
+				pq.Push(a.To, nd)
 			}
 		}
 	}
@@ -210,19 +210,4 @@ func (g *Graph) KNearestHops(k, hops int) [][]NodeDist {
 		out[u] = KNearestFrom(g.HopLimited(u, hops), k)
 	}
 	return out
-}
-
-// arcHeap is a min-heap of Arc by weight used by Dijkstra.
-type arcHeap []Arc
-
-func (h arcHeap) Len() int            { return len(h) }
-func (h arcHeap) Less(i, j int) bool  { return h[i].W < h[j].W }
-func (h arcHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *arcHeap) Push(x interface{}) { *h = append(*h, x.(Arc)) }
-func (h *arcHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -13,6 +13,7 @@ func BenchmarkBuild(b *testing.B) {
 	g := graph.RandomConnected(256, 5, graph.WeightRange{Min: 1, Max: 50}, rng)
 	exact := g.ExactAPSP()
 	dg := g.AsDirected()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clq := cc.New(g.N(), 1)

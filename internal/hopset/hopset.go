@@ -15,7 +15,6 @@
 package hopset
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
@@ -89,13 +88,9 @@ func Build(clq *cc.Clique, g *graph.Graph, delta *minplus.Dense, k int) (*graph.
 	// outgoing edges. Step 4: install shortcut arcs to Ñk(v).
 	h := graph.NewDirected(n)
 	notify := make([]cc.Message, 0, n*k)
+	local := newLocalSearch(n)
 	for v := 0; v < n; v++ {
-		adj := make(map[int][]graph.Arc, len(repInbox[v])+1)
-		adj[v] = ownArcs(g, v)
-		for _, m := range repInbox[v] {
-			adj[m.From] = decodeArcs(m.Payload)
-		}
-		dist := localDijkstra(n, v, adj)
+		dist := local.run(v, ownArcs(g, v), repInbox[v])
 		for _, e := range near[v] {
 			u := e.Col
 			if u == v || minplus.IsInf(dist[u]) {
@@ -152,56 +147,79 @@ func encodeArcs(arcs []graph.Arc) []cc.Word {
 	return payload
 }
 
-func decodeArcs(payload []cc.Word) []graph.Arc {
-	arcs := make([]graph.Arc, 0, len(payload)/2)
-	for i := 0; i+1 < len(payload); i += 2 {
-		arcs = append(arcs, graph.Arc{To: int(payload[i]), W: payload[i+1]})
-	}
-	return arcs
+// localSearch is the reusable state of step 3. Each node's received
+// subgraph is indexed by a dense per-node table whose replies are decoded
+// into one shared arena, and one distance vector serves every node: run
+// resets the entries the previous search touched instead of reallocating.
+type localSearch struct {
+	adj     [][]graph.Arc // adj[u] = u's out-arcs as known to the searching node
+	arena   []graph.Arc
+	dist    []int64
+	touched []int
+	pq      graph.DistHeap
 }
 
-// localDijkstra runs Dijkstra from src over the arc map (from → out-arcs),
-// returning a length-n distance vector.
-func localDijkstra(n, src int, adj map[int][]graph.Arc) []int64 {
+func newLocalSearch(n int) *localSearch {
 	dist := make([]int64, n)
 	for i := range dist {
 		dist[i] = minplus.Inf
 	}
-	dist[src] = 0
-	pq := &nodeHeap{{node: src, d: 0}}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(nodeDist)
-		if cur.d > dist[cur.node] {
+	return &localSearch{adj: make([][]graph.Arc, n), dist: dist}
+}
+
+// run computes shortest distances from src over src's own arcs plus the
+// arcs each reply in inbox carries for its sender. The returned vector
+// (Inf where unreached) is valid until the next call.
+func (l *localSearch) run(src int, own []graph.Arc, inbox []cc.Message) []int64 {
+	for _, u := range l.touched {
+		l.dist[u] = minplus.Inf
+	}
+	l.touched = l.touched[:0]
+
+	total := 0
+	for _, m := range inbox {
+		total += len(m.Payload) / 2
+	}
+	if cap(l.arena) < total {
+		l.arena = make([]graph.Arc, total)
+	}
+	arena := l.arena[:total]
+	l.adj[src] = own
+	for _, m := range inbox {
+		k := len(m.Payload) / 2
+		arcs := arena[:k:k]
+		arena = arena[k:]
+		for i := range arcs {
+			arcs[i] = graph.Arc{To: int(m.Payload[2*i]), W: m.Payload[2*i+1]}
+		}
+		l.adj[m.From] = arcs
+	}
+
+	l.dist[src] = 0
+	l.touched = append(l.touched, src)
+	l.pq.Reset()
+	l.pq.Push(src, 0)
+	for l.pq.Len() > 0 {
+		cur := l.pq.Pop()
+		if cur.Dist > l.dist[cur.Node] {
 			continue
 		}
-		for _, a := range adj[cur.node] {
-			nd := minplus.SatAdd(cur.d, a.W)
-			if nd < dist[a.To] {
-				dist[a.To] = nd
-				heap.Push(pq, nodeDist{node: a.To, d: nd})
+		for _, a := range l.adj[cur.Node] {
+			nd := minplus.SatAdd(cur.Dist, a.W)
+			if nd < l.dist[a.To] {
+				if minplus.IsInf(l.dist[a.To]) {
+					l.touched = append(l.touched, a.To)
+				}
+				l.dist[a.To] = nd
+				l.pq.Push(a.To, nd)
 			}
 		}
 	}
-	return dist
-}
-
-type nodeDist struct {
-	node int
-	d    int64
-}
-
-type nodeHeap []nodeDist
-
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	l.adj[src] = nil
+	for _, m := range inbox {
+		l.adj[m.From] = nil
+	}
+	return l.dist
 }
 
 // MeasureHopRadius returns, over the sampled sources, the maximum number of

@@ -32,21 +32,21 @@ func (s *RowSparse) Row(i int) []Entry { return s.rows[i] }
 // SetRow replaces row i. Duplicate columns are merged keeping the minimum
 // value, and the row is stored sorted by column.
 func (s *RowSparse) SetRow(i int, ents []Entry) {
-	merged := make(map[int]int64, len(ents))
+	row := make([]Entry, 0, len(ents))
 	for _, e := range ents {
-		if IsInf(e.W) {
-			continue
-		}
-		if old, ok := merged[e.Col]; !ok || e.W < old {
-			merged[e.Col] = e.W
+		if !IsInf(e.W) {
+			row = append(row, e)
 		}
 	}
-	row := make([]Entry, 0, len(merged))
-	for col, w := range merged {
-		row = append(row, Entry{Col: col, W: w})
-	}
-	slices.SortFunc(row, compareCol)
-	s.rows[i] = row
+	// Sorted by (column, value), the lightest entry of each column comes
+	// first and CompactFunc keeps it.
+	slices.SortFunc(row, func(a, b Entry) int {
+		if c := compareCol(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.W, b.W)
+	})
+	s.rows[i] = slices.CompactFunc(row, func(a, b Entry) bool { return a.Col == b.Col })
 }
 
 // NNZ returns the total number of stored entries.
@@ -127,5 +127,5 @@ func MulSparse(x, y *RowSparse) *RowSparse {
 	return out
 }
 
-// compareCol orders entries by column; row entries have distinct columns.
+// compareCol orders entries by column.
 func compareCol(a, b Entry) int { return cmp.Compare(a.Col, b.Col) }

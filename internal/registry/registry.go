@@ -9,6 +9,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -89,6 +90,20 @@ func Register(spec Spec) error {
 	specs[spec.Name] = spec
 	order = append(order, spec.Name)
 	return nil
+}
+
+// Unregister removes the Spec registered under name, if any. Tests that
+// register throwaway algorithms call it from t.Cleanup so that the global
+// registry is left as they found it and the test can run again in the same
+// process.
+func Unregister(name string) {
+	mu.Lock()
+	defer mu.Unlock()
+	if _, ok := specs[name]; !ok {
+		return
+	}
+	delete(specs, name)
+	order = slices.DeleteFunc(order, func(s string) bool { return s == name })
 }
 
 // MustRegister is Register for init-time use; it panics on error.

@@ -44,6 +44,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := Register(Spec{Name: "registry-test-ok", Run: noop}); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { Unregister("registry-test-ok") })
 	if _, ok := Lookup("registry-test-ok"); !ok {
 		t.Fatal("registered spec not found")
 	}

@@ -12,6 +12,7 @@ func BenchmarkBuildAndTranslate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnected(256, 5, graph.WeightRange{Min: 1, Max: 50}, rng)
 	lists := g.KNearest(16)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clq := cc.New(g.N(), 1)

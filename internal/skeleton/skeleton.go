@@ -123,7 +123,7 @@ func Build(clq *cc.Clique, in Input) (*Skeleton, error) {
 	clq.Broadcast(int64(2*n), "skeleton center table")
 
 	x := buildX(clq, in, center, deltaC)
-	y := buildY(clq, in, s, inS, center, deltaC)
+	y := buildY(clq, in, center, deltaC)
 
 	// G_S edge weights: the (s_a, s_b) entry of X ⋆ Y. The product is charged
 	// per the CDKL21 sparse matmul bound (Theorem 6.1): ρX ≤ k, ρY ≤ |S|,
@@ -139,38 +139,30 @@ func Build(clq *cc.Clique, in Input) (*Skeleton, error) {
 	for i, v := range s {
 		index[v] = i
 	}
-	gs := graph.New(len(s))
-	type edge struct{ a, b int }
-	bestEdge := make(map[edge]int64)
-	for _, sa := range s {
-		for _, e := range prod.Row(sa) {
-			sb := e.Col
-			if sb == sa || index[sb] < 0 {
-				continue
-			}
-			a, b := index[sa], index[sb]
-			if a > b {
-				a, b = b, a
-			}
-			k := edge{a, b}
-			if old, ok := bestEdge[k]; !ok || e.W < old {
-				bestEdge[k] = e.W
-			}
-		}
-	}
-	for k, w := range bestEdge {
-		gs.AddEdge(k.a, k.b, w)
-	}
-	gs.Normalize()
 
 	return &Skeleton{
 		Nodes:  s,
 		Index:  index,
-		GS:     gs,
+		GS:     skeletonGraph(s, index, prod),
 		Center: center,
 		DeltaC: deltaC,
 		in:     in,
 	}, nil
+}
+
+// skeletonGraph returns G_S in skeleton index space: edge {a,b} weighs the
+// lighter of the product entries (s_a,s_b) and (s_b,s_a). Both directions
+// are added as parallel arcs and Normalize keeps the lighter one.
+func skeletonGraph(s, index []int, prod *minplus.RowSparse) *graph.Graph {
+	gs := graph.New(len(s))
+	for _, sa := range s {
+		for _, e := range prod.Row(sa) {
+			if sb := e.Col; sb != sa && index[sb] >= 0 {
+				gs.AddEdge(index[sa], index[sb], e.W)
+			}
+		}
+	}
+	return gs.Normalize()
 }
 
 // hittingSet samples S with per-node probability ln(k)/k, locally fixes
@@ -299,19 +291,52 @@ func greedyHittingSet(clq *cc.Clique, in Input) []int {
 	return set
 }
 
+// minTable keeps per-key minima in a dense vector, reset through the list
+// of keys touched since the last reset.
+type minTable struct {
+	val     []int64
+	has     []bool
+	touched []int // keys in first-offer order
+}
+
+func newMinTable(n int) *minTable {
+	return &minTable{val: make([]int64, n), has: make([]bool, n)}
+}
+
+func (m *minTable) offer(key int, v int64) {
+	if !m.has[key] {
+		m.has[key] = true
+		m.val[key] = v
+		m.touched = append(m.touched, key)
+	} else if v < m.val[key] {
+		m.val[key] = v
+	}
+}
+
+func (m *minTable) reset() {
+	for _, key := range m.touched {
+		m.has[key] = false
+	}
+	m.touched = m.touched[:0]
+}
+
 // buildX aggregates x(s,t) = min over u with c(u)=s, t∈Ñk(u) of
 // δ(s,u)+δ(u,t): each u routes (c(u), δ(u,c(u))+δ(u,t)) to every t in its
 // list; each t reduces per-center minima and forwards them to the centers.
 func buildX(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.RowSparse {
 	n := in.G.N()
-	var toT []cc.Message
+	total := 0
+	for _, l := range in.Lists {
+		total += len(l)
+	}
+	toT := make([]cc.Message, 0, total)
+	words := make([]cc.Word, 2*total)
 	for u := 0; u < n; u++ {
 		for _, nd := range in.Lists[u] {
-			toT = append(toT, cc.Message{
-				From:    u,
-				To:      nd.Node,
-				Payload: []cc.Word{int64(center[u]), minplus.SatAdd(deltaC[u], nd.Dist)},
-			})
+			p := words[:2:2]
+			words = words[2:]
+			p[0], p[1] = int64(center[u]), minplus.SatAdd(deltaC[u], nd.Dist)
+			toT = append(toT, cc.Message{From: u, To: nd.Node, Payload: p})
 		}
 	}
 	inboxT := clq.Route(toT, cc.RouteOpts{
@@ -319,21 +344,22 @@ func buildX(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.Row
 		RecvBudget: int64(2 * n),
 		Note:       "skeleton x to-t",
 	})
-	// t holds min per center; forward x(s,t) to s.
-	var toS []cc.Message
-	xAtT := make([]map[int]int64, n)
+	// t holds min per center; forward x(s,t) to s. Each t forwards at most
+	// one word per message it received.
+	toS := make([]cc.Message, 0, total)
+	vals := make([]cc.Word, total)
+	mins := newMinTable(n)
 	for t := 0; t < n; t++ {
-		mins := make(map[int]int64)
 		for _, m := range inboxT[t] {
-			s, val := int(m.Payload[0]), m.Payload[1]
-			if old, ok := mins[s]; !ok || val < old {
-				mins[s] = val
-			}
+			mins.offer(int(m.Payload[0]), m.Payload[1])
 		}
-		xAtT[t] = mins
-		for s, val := range mins {
-			toS = append(toS, cc.Message{From: t, To: s, Payload: []cc.Word{val}})
+		for _, s := range mins.touched {
+			p := vals[:1:1]
+			vals = vals[1:]
+			p[0] = mins.val[s]
+			toS = append(toS, cc.Message{From: t, To: s, Payload: p})
 		}
+		mins.reset()
 	}
 	inboxS := clq.Route(toS, cc.RouteOpts{
 		SendBudget: int64(n),
@@ -341,16 +367,16 @@ func buildX(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.Row
 		Note:       "skeleton x to-s",
 	})
 	x := minplus.NewRowSparse(n)
-	rowEnts := make([][]minplus.Entry, n)
+	var ents []minplus.Entry
 	for s := 0; s < n; s++ {
+		if len(inboxS[s]) == 0 {
+			continue
+		}
+		ents = ents[:0]
 		for _, m := range inboxS[s] {
-			rowEnts[s] = append(rowEnts[s], minplus.Entry{Col: m.From, W: m.Payload[0]})
+			ents = append(ents, minplus.Entry{Col: m.From, W: m.Payload[0]})
 		}
-	}
-	for s, ents := range rowEnts {
-		if len(ents) > 0 {
-			x.SetRow(s, ents)
-		}
+		x.SetRow(s, ents)
 	}
 	return x
 }
@@ -360,16 +386,20 @@ func buildX(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.Row
 // the t=v self term adds δ(t,c(t)); a cap contributes
 // cap + min{δ(v,c(v)) : c(v)=s} uniformly (the implicit edges are
 // everywhere), computed locally from the broadcast center table.
-func buildY(clq *cc.Clique, in Input, s []int, inS []bool, center []int, deltaC []int64) *minplus.RowSparse {
+func buildY(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.RowSparse {
 	n := in.G.N()
-	var toT []cc.Message
+	arcs := 0
+	for v := 0; v < n; v++ {
+		arcs += len(in.G.Out(v))
+	}
+	toT := make([]cc.Message, 0, arcs)
+	words := make([]cc.Word, 2*arcs)
 	for v := 0; v < n; v++ {
 		for _, a := range in.G.Out(v) {
-			toT = append(toT, cc.Message{
-				From:    v,
-				To:      a.To,
-				Payload: []cc.Word{int64(center[v]), minplus.SatAdd(a.W, deltaC[v])},
-			})
+			p := words[:2:2]
+			words = words[2:]
+			p[0], p[1] = int64(center[v]), minplus.SatAdd(a.W, deltaC[v])
+			toT = append(toT, cc.Message{From: v, To: a.To, Payload: p})
 		}
 	}
 	inboxT := clq.Route(toT, cc.RouteOpts{
@@ -380,42 +410,33 @@ func buildY(clq *cc.Clique, in Input, s []int, inS []bool, center []int, deltaC 
 
 	// Cap contribution: per-center minima of δ(v,c(v)), known to everyone
 	// from the center-table broadcast.
-	var capMin map[int]int64
+	var capMin *minTable
 	if in.G.Cap() > 0 {
-		capMin = make(map[int]int64, len(s))
+		capMin = newMinTable(n)
 		for v := 0; v < n; v++ {
-			c := center[v]
-			if old, ok := capMin[c]; !ok || deltaC[v] < old {
-				capMin[c] = deltaC[v]
-			}
+			capMin.offer(center[v], deltaC[v])
 		}
 	}
 
 	y := minplus.NewRowSparse(n)
+	mins := newMinTable(n)
+	var ents []minplus.Entry
 	for t := 0; t < n; t++ {
-		mins := make(map[int]int64)
 		for _, m := range inboxT[t] {
-			sb, val := int(m.Payload[0]), m.Payload[1]
-			if old, ok := mins[sb]; !ok || val < old {
-				mins[sb] = val
-			}
+			mins.offer(int(m.Payload[0]), m.Payload[1])
 		}
 		// t = v self term.
-		if old, ok := mins[center[t]]; !ok || deltaC[t] < old {
-			mins[center[t]] = deltaC[t]
-		}
+		mins.offer(center[t], deltaC[t])
 		if capMin != nil {
-			for sb, dv := range capMin {
-				val := minplus.SatAdd(in.G.Cap(), dv)
-				if old, ok := mins[sb]; !ok || val < old {
-					mins[sb] = val
-				}
+			for _, sb := range capMin.touched {
+				mins.offer(sb, minplus.SatAdd(in.G.Cap(), capMin.val[sb]))
 			}
 		}
-		ents := make([]minplus.Entry, 0, len(mins))
-		for sb, val := range mins {
-			ents = append(ents, minplus.Entry{Col: sb, W: val})
+		ents = ents[:0]
+		for _, sb := range mins.touched {
+			ents = append(ents, minplus.Entry{Col: sb, W: mins.val[sb]})
 		}
+		mins.reset()
 		y.SetRow(t, ents)
 	}
 	return y
@@ -434,16 +455,15 @@ func (sk *Skeleton) Translate(clq *cc.Clique, deltaGS *minplus.Dense) (*minplus.
 
 	// Each skeleton node s sends its deltaGS row (|S| words) to every node
 	// in its cluster (duplicable; each node receives |S| ≤ n words).
+	// Only the message sizes matter to the routing charge, so every message
+	// shares one zero payload.
+	zero := make([]cc.Word, len(sk.Nodes))
 	var rowMsgs []cc.Message
 	for u := 0; u < n; u++ {
 		if sk.Center[u] == u {
 			continue // the center holds its own row already
 		}
-		rowMsgs = append(rowMsgs, cc.Message{
-			From:    sk.Center[u],
-			To:      u,
-			Payload: make([]cc.Word, len(sk.Nodes)),
-		})
+		rowMsgs = append(rowMsgs, cc.Message{From: sk.Center[u], To: u, Payload: zero})
 	}
 	clq.Route(rowMsgs, cc.RouteOpts{
 		Duplicable: true,

@@ -19,6 +19,7 @@ func BenchmarkBaswanaSen(b *testing.B) {
 func BenchmarkGreedy(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.RandomConnected(256, 10, graph.WeightRange{Min: 1, Max: 50}, rng)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Greedy(g, 3)

@@ -234,10 +234,11 @@ func Greedy(g *graph.Graph, k int) *graph.Graph {
 	edges := collectEdges(g)
 	span := graph.New(n)
 	stretch := int64(2*k - 1)
+	search := newBoundedSearch(n)
 	for i := range edges {
 		e := &edges[i]
 		limit := e.w * stretch
-		if boundedDistanceAtMost(span, e.u, e.v, limit) {
+		if search.distanceAtMost(span, e.u, e.v, limit) {
 			continue
 		}
 		span.AddEdge(e.u, e.v, e.w)
@@ -245,83 +246,57 @@ func Greedy(g *graph.Graph, k int) *graph.Graph {
 	return span
 }
 
-// boundedDistanceAtMost reports whether d_s(src,dst) ≤ limit, using a
-// Dijkstra that abandons paths longer than limit.
-func boundedDistanceAtMost(s *graph.Graph, src, dst int, limit int64) bool {
-	dist := map[int]int64{src: 0}
-	pq := &distHeap{{node: src, d: 0}}
-	for pq.Len() > 0 {
-		cur := popHeap(pq)
-		if cur.d > limit {
+// boundedSearch is the reusable state of Greedy's bounded Dijkstra. dist[v]
+// is valid only while stamp[v] equals the current generation gen, so each
+// search starts clean by bumping gen instead of clearing dist, and a warm
+// search allocates nothing.
+type boundedSearch struct {
+	dist  []int64
+	stamp []uint32
+	gen   uint32
+	pq    graph.DistHeap
+}
+
+func newBoundedSearch(n int) *boundedSearch {
+	return &boundedSearch{dist: make([]int64, n), stamp: make([]uint32, n)}
+}
+
+// distanceAtMost reports whether d_sp(src,dst) ≤ limit, abandoning paths
+// longer than limit.
+func (s *boundedSearch) distanceAtMost(sp *graph.Graph, src, dst int, limit int64) bool {
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps from 2³² searches ago would look current
+		clear(s.stamp)
+		s.gen = 1
+	}
+	gen := s.gen
+	s.stamp[src], s.dist[src] = gen, 0
+	s.pq.Reset()
+	s.pq.Push(src, 0)
+	for s.pq.Len() > 0 {
+		cur := s.pq.Pop()
+		if cur.Dist > limit {
 			return false
 		}
-		if cur.node == dst {
+		if cur.Node == dst {
 			return true
 		}
-		if d, ok := dist[cur.node]; ok && cur.d > d {
+		if cur.Dist > s.dist[cur.Node] {
 			continue
 		}
-		for _, a := range s.Out(cur.node) {
-			nd := cur.d + a.W
+		for _, a := range sp.Out(cur.Node) {
+			nd := cur.Dist + a.W
 			if nd > limit {
 				continue
 			}
-			if d, ok := dist[a.To]; !ok || nd < d {
-				dist[a.To] = nd
-				pushHeap(pq, distEntry{node: a.To, d: nd})
+			if s.stamp[a.To] != gen || nd < s.dist[a.To] {
+				s.stamp[a.To], s.dist[a.To] = gen, nd
+				s.pq.Push(a.To, nd)
 			}
 		}
 	}
 	return false
 }
-
-type distEntry struct {
-	node int
-	d    int64
-}
-
-type distHeap []distEntry
-
-func (h distHeap) less(i, j int) bool { return h[i].d < h[j].d }
-
-func pushHeap(h *distHeap, e distEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func popHeap(h *distHeap) distEntry {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(*h) && (*h).less(l, smallest) {
-			smallest = l
-		}
-		if r < len(*h) && (*h).less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-	return top
-}
-
-func (h distHeap) Len() int { return len(h) }
 
 // MaxStretch returns the maximum observed stretch d_s(u,v)/d_g(u,v) over all
 // pairs reachable in g, computed exactly. It is the verification oracle for
