@@ -120,6 +120,34 @@ func TestManagerDemotesUnderNodePressure(t *testing.T) {
 	}
 }
 
+// TestManagerDemotionRejectsMisplacedSnapshot: when the file under the
+// serving version's name holds an older version's bytes, the planned
+// demotion cannot open it cold and falls back to a full eviction instead
+// of serving the older rows under the newer version.
+func TestManagerDemotionRejectsMisplacedSnapshot(t *testing.T) {
+	dir := openStore(t)
+	m := coldManager(dir, 40, 4)
+	defer m.Close()
+
+	alpha := mustTenant(t, m, "alpha", oracle.TenantConfig{})
+	ga := pathGraph(t, 32, 3)
+	setAndWait(t, alpha, ga)
+	if v := setAndWait(t, alpha, ga); v != 2 {
+		t.Fatalf("second build published v%d, want v2", v)
+	}
+	copySnapshot(t, dir, "alpha", 1, 2)
+
+	// beta's admission plans alpha's demotion, which must now fail.
+	setAndWait(t, mustTenant(t, m, "beta", oracle.TenantConfig{}), pathGraph(t, 32, 1))
+	if st := m.Stats(); st.Demotions != 0 || st.Evictions != 1 || st.ColdTenants != 0 {
+		t.Fatalf("demotions %d, evictions %d, cold tenants %d — want the demotion to fall back to one eviction",
+			st.Demotions, st.Evictions, st.ColdTenants)
+	}
+	if !alpha.Evicted() {
+		t.Fatal("alpha still hosted after its demotion failed")
+	}
+}
+
 // TestManagerColdFleetOverBudget is the acceptance e2e: a fleet whose
 // summed node counts are 10× the restart budget comes back entirely cold —
 // zero engine rebuilds, zero full-matrix decodes — and serves Dist, Batch

@@ -654,10 +654,11 @@ func (m *Manager) coldCharge(n int) int {
 }
 
 // drainDemotes performs planned demotions outside the manager lock: open
-// the cold reader (sidecar or one header pass — never the row block) and
-// swap it into the victim's oracle. A victim whose snapshot cannot be
-// opened cold falls back to a full eviction, so the memory the plan already
-// freed from the budget genuinely materializes.
+// the cold reader (one header pass — never the row block) and swap it into
+// the victim's oracle. A victim whose snapshot cannot be opened cold —
+// missing, corrupt, or recording another version than the one it served —
+// falls back to a full eviction, so the memory the plan already freed from
+// the budget genuinely materializes.
 func (m *Manager) drainDemotes(demotes []demotion) {
 	for _, d := range demotes {
 		r, err := m.cfg.Cold.OpenCold(d.t.name, d.v, m.cacheRows())

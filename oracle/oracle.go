@@ -722,8 +722,8 @@ func (o *Oracle) RestoreSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqu
 }
 
 // restoreCold publishes a disk-backed snapshot with RestoreSnapshot's
-// semantics at tier cost: opening r touched only the sidecar or header,
-// never the O(n²) row block. The oracle takes ownership of r.
+// semantics at tier cost: opening r read only the snapshot header, never
+// the O(n²) row block. The oracle takes ownership of r.
 func (o *Oracle) restoreCold(r *tier.Reader) error {
 	return o.publishRestore(newColdSnapshot(r, &o.cnt))
 }

@@ -579,6 +579,77 @@ func TestManagerRestoreAllSkipsCorrupt(t *testing.T) {
 	}
 }
 
+// copySnapshot overwrites tenant's persisted version to with the bytes of
+// version from — a misplaced file whose name claims one version while its
+// header records another.
+func copySnapshot(t *testing.T, dir *store.Dir, tenant string, from, to uint64) {
+	t.Helper()
+	src, err := dir.SnapshotPath(tenant, from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := dir.SnapshotPath(tenant, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestManagerRestoreAllRejectsMisplacedSnapshot: v1's bytes copied over v2
+// must not bring the tenant back — at v1 from the hot decode, or as v2 over
+// v1's rows from a cold open. Either way RestoreAll counts a restore error.
+func TestManagerRestoreAllRejectsMisplacedSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cold bool
+	}{{"hot", false}, {"cold", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := openStore(t)
+			m1 := oracle.NewManager(oracle.ManagerConfig{
+				Base:  oracle.Config{Algorithm: "test-exact"},
+				Store: dir,
+			})
+			tn := mustTenant(t, m1, "alpha", oracle.TenantConfig{})
+			g := pathGraph(t, 6, 2)
+			setAndWait(t, tn, g)
+			if v := setAndWait(t, tn, g); v != 2 {
+				t.Fatalf("second build published v%d, want v2", v)
+			}
+			m1.Close()
+			copySnapshot(t, dir, "alpha", 1, 2)
+
+			// Hot: a store-only manager decodes the newest file. Cold: a
+			// 4-node budget cannot hold the 6-node tenant, so it opens cold.
+			cfg := oracle.ManagerConfig{Base: oracle.Config{Algorithm: "test-exact"}, Store: dir}
+			if tc.cold {
+				cfg.Cold, cfg.MaxTotalNodes, cfg.ColdCacheRows = tier.NewStore(dir), 4, 2
+			}
+			m2 := oracle.NewManager(cfg)
+			defer m2.Close()
+			restored, failed, err := m2.RestoreAll(func(tenant string, rerr error) {
+				if !errors.Is(rerr, store.ErrCorrupt) {
+					t.Errorf("tenant %q restored with %v, want ErrCorrupt", tenant, rerr)
+				}
+			})
+			if err != nil || restored != 0 || failed != 1 {
+				t.Fatalf("RestoreAll = (%d, %d, %v), want (0, 1, nil)", restored, failed, err)
+			}
+			if st := m2.Stats(); st.Restored != 0 || st.RestoreErrors != 1 {
+				t.Fatalf("stats %+v, want 0 restored and 1 restore error", st)
+			}
+			if _, err := m2.Peek("alpha"); !errors.Is(err, oracle.ErrTenantNotFound) {
+				t.Fatalf("misplaced snapshot hosted: %v", err)
+			}
+		})
+	}
+}
+
 func TestManagerPersistErrorSurfaced(t *testing.T) {
 	dir := openStore(t)
 	var mu sync.Mutex

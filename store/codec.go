@@ -127,9 +127,10 @@ func Encode(w io.Writer, s *Snapshot) error {
 }
 
 // Decode reads one snapshot from r, verifying structure and checksum. A
-// truncated stream, a flipped byte, or an impossible header fails with
-// ErrCorrupt; a newer format version fails with ErrFormat. Decoding
-// allocates the distance matrix once and fills it row by row.
+// truncated stream, a flipped byte, an impossible header, or bytes past the
+// checksum trailer fail with ErrCorrupt; a newer format version fails with
+// ErrFormat. Decoding allocates the distance matrix once and fills it row
+// by row.
 func Decode(r io.Reader) (*Snapshot, error) {
 	h := crc32.New(castagnoli)
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -139,7 +140,8 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeEdges(dec, s, m); err != nil {
+	s.Graph = cliqueapsp.NewGraph(n)
+	if err := decodeEdges(dec, s.Graph, m); err != nil {
 		return nil, err
 	}
 
@@ -165,14 +167,19 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
 		return nil, corrupt("checksum mismatch: file %08x, computed %08x", got, want)
 	}
+	// The trailer ends the file: bytes past it mean the file's length
+	// disagrees with its header, which the cold tier rejects too.
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, corrupt("data after the checksum trailer")
+	}
 	return s, nil
 }
 
 // decodeHeader reads the fixed snapshot prefix — magic, format, provenance,
-// and the n/m counts — validating each field as untrusted input. The graph
-// is allocated (empty) so the edge block can stream straight into it. It is
-// shared by Decode and by the layout scan that rebuilds row-index sidecars,
-// which needs the format back to compute the row offsets.
+// and the n/m counts — validating each field as untrusted input. It is
+// shared by Decode and by DecodeLayout, which needs the format back to
+// compute the row offsets; neither the graph nor the distances are
+// allocated here.
 func decodeHeader(dec *decoder) (*Snapshot, int, int, uint16, error) {
 	var m6 [6]byte
 	dec.bytes(m6[:])
@@ -214,12 +221,11 @@ func decodeHeader(dec *decoder) (*Snapshot, int, int, uint16, error) {
 	if m < 0 || m > n*n {
 		return nil, 0, 0, 0, corrupt("edge count %d impossible for n=%d", m, n)
 	}
-	s.Graph = cliqueapsp.NewGraph(n)
 	return s, n, m, format, nil
 }
 
-// decodeEdges streams the m-edge block into s.Graph.
-func decodeEdges(dec *decoder, s *Snapshot, m int) error {
+// decodeEdges streams the m-edge block into g.
+func decodeEdges(dec *decoder, g *cliqueapsp.Graph, m int) error {
 	for i := 0; i < m; i++ {
 		u := int(dec.u32())
 		v := int(dec.u32())
@@ -227,7 +233,7 @@ func decodeEdges(dec *decoder, s *Snapshot, m int) error {
 		if dec.err != nil {
 			return corrupt("reading edge %d: %v", i, dec.err)
 		}
-		if err := s.Graph.AddEdge(u, v, w); err != nil {
+		if err := g.AddEdge(u, v, w); err != nil {
 			return corrupt("edge %d: %v", i, err)
 		}
 	}

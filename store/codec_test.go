@@ -14,7 +14,7 @@ import (
 
 // buildSnapshot runs one registered algorithm through the Engine and wraps
 // the published result exactly the way the oracle persistence hook does.
-func buildSnapshot(t *testing.T, alg cliqueapsp.Algorithm, g *cliqueapsp.Graph, version uint64) *store.Snapshot {
+func buildSnapshot(t testing.TB, alg cliqueapsp.Algorithm, g *cliqueapsp.Graph, version uint64) *store.Snapshot {
 	t.Helper()
 	eng := cliqueapsp.New()
 	res, err := eng.Run(context.Background(), g,
@@ -35,7 +35,7 @@ func buildSnapshot(t *testing.T, alg cliqueapsp.Algorithm, g *cliqueapsp.Graph, 
 	}
 }
 
-func encodeToBytes(t *testing.T, s *store.Snapshot) []byte {
+func encodeToBytes(t testing.TB, s *store.Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := store.Encode(&buf, s); err != nil {
@@ -127,13 +127,10 @@ func TestCodecRoundTripRepairProvenance(t *testing.T) {
 	}
 }
 
-// TestDecodeFormatV1Compat: files written by the pre-repair codec (format 1,
-// no provenance block) must still decode, with zero repair provenance. The v1
-// bytes are reconstructed from the v2 encoding by dropping the 12-byte
-// provenance block and restamping format and checksum.
-func TestDecodeFormatV1Compat(t *testing.T) {
-	snap := buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.RandomGraph(12, 9, 1), 7)
-	raw := encodeToBytes(t, snap)
+// formatV1Bytes rewrites a format-2 encoding as the pre-repair codec
+// (format 1, no provenance block) would have written it: the 12-byte
+// provenance block is dropped and format and checksum are restamped.
+func formatV1Bytes(raw []byte) []byte {
 	// Layout prefix: magic(6) format(2) version(8) seed(8) factor(8) eps(8)
 	// flags(4) — the format-2 provenance block sits at [44:56).
 	const provOff = 6 + 2 + 8 + 8 + 8 + 8 + 4
@@ -141,7 +138,14 @@ func TestDecodeFormatV1Compat(t *testing.T) {
 	v1 = append(v1, raw[provOff+12:len(raw)-4]...)
 	binary.LittleEndian.PutUint16(v1[6:8], 1)
 	sum := crc32.Checksum(v1, crc32.MakeTable(crc32.Castagnoli))
-	v1 = binary.LittleEndian.AppendUint32(v1, sum)
+	return binary.LittleEndian.AppendUint32(v1, sum)
+}
+
+// TestDecodeFormatV1Compat: files written by the pre-repair codec (format 1,
+// no provenance block) must still decode, with zero repair provenance.
+func TestDecodeFormatV1Compat(t *testing.T) {
+	snap := buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.RandomGraph(12, 9, 1), 7)
+	v1 := formatV1Bytes(encodeToBytes(t, snap))
 
 	got, err := store.Decode(bytes.NewReader(v1))
 	if err != nil {
@@ -165,6 +169,17 @@ func TestDecodeTruncated(t *testing.T) {
 		if _, err := store.Decode(bytes.NewReader(raw[:cut])); !errors.Is(err, store.ErrCorrupt) {
 			t.Fatalf("decode of %d/%d bytes: err %v, want ErrCorrupt", cut, len(raw), err)
 		}
+	}
+}
+
+// TestDecodeTrailingBytes: the checksum trailer ends the file, so a file
+// longer than its header implies is corrupt — the same rule the cold tier's
+// size check applies, so hot and cold restores agree on which files load.
+func TestDecodeTrailingBytes(t *testing.T) {
+	snap := buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.RandomGraph(12, 9, 1), 1)
+	raw := append(encodeToBytes(t, snap), 0)
+	if _, err := store.Decode(bytes.NewReader(raw)); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("decode with a trailing byte: err %v, want ErrCorrupt", err)
 	}
 }
 

@@ -11,13 +11,13 @@ import (
 )
 
 // snapExt is the extension of published snapshot files; in-flight writes
-// carry tmpExt until the atomic rename. idxExt marks the row-index sidecar
-// written next to each snapshot so a tiered reader can locate distance rows
-// without decoding the file (see RowIndex).
+// carry tmpExt until the atomic rename. staleIdxExt marks the row-index
+// sidecars older releases wrote next to each snapshot; nothing reads them,
+// and Open sweeps them with the temp files.
 const (
-	snapExt = ".snap"
-	idxExt  = ".idx"
-	tmpExt  = ".tmp"
+	snapExt     = ".snap"
+	tmpExt      = ".tmp"
+	staleIdxExt = ".idx"
 )
 
 // tenantNamePat constrains tenant names so they embed safely as directory
@@ -81,9 +81,8 @@ func Open(root string, opts ...Option) (*Dir, error) {
 // Root returns the store's root directory.
 func (d *Dir) Root() string { return d.root }
 
-// sweepTmp removes temp files left behind by crashes mid-save, plus
-// row-index sidecars whose snapshot is gone (a crash between removing a
-// snapshot and its sidecar, or a sidecar for a version GC already took).
+// sweepTmp removes temp files left behind by crashes mid-save, plus the
+// row-index sidecars older releases wrote next to each snapshot.
 func (d *Dir) sweepTmp() error {
 	tenants, err := d.Tenants()
 	if err != nil {
@@ -94,22 +93,13 @@ func (d *Dir) sweepTmp() error {
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		snaps := make(map[string]bool, len(entries))
 		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), snapExt) {
-				snaps[strings.TrimSuffix(e.Name(), snapExt)] = true
-			}
-		}
-		for _, e := range entries {
-			if e.IsDir() {
+			name := e.Name()
+			if e.IsDir() || !(strings.HasSuffix(name, tmpExt) || strings.HasSuffix(name, staleIdxExt)) {
 				continue
 			}
-			name := e.Name()
-			orphanIdx := strings.HasSuffix(name, idxExt) && !snaps[strings.TrimSuffix(name, idxExt)]
-			if strings.HasSuffix(name, tmpExt) || orphanIdx {
-				if err := os.Remove(filepath.Join(d.tenantDir(tenant), name)); err != nil {
-					return fmt.Errorf("store: sweeping stale file: %w", err)
-				}
+			if err := os.Remove(filepath.Join(d.tenantDir(tenant), name)); err != nil {
+				return fmt.Errorf("store: sweeping stale file: %w", err)
 			}
 		}
 	}
@@ -122,10 +112,6 @@ func (d *Dir) snapPath(tenant string, version uint64) string {
 	return filepath.Join(d.tenantDir(tenant), fmt.Sprintf("%016x%s", version, snapExt))
 }
 
-func (d *Dir) idxPath(tenant string, version uint64) string {
-	return filepath.Join(d.tenantDir(tenant), fmt.Sprintf("%016x%s", version, idxExt))
-}
-
 // SnapshotPath returns the path of one persisted snapshot version. The file
 // may not exist; callers open it and handle os.IsNotExist themselves.
 func (d *Dir) SnapshotPath(tenant string, version uint64) (string, error) {
@@ -133,16 +119,6 @@ func (d *Dir) SnapshotPath(tenant string, version uint64) (string, error) {
 		return "", err
 	}
 	return d.snapPath(tenant, version), nil
-}
-
-// IndexPath returns the path of one snapshot version's row-index sidecar.
-// Sidecars are best-effort: the file may be absent even when the snapshot
-// exists, in which case readers rebuild the index via DecodeLayout.
-func (d *Dir) IndexPath(tenant string, version uint64) (string, error) {
-	if err := checkTenant(tenant); err != nil {
-		return "", err
-	}
-	return d.idxPath(tenant, version), nil
 }
 
 func checkTenant(tenant string) error {
@@ -185,46 +161,12 @@ func (d *Dir) Save(tenant string, s *Snapshot) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	syncDir(dir) // make the rename durable, best-effort
-	// The row-index sidecar is best-effort: it only saves a tiered reader
-	// one streaming header pass, so a failure to write it must not report
-	// the save — whose snapshot is already durable — as failed.
-	d.writeIndex(tenant, s)
-	// Retention cleanup is best-effort too: the snapshot is already durable
+	// Retention cleanup is best-effort: the snapshot is already durable
 	// at this point, so a GC hiccup (a stale file with odd permissions, say)
 	// must not report the save — which succeeded — as failed. Old versions
 	// that linger are retried by the next Save's GC or an explicit GC call.
 	_, _ = d.GC(tenant)
 	return nil
-}
-
-// writeIndex persists the row-index sidecar for s next to its snapshot,
-// using the same temp-file + rename publication so a reader never sees a
-// torn sidecar. Errors are swallowed: a missing sidecar is rebuilt on open.
-func (d *Dir) writeIndex(tenant string, s *Snapshot) {
-	ix, err := IndexOf(s)
-	if err != nil {
-		return
-	}
-	dir := d.tenantDir(tenant)
-	tmp, err := os.CreateTemp(dir, "idx-*"+tmpExt)
-	if err != nil {
-		return
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := EncodeIndex(tmp, ix); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		return
-	}
-	if os.Rename(tmp.Name(), d.idxPath(tenant, s.Version)) == nil {
-		syncDir(dir)
-	}
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power loss.
@@ -250,7 +192,11 @@ func (d *Dir) Load(tenant string) (*Snapshot, error) {
 	return d.LoadVersion(tenant, versions[len(versions)-1])
 }
 
-// LoadVersion decodes one specific persisted snapshot version.
+// LoadVersion decodes one specific persisted snapshot version. The
+// snapshot's recorded version must match the requested one — the filename
+// is the caller's claim, the header is the file's own, and a disagreement
+// (a misplaced or tampered file) fails with ErrCorrupt rather than serving
+// another version's rows under this one's name.
 func (d *Dir) LoadVersion(tenant string, version uint64) (*Snapshot, error) {
 	if err := checkTenant(tenant); err != nil {
 		return nil, err
@@ -266,6 +212,9 @@ func (d *Dir) LoadVersion(tenant string, version uint64) (*Snapshot, error) {
 	s, err := Decode(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", f.Name(), err)
+	}
+	if s.Version != version {
+		return nil, fmt.Errorf("%s: %w: records version %d, expected %d", f.Name(), ErrCorrupt, s.Version, version)
 	}
 	return s, nil
 }
@@ -345,10 +294,6 @@ func (d *Dir) GC(tenant string) (int, error) {
 		if err := os.Remove(d.snapPath(tenant, v)); err != nil {
 			return removed, fmt.Errorf("store: %w", err)
 		}
-		// The sidecar goes with its snapshot. Removal is best-effort: an
-		// orphaned sidecar is harmless (readers key off the snapshot) and
-		// the next Open's sweep collects it.
-		_ = os.Remove(d.idxPath(tenant, v))
 		removed++
 	}
 	return removed, nil

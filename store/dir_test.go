@@ -170,3 +170,37 @@ func TestDirLoadSurfacesCorruption(t *testing.T) {
 		t.Fatalf("load of truncated file: %v, want ErrCorrupt", err)
 	}
 }
+
+// TestDirLoadVersionRejectsMisplacedFile: the filename is the caller's
+// claim and the header is the file's own. v1's bytes copied under v2's name
+// must fail with ErrCorrupt, not restore the tenant at v1 as if v2 had
+// loaded.
+func TestDirLoadVersionRejectsMisplacedFile(t *testing.T) {
+	root := t.TempDir()
+	d, err := store.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cliqueapsp.RandomGraph(8, 9, 5)
+	for v := uint64(1); v <= 2; v++ {
+		if err := d.Save("alpha", buildSnapshot(t, cliqueapsp.AlgExact, g, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(root, "alpha", "0000000000000001.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "alpha", "0000000000000002.snap"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.LoadVersion("alpha", 2); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("LoadVersion of v1's bytes under v2's name: %v, want ErrCorrupt", err)
+	}
+	if _, err := d.Load("alpha"); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("Load of v1's bytes as the newest version: %v, want ErrCorrupt", err)
+	}
+	if s, err := d.LoadVersion("alpha", 1); err != nil || s.Version != 1 {
+		t.Fatalf("LoadVersion(1) of the genuine file: %v", err)
+	}
+}

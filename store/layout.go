@@ -2,42 +2,21 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	cliqueapsp "github.com/congestedclique/cliqueapsp"
 )
 
-// IndexFormatVersion is the row-index sidecar's on-disk format. Like the
-// snapshot codec, the reader accepts exactly the formats it knows and
-// rejects newer ones with ErrFormat.
-//
-// Sidecar format 2 mirrors snapshot format 2: it adds the repair
-// provenance (base version + delta count) and records which snapshot
-// format the indexed file uses, so the layout arithmetic stays checkable.
-const IndexFormatVersion uint16 = 2
-
-// idxFormatV1 is the pre-repair-provenance sidecar, still accepted.
-const idxFormatV1 uint16 = 1
-
-// idxMagic identifies a row-index sidecar file.
-var idxMagic = [6]byte{'C', 'C', 'R', 'I', 'D', 'X'}
-
 // RowIndex locates the fixed-width distance rows inside one snapshot file
 // without decoding it. Rows are a dense block of n rows × 8n bytes starting
-// at RowOffset, so row u lives at RowOffset + u×RowWidth; the index is pure
-// arithmetic over the header, and the sidecar's value is carrying that
-// arithmetic plus the snapshot's provenance so a tiered reader can open a
-// snapshot in O(1) instead of scanning the edge block.
-//
-// The sidecar is strictly a cache: it is written best-effort after the
-// snapshot publishes, deleted alongside it, and a missing or corrupt sidecar
-// is rebuilt by one streaming pass over the snapshot header (DecodeLayout).
+// at RowOffset, so row u lives at RowOffset + u×RowWidth: the index is pure
+// arithmetic over the snapshot header, which DecodeLayout reads in one
+// short streaming pass — a tiered reader opens a snapshot in O(1) without
+// touching the edge or row blocks.
 type RowIndex struct {
-	// Provenance mirror of the snapshot header, so opening cold does not
-	// require touching the snapshot at all until a row is read.
+	// Provenance mirror of the snapshot header, so a cold reader answers
+	// version and provenance questions without reading any row.
 	Version     uint64
 	Algorithm   string
 	FactorBound float64
@@ -70,55 +49,24 @@ type RowIndex struct {
 // graph lazily.
 func (ix *RowIndex) EdgesOffset() int64 { return ix.RowOffset - 16*int64(ix.M) }
 
-// layoutFor computes the row layout from header fields. Mirrors Encode's
-// byte layout exactly: 6 magic + 2 format + 8 version + 8 seed + 8 factor +
-// 8 eps + 4 flags (+ 8 baseVersion + 4 deltaCount in format ≥ 2) + (2+len)
-// per provenance string + 4 n + 4 m, then 16·m of edges, then the rows,
-// then the 4-byte trailer.
-func layoutFor(format uint16, alg, engine string, n, m int) (rowOffset, rowWidth, size int64) {
-	header := int64(56)
-	if format >= 2 {
-		header += 12
-	}
-	rowOffset = header + int64(len(alg)) + int64(len(engine)) + 16*int64(m)
-	rowWidth = 8 * int64(n)
-	size = rowOffset + rowWidth*int64(n) + 4
-	return rowOffset, rowWidth, size
-}
-
 // IndexOf computes the row index of the file Encode would write for s.
 func IndexOf(s *Snapshot) (*RowIndex, error) {
 	if s == nil || s.Graph == nil {
 		return nil, fmt.Errorf("store: nil snapshot or graph")
 	}
-	n, m := s.Graph.N(), s.Graph.NumEdges()
-	ix := &RowIndex{
-		Version:     s.Version,
-		Algorithm:   s.Algorithm,
-		FactorBound: s.FactorBound,
-		Eps:         s.Eps,
-		Seed:        s.Seed,
-		SeedPinned:  s.SeedPinned,
-		Engine:      s.Engine,
-		N:           n,
-		M:           m,
-		BaseVersion: s.BaseVersion,
-		DeltaCount:  s.DeltaCount,
-		Format:      FormatVersion,
-	}
-	ix.RowOffset, ix.RowWidth, ix.Size = layoutFor(FormatVersion, s.Algorithm, s.Engine, n, m)
-	return ix, nil
+	return indexFor(s, s.Graph.N(), s.Graph.NumEdges(), FormatVersion), nil
 }
 
-// DecodeLayout reconstructs the row index by one streaming pass over a
-// snapshot's header (the fixed prefix plus provenance strings — no edge or
-// row bytes are read). This is the fallback path for snapshots that predate
-// sidecars or whose sidecar was lost or corrupted.
-func DecodeLayout(r io.Reader) (*RowIndex, error) {
-	dec := &decoder{r: bufio.NewReaderSize(r, 1<<12)}
-	s, n, m, format, err := decodeHeader(dec)
-	if err != nil {
-		return nil, err
+// indexFor builds the row index of a snapshot file in the given codec format
+// carrying s's provenance over an n-node, m-edge graph. The layout mirrors
+// Encode's byte layout exactly: 6 magic + 2 format + 8 version + 8 seed +
+// 8 factor + 8 eps + 4 flags (+ 8 baseVersion + 4 deltaCount in format ≥ 2)
+// + (2+len) per provenance string + 4 n + 4 m, then 16·m of edges, then the
+// rows, then the 4-byte trailer.
+func indexFor(s *Snapshot, n, m int, format uint16) *RowIndex {
+	header := int64(56)
+	if format >= 2 {
+		header += 12
 	}
 	ix := &RowIndex{
 		Version:     s.Version,
@@ -134,8 +82,24 @@ func DecodeLayout(r io.Reader) (*RowIndex, error) {
 		DeltaCount:  s.DeltaCount,
 		Format:      format,
 	}
-	ix.RowOffset, ix.RowWidth, ix.Size = layoutFor(format, s.Algorithm, s.Engine, n, m)
-	return ix, nil
+	ix.RowOffset = header + int64(len(s.Algorithm)) + int64(len(s.Engine)) + 16*int64(m)
+	ix.RowWidth = 8 * int64(n)
+	ix.Size = ix.RowOffset + ix.RowWidth*int64(n) + 4
+	return ix
+}
+
+// DecodeLayout reads a snapshot's row index by one streaming pass over its
+// header (the fixed prefix plus provenance strings — no edge or row bytes
+// are read). It is the only way a cold reader locates rows, so it validates
+// the header exactly as Decode does: whatever Decode accepts, DecodeLayout
+// accepts with the same provenance and Size equal to the file's length.
+func DecodeLayout(r io.Reader) (*RowIndex, error) {
+	dec := &decoder{r: bufio.NewReaderSize(r, 1<<12)}
+	s, n, m, format, err := decodeHeader(dec)
+	if err != nil {
+		return nil, err
+	}
+	return indexFor(s, n, m, format), nil
 }
 
 // DecodeEdgeBlock decodes a snapshot's m-edge block from r — positioned at
@@ -150,144 +114,9 @@ func DecodeEdgeBlock(r io.Reader, n, m int) (*cliqueapsp.Graph, error) {
 		return nil, corrupt("edge count %d impossible for n=%d", m, n)
 	}
 	dec := &decoder{r: bufio.NewReaderSize(r, 1<<16)}
-	s := &Snapshot{Graph: cliqueapsp.NewGraph(n)}
-	if err := decodeEdges(dec, s, m); err != nil {
+	g := cliqueapsp.NewGraph(n)
+	if err := decodeEdges(dec, g, m); err != nil {
 		return nil, err
 	}
-	return s.Graph, nil
-}
-
-// The sidecar layout (all integers little-endian):
-//
-//	idxMagic [6]byte | format uint16
-//	version uint64 | seed uint64 | factorBound float64 | eps float64
-//	flags uint32 (bit 0: seed pinned)
-//	baseVersion uint64 | deltaCount uint32 | snapFormat uint16  (format ≥ 2)
-//	len uint16 + algorithm | len uint16 + engine
-//	n uint32 | m uint32
-//	rowOffset uint64 | rowWidth uint64 | size uint64
-//	crc32c uint32 over every preceding byte
-
-// EncodeIndex writes ix to w in the current sidecar format, checksummed.
-func EncodeIndex(w io.Writer, ix *RowIndex) error {
-	if ix == nil {
-		return fmt.Errorf("store: nil row index")
-	}
-	if len(ix.Algorithm) > maxNameLen || len(ix.Engine) > maxNameLen {
-		return fmt.Errorf("store: provenance string over %d bytes", maxNameLen)
-	}
-	h := crc32.New(castagnoli)
-	bw := bufio.NewWriterSize(io.MultiWriter(h, w), 1<<10)
-	enc := &encoder{w: bw}
-
-	enc.bytes(idxMagic[:])
-	enc.u16(IndexFormatVersion)
-	enc.u64(ix.Version)
-	enc.u64(uint64(ix.Seed))
-	enc.f64(ix.FactorBound)
-	enc.f64(ix.Eps)
-	var flags uint32
-	if ix.SeedPinned {
-		flags |= flagSeedPinned
-	}
-	enc.u32(flags)
-	enc.u64(ix.BaseVersion)
-	enc.u32(uint32(ix.DeltaCount))
-	enc.u16(ix.Format)
-	enc.str(ix.Algorithm)
-	enc.str(ix.Engine)
-	enc.u32(uint32(ix.N))
-	enc.u32(uint32(ix.M))
-	enc.u64(uint64(ix.RowOffset))
-	enc.u64(uint64(ix.RowWidth))
-	enc.u64(uint64(ix.Size))
-	if enc.err != nil {
-		return enc.err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], h.Sum32())
-	_, err := w.Write(tail[:])
-	return err
-}
-
-// DecodeIndex reads one row-index sidecar from r, verifying its checksum
-// and that the recorded layout is arithmetically consistent with its own
-// header fields — a sidecar is a cache of pure arithmetic, so any
-// disagreement means corruption and the caller should fall back to
-// DecodeLayout over the snapshot itself.
-func DecodeIndex(r io.Reader) (*RowIndex, error) {
-	h := crc32.New(castagnoli)
-	br := bufio.NewReaderSize(r, 1<<10)
-	dec := &decoder{r: io.TeeReader(br, h)}
-
-	var m6 [6]byte
-	dec.bytes(m6[:])
-	if dec.err != nil {
-		return nil, corrupt("reading index magic: %v", dec.err)
-	}
-	if m6 != idxMagic {
-		return nil, corrupt("bad index magic %q", m6[:])
-	}
-	format := dec.u16()
-	if dec.err != nil {
-		return nil, corrupt("reading index format: %v", dec.err)
-	}
-	if format != idxFormatV1 && format != IndexFormatVersion {
-		return nil, fmt.Errorf("%w: index version %d (this build reads %d..%d)", ErrFormat, format, idxFormatV1, IndexFormatVersion)
-	}
-
-	ix := &RowIndex{}
-	ix.Version = dec.u64()
-	ix.Seed = int64(dec.u64())
-	ix.FactorBound = dec.f64()
-	ix.Eps = dec.f64()
-	flags := dec.u32()
-	ix.SeedPinned = flags&flagSeedPinned != 0
-	if format >= 2 {
-		ix.BaseVersion = dec.u64()
-		ix.DeltaCount = int(dec.u32())
-		ix.Format = dec.u16()
-	} else {
-		// A v1 sidecar was written for a v1 snapshot, before repair
-		// provenance existed.
-		ix.Format = formatV1
-	}
-	ix.Algorithm = dec.str()
-	ix.Engine = dec.str()
-	ix.N = int(dec.u32())
-	ix.M = int(dec.u32())
-	ix.RowOffset = int64(dec.u64())
-	ix.RowWidth = int64(dec.u64())
-	ix.Size = int64(dec.u64())
-	if dec.err != nil {
-		return nil, corrupt("reading index: %v", dec.err)
-	}
-
-	want := h.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return nil, corrupt("reading index checksum: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
-		return nil, corrupt("index checksum mismatch: file %08x, computed %08x", got, want)
-	}
-
-	if ix.N < 1 || ix.N > MaxNodes {
-		return nil, corrupt("index node count %d outside [1,%d]", ix.N, MaxNodes)
-	}
-	if ix.M < 0 || ix.M > ix.N*ix.N {
-		return nil, corrupt("index edge count %d impossible for n=%d", ix.M, ix.N)
-	}
-	if ix.Format != formatV1 && ix.Format != FormatVersion {
-		return nil, corrupt("index names unknown snapshot format %d", ix.Format)
-	}
-	off, width, size := layoutFor(ix.Format, ix.Algorithm, ix.Engine, ix.N, ix.M)
-	if ix.RowOffset != off || ix.RowWidth != width || ix.Size != size {
-		return nil, corrupt("index layout (%d,%d,%d) disagrees with its header (%d,%d,%d)",
-			ix.RowOffset, ix.RowWidth, ix.Size, off, width, size)
-	}
-	return ix, nil
+	return g, nil
 }

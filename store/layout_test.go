@@ -3,9 +3,9 @@ package store_test
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	cliqueapsp "github.com/congestedclique/cliqueapsp"
@@ -65,105 +65,69 @@ func TestDecodeLayoutMatchesIndexOf(t *testing.T) {
 	}
 }
 
-func TestIndexSidecarRoundTrip(t *testing.T) {
-	snap := buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.RandomGraph(9, 14, 2), 3)
-	ix, err := store.IndexOf(snap)
+// TestDirSaveWritesOnlySnapshots pins that a Save publishes exactly one
+// file — the snapshot itself, the only row index a reader needs being its
+// header — and that GC leaves nothing of a collected version behind.
+func TestDirSaveWritesOnlySnapshots(t *testing.T) {
+	root := t.TempDir()
+	d, err := store.Open(root, store.KeepVersions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := store.EncodeIndex(&buf, ix); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	got, err := store.DecodeIndex(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *ix {
-		t.Fatalf("sidecar round trip %+v, want %+v", got, ix)
-	}
-
-	// Truncations and flipped bytes must all surface as ErrCorrupt — the
-	// tier reader keys its rebuild fallback off that.
-	for _, cut := range []int{0, 5, 20, len(raw) / 2, len(raw) - 1} {
-		if _, err := store.DecodeIndex(bytes.NewReader(raw[:cut])); !errors.Is(err, store.ErrCorrupt) {
-			t.Fatalf("decode of %d/%d sidecar bytes: %v, want ErrCorrupt", cut, len(raw), err)
-		}
-	}
-	for _, pos := range []int{8, len(raw) / 2, len(raw) - 2} {
-		mut := append([]byte(nil), raw...)
-		mut[pos] ^= 0x10
-		if _, err := store.DecodeIndex(bytes.NewReader(mut)); !errors.Is(err, store.ErrCorrupt) {
-			t.Fatalf("flip at %d/%d: %v, want ErrCorrupt", pos, len(raw), err)
-		}
-	}
-}
-
-// TestDirSidecarLifecycle pins that sidecars ride along with snapshots:
-// written on Save, readable through IndexPath, and garbage-collected with
-// the versions they describe.
-func TestDirSidecarLifecycle(t *testing.T) {
-	d := openDir(t, store.KeepVersions(1))
 	g := cliqueapsp.RandomGraph(8, 9, 5)
 	for v := uint64(1); v <= 2; v++ {
 		if err := d.Save("alpha", buildSnapshot(t, cliqueapsp.AlgExact, g, v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	newest, err := d.IndexPath("alpha", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(newest)
-	if err != nil {
-		t.Fatalf("sidecar missing after Save: %v", err)
-	}
-	ix, err := store.DecodeIndex(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Version != 2 || ix.N != 8 {
-		t.Fatalf("sidecar describes v%d n=%d, want v2 n=8", ix.Version, ix.N)
-	}
-	old, err := d.IndexPath("alpha", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(old); !os.IsNotExist(err) {
-		t.Fatalf("GC left v1's sidecar behind: %v", err)
+	if got := tenantFiles(t, root, "alpha"); len(got) != 1 || got[0] != "0000000000000002.snap" {
+		t.Fatalf("tenant directory holds %v, want only v2's snapshot", got)
 	}
 }
 
-// TestDirOpenSweepsOrphanSidecars covers the crash window between removing
-// a snapshot and its sidecar: the next Open collects sidecars whose
-// snapshot is gone and leaves live pairs alone.
-func TestDirOpenSweepsOrphanSidecars(t *testing.T) {
+// TestDirOpenSweepsSidecars covers the upgrade path from releases that
+// wrote a row-index sidecar next to each snapshot: Open removes every
+// .idx file, whether or not its snapshot still exists, and keeps every
+// snapshot.
+func TestDirOpenSweepsSidecars(t *testing.T) {
 	root := t.TempDir()
-	d, err := store.Open(root)
+	d, err := store.Open(root, store.KeepVersions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Save("alpha", buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.RandomGraph(8, 9, 5), 1)); err != nil {
-		t.Fatal(err)
+	g := cliqueapsp.RandomGraph(8, 9, 5)
+	for v := uint64(1); v <= 2; v++ {
+		if err := d.Save("alpha", buildSnapshot(t, cliqueapsp.AlgExact, g, v)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	orphan := filepath.Join(root, "alpha", "00000000000000ff.idx")
-	if err := os.WriteFile(orphan, []byte("stale"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"0000000000000001.idx", "0000000000000002.idx", "00000000000000ff.idx"} {
+		if err := os.WriteFile(filepath.Join(root, "alpha", name), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := store.Open(root); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("orphan sidecar survived Open: %v", err)
+	want := []string{"0000000000000001.snap", "0000000000000002.snap"}
+	if got := tenantFiles(t, root, "alpha"); !slices.Equal(got, want) {
+		t.Fatalf("after Open the tenant directory holds %v, want %v", got, want)
 	}
-	live, err := d.IndexPath("alpha", 1)
+	if s, err := d.Load("alpha"); err != nil || s.Version != 2 {
+		t.Fatalf("Load after the sweep: %v", err)
+	}
+}
+
+// tenantFiles lists the names in one tenant's directory, sorted.
+func tenantFiles(t *testing.T, root, tenant string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(root, tenant))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(live); err != nil {
-		t.Fatalf("live sidecar lost in the sweep: %v", err)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
+	return names
 }

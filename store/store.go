@@ -9,6 +9,8 @@
 //     rows, and provenance (algorithm, eps, seed, engine and format version)
 //     under a CRC-32C checksum. Both directions stream the distance matrix
 //     one row at a time, so an n=4096 estimate is never buffered twice.
+//     DecodeLayout reads only the header, which is all a tiered reader
+//     needs to locate any row (see RowIndex).
 //   - Dir, an on-disk layout holding one file per tenant per snapshot
 //     version. Saves publish atomically (write to a temp file, fsync,
 //     rename), interrupted writes are swept on Open, and GC keeps the

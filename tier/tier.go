@@ -7,11 +7,11 @@
 // matrix is not resident costs one pread of 8n bytes — not an O(n²) decode.
 //
 // Reader is the unit of that idea: it opens one snapshot file, locates the
-// row block via the store's row-index sidecar (or one streaming pass over
-// the header when the sidecar is missing or corrupt), and serves rows
-// through a bounded hot-row LRU cache with single-flight loads, so a burst
-// of queries for the same source pays for one disk read. The graph itself —
-// needed only by Path queries — decodes lazily from the edge block.
+// row block by one short streaming pass over the file's own header
+// (store.DecodeLayout), and serves rows through a bounded hot-row LRU cache
+// with single-flight loads, so a burst of queries for the same source pays
+// for one disk read. The graph itself — needed only by Path queries —
+// decodes lazily from the edge block.
 //
 // The oracle package builds its cold serving tier on top: an evicted tenant
 // demotes to a Reader instead of dropping, and rehydration becomes cache
@@ -39,23 +39,19 @@ type Reader struct {
 	ix    store.RowIndex
 	cache *rowCache
 
-	// rebuilt records that the row index came from a streaming pass over
-	// the snapshot header because the sidecar was missing or corrupt.
-	rebuilt bool
-
 	// The graph decodes lazily (only Path queries need it) and failures are
 	// retryable, so this is a mutex + nil check rather than a sync.Once.
 	gmu   sync.Mutex
 	graph *cliqueapsp.Graph
 }
 
-// Open prepares a Reader over the snapshot at snapPath. The row index loads
-// from the sidecar at idxPath when present and intact; otherwise it is
-// reconstructed by one streaming pass over the snapshot header — a corrupt
-// sidecar is never an error by itself. cacheRows bounds the hot-row cache
-// (minimum 1). A snapshot whose size disagrees with its own header fails
-// with store.ErrCorrupt; a missing snapshot fails with store.ErrNotFound.
-func Open(snapPath, idxPath string, cacheRows int) (*Reader, error) {
+// Open prepares a Reader over the snapshot at snapPath, reading its row
+// index from the file's header — no edge or row bytes are touched.
+// cacheRows bounds the hot-row cache (minimum 1). A header that does not
+// decode fails as store.DecodeLayout does, a snapshot whose size disagrees
+// with its header fails with store.ErrCorrupt, and a missing snapshot fails
+// with store.ErrNotFound.
+func Open(snapPath string, cacheRows int) (*Reader, error) {
 	f, err := os.Open(snapPath)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -68,18 +64,10 @@ func Open(snapPath, idxPath string, cacheRows int) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("tier: %w", err)
 	}
-
-	ix, rebuilt := loadIndex(idxPath, st.Size())
-	if ix == nil {
-		// Sidecar missing, corrupt, or stale: one streaming pass over the
-		// snapshot header rebuilds the index.
-		rebuilt = true
-		sec := io.NewSectionReader(f, 0, st.Size())
-		ix, err = store.DecodeLayout(sec)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("%s: %w", snapPath, err)
-		}
+	ix, err := store.DecodeLayout(io.NewSectionReader(f, 0, st.Size()))
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", snapPath, err)
 	}
 	if ix.Size != st.Size() {
 		f.Close()
@@ -90,28 +78,9 @@ func Open(snapPath, idxPath string, cacheRows int) (*Reader, error) {
 	if cacheRows < 1 {
 		cacheRows = 1
 	}
-	r := &Reader{f: f, ix: *ix, rebuilt: rebuilt}
+	r := &Reader{f: f, ix: *ix}
 	r.cache = newRowCache(cacheRows, r.loadRow)
 	return r, nil
-}
-
-// loadIndex tries the sidecar. Any failure — absent file, bad checksum,
-// foreign format, or a size that disagrees with the snapshot on disk —
-// returns nil so Open falls back to the streaming rebuild.
-func loadIndex(idxPath string, snapSize int64) (*store.RowIndex, bool) {
-	if idxPath == "" {
-		return nil, true
-	}
-	f, err := os.Open(idxPath)
-	if err != nil {
-		return nil, true
-	}
-	defer f.Close()
-	ix, err := store.DecodeIndex(f)
-	if err != nil || ix.Size != snapSize {
-		return nil, true
-	}
-	return ix, false
 }
 
 // Index returns a copy of the reader's row index — the snapshot's
@@ -123,10 +92,6 @@ func (r *Reader) N() int { return r.ix.N }
 
 // Version returns the oracle snapshot version the file was published under.
 func (r *Reader) Version() uint64 { return r.ix.Version }
-
-// RebuiltIndex reports whether Open had to reconstruct the row index from
-// the snapshot header because the sidecar was missing or corrupt.
-func (r *Reader) RebuiltIndex() bool { return r.rebuilt }
 
 // Row returns distance row u — every entry of the published estimate with
 // source u, minplus.Inf marking unreachable. The row comes from the hot-row

@@ -12,14 +12,27 @@ import (
 )
 
 // persistSnapshot saves one exact-distance snapshot for tenant "alpha" and
-// returns the store, the snapshot, and the snapshot/sidecar paths.
-func persistSnapshot(t *testing.T, g *cliqueapsp.Graph, version uint64) (*tier.Store, *store.Snapshot, string, string) {
+// returns the store, the snapshot, and the snapshot's path.
+func persistSnapshot(t *testing.T, g *cliqueapsp.Graph, version uint64) (*tier.Store, *store.Snapshot, string) {
 	t.Helper()
 	d, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &store.Snapshot{
+	snap := testSnapshot(g, version)
+	if err := d.Save("alpha", snap); err != nil {
+		t.Fatal(err)
+	}
+	snapPath, err := d.SnapshotPath("alpha", version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tier.NewStore(d), snap, snapPath
+}
+
+// testSnapshot is the exact-distance snapshot of g published as version.
+func testSnapshot(g *cliqueapsp.Graph, version uint64) *store.Snapshot {
+	return &store.Snapshot{
 		Version:     version,
 		Algorithm:   "tier-test",
 		FactorBound: 1,
@@ -30,18 +43,6 @@ func persistSnapshot(t *testing.T, g *cliqueapsp.Graph, version uint64) (*tier.S
 		Graph:       g,
 		Distances:   cliqueapsp.Exact(g),
 	}
-	if err := d.Save("alpha", snap); err != nil {
-		t.Fatal(err)
-	}
-	snapPath, err := d.SnapshotPath("alpha", version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idxPath, err := d.IndexPath("alpha", version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tier.NewStore(d), snap, snapPath, idxPath
 }
 
 func checkRows(t *testing.T, r *tier.Reader, snap *store.Snapshot) {
@@ -65,15 +66,12 @@ func checkRows(t *testing.T, r *tier.Reader, snap *store.Snapshot) {
 
 func TestReaderRowsMatchSnapshot(t *testing.T) {
 	g := cliqueapsp.RandomGraph(24, 40, 3)
-	ts, snap, _, _ := persistSnapshot(t, g, 5)
+	ts, snap, _ := persistSnapshot(t, g, 5)
 	r, err := ts.OpenCold("alpha", 5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.RebuiltIndex() {
-		t.Fatal("sidecar was present but the index was rebuilt")
-	}
 	ix := r.Index()
 	if ix.Version != 5 || ix.Algorithm != "tier-test" || ix.N != 24 || !ix.SeedPinned {
 		t.Fatalf("index provenance %+v", ix)
@@ -81,58 +79,10 @@ func TestReaderRowsMatchSnapshot(t *testing.T) {
 	checkRows(t, r, snap)
 }
 
-// TestReaderSidecarFallback is the corruption-resilience satellite: a
-// missing, truncated, or bit-flipped sidecar must never fail an open — the
-// reader rebuilds the index from the snapshot header and serves identical
-// rows.
-func TestReaderSidecarFallback(t *testing.T) {
-	damage := map[string]func(t *testing.T, idxPath string){
-		"missing": func(t *testing.T, idxPath string) {
-			if err := os.Remove(idxPath); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"truncated": func(t *testing.T, idxPath string) {
-			raw, err := os.ReadFile(idxPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(idxPath, raw[:len(raw)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"flipped": func(t *testing.T, idxPath string) {
-			raw, err := os.ReadFile(idxPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw[len(raw)/2] ^= 0x20
-			if err := os.WriteFile(idxPath, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, corrupt := range damage {
-		t.Run(name, func(t *testing.T) {
-			ts, snap, _, idxPath := persistSnapshot(t, cliqueapsp.RandomGraph(12, 18, 4), 3)
-			corrupt(t, idxPath)
-			r, err := ts.OpenCold("alpha", 3, 4)
-			if err != nil {
-				t.Fatalf("open with %s sidecar: %v", name, err)
-			}
-			defer r.Close()
-			if !r.RebuiltIndex() {
-				t.Fatalf("%s sidecar: index not rebuilt", name)
-			}
-			checkRows(t, r, snap)
-		})
-	}
-}
-
-// A damaged snapshot is a different story: the file itself is the source of
-// truth, so truncation fails the open with ErrCorrupt.
+// The file itself is the source of truth, so truncation fails the open with
+// ErrCorrupt.
 func TestReaderTruncatedSnapshotFails(t *testing.T) {
-	ts, _, snapPath, _ := persistSnapshot(t, cliqueapsp.RandomGraph(12, 18, 4), 1)
+	ts, _, snapPath := persistSnapshot(t, cliqueapsp.RandomGraph(12, 18, 4), 1)
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +99,7 @@ func TestReaderTruncatedSnapshotFails(t *testing.T) {
 // decoded entry instead: garbage inside a row surfaces as ErrCorrupt on
 // that row while every other row keeps serving.
 func TestReaderCorruptRowSurfaces(t *testing.T) {
-	ts, snap, snapPath, _ := persistSnapshot(t, cliqueapsp.RandomGraph(10, 15, 2), 1)
+	ts, snap, snapPath := persistSnapshot(t, cliqueapsp.RandomGraph(10, 15, 2), 1)
 	ix, err := store.IndexOf(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +129,10 @@ func TestReaderCorruptRowSurfaces(t *testing.T) {
 }
 
 func TestReaderVersionMismatch(t *testing.T) {
-	ts, _, snapPath, _ := persistSnapshot(t, cliqueapsp.RandomGraph(8, 9, 1), 2)
+	ts, _, snapPath := persistSnapshot(t, cliqueapsp.RandomGraph(8, 9, 1), 2)
+	if err := ts.Save("alpha", testSnapshot(cliqueapsp.RandomGraph(8, 9, 1), 1)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ts.OpenCold("alpha", 9, 4); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("open of absent version: %v, want ErrNotFound", err)
 	}
@@ -203,10 +156,26 @@ func TestReaderVersionMismatch(t *testing.T) {
 	if _, err := ts.OpenCold("alpha", 9, 4); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("open of misplaced snapshot: %v, want ErrCorrupt", err)
 	}
+
+	// The same holds when the name's rightful file existed: v1's bytes
+	// copied over v2's (same graph, so the same size) must not open as v2.
+	v1Path, err := ts.SnapshotPath("alpha", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = os.ReadFile(v1Path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.OpenCold("alpha", 2, 4); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("open of v1's bytes under v2's name: %v, want ErrCorrupt", err)
+	}
 }
 
 func TestReaderRowOutOfRange(t *testing.T) {
-	ts, _, _, _ := persistSnapshot(t, cliqueapsp.RandomGraph(8, 9, 1), 1)
+	ts, _, _ := persistSnapshot(t, cliqueapsp.RandomGraph(8, 9, 1), 1)
 	r, err := ts.OpenCold("alpha", 1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +192,7 @@ func TestReaderRowOutOfRange(t *testing.T) {
 // promises: however many distinct rows are read, at most cacheRows stay
 // resident, with the overflow counted as evictions and repeats as hits.
 func TestReaderCacheBoundsResident(t *testing.T) {
-	ts, snap, _, _ := persistSnapshot(t, cliqueapsp.RandomGraph(16, 24, 5), 1)
+	ts, snap, _ := persistSnapshot(t, cliqueapsp.RandomGraph(16, 24, 5), 1)
 	r, err := ts.OpenCold("alpha", 1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +221,7 @@ func TestReaderCacheBoundsResident(t *testing.T) {
 // with a cache big enough to hold them, each row must hit the disk exactly
 // once — concurrent requests for a loading row join its flight.
 func TestReaderSingleFlight(t *testing.T) {
-	ts, _, _, _ := persistSnapshot(t, cliqueapsp.RandomGraph(16, 24, 5), 1)
+	ts, _, _ := persistSnapshot(t, cliqueapsp.RandomGraph(16, 24, 5), 1)
 	r, err := ts.OpenCold("alpha", 1, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +267,7 @@ func TestReaderSingleFlight(t *testing.T) {
 // decodes from the edge block on first use and comes back identical.
 func TestReaderGraphLazy(t *testing.T) {
 	g := cliqueapsp.RandomGraph(12, 18, 4)
-	ts, _, _, _ := persistSnapshot(t, g, 1)
+	ts, _, _ := persistSnapshot(t, g, 1)
 	r, err := ts.OpenCold("alpha", 1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +311,7 @@ func sameMatrix(a, b *cliqueapsp.DistanceMatrix) bool {
 // computed from the resident matrix, so hot and cold Path answers agree.
 func TestNextHopRowFromOverReader(t *testing.T) {
 	g := cliqueapsp.RandomGraph(14, 30, 8)
-	ts, snap, _, _ := persistSnapshot(t, g, 1)
+	ts, snap, _ := persistSnapshot(t, g, 1)
 	r, err := ts.OpenCold("alpha", 1, 4)
 	if err != nil {
 		t.Fatal(err)
