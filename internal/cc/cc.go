@@ -22,11 +22,7 @@
 // corresponds to bandwidth log^{c-1} n words.
 package cc
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Word is one O(log n)-bit message word.
 type Word = int64
@@ -184,8 +180,8 @@ type RouteOpts struct {
 }
 
 // Route delivers the messages and returns each node's inbox (indexed by
-// destination, in deterministic order). Rounds are charged from the true
-// maximum per-node send and receive volumes:
+// destination, ordered by sender and then by position in msgs). Rounds are
+// charged from the true maximum per-node send and receive volumes:
 //
 //	Lenzen (Lemma 2.1):  ⌈maxSend/(n·bw)⌉ + ⌈maxRecv/(n·bw)⌉ rounds
 //	CFG+20 (Lemma 2.2):  1 + ⌈maxRecv/(n·bw)⌉ rounds
@@ -211,10 +207,13 @@ func (c *Clique) Route(msgs []Message, opts RouteOpts) [][]Message {
 	}
 	c.chargeRoute(maxOf(sendLoad), maxOf(recvLoad), networkMsgs, totalWords, opts)
 
-	// Inboxes share one backing array, each sized by a counting pass.
+	// Inboxes share one backing array, each sized by a counting pass, and
+	// are filled in stable sender order: a counting sort by From.
 	counts := make([]int, c.n)
+	senders := make([]int, c.n+1) // counts by From, then offsets into order
 	for _, m := range msgs {
 		counts[m.To]++
+		senders[m.From+1]++
 	}
 	backing := make([]Message, len(msgs))
 	inbox := make([][]Message, c.n)
@@ -225,11 +224,17 @@ func (c *Clique) Route(msgs []Message, opts RouteOpts) [][]Message {
 			off += cnt
 		}
 	}
-	for _, m := range msgs {
-		inbox[m.To] = append(inbox[m.To], m)
+	for v := 1; v <= c.n; v++ {
+		senders[v] += senders[v-1]
 	}
-	for v := range inbox {
-		sortInbox(inbox[v])
+	order := make([]int32, len(msgs))
+	for i, m := range msgs {
+		order[senders[m.From]] = int32(i)
+		senders[m.From]++
+	}
+	for _, i := range order {
+		m := msgs[i]
+		inbox[m.To] = append(inbox[m.To], m)
 	}
 	return inbox
 }
@@ -339,10 +344,6 @@ func (c *Clique) Subclique(m, childBW int) (*Clique, func()) {
 		c.metrics.Violations = append(c.metrics.Violations, cm.Violations...)
 	}
 	return child, finish
-}
-
-func sortInbox(msgs []Message) {
-	slices.SortStableFunc(msgs, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
 }
 
 func maxOf(xs []int64) int64 {

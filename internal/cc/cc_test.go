@@ -1,8 +1,12 @@
 package cc
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -258,6 +262,54 @@ func TestRoutePanicsOnBadEndpoint(t *testing.T) {
 		}
 	}()
 	c.Route([]Message{{From: 0, To: 9}}, RouteOpts{})
+}
+
+// Route's counting sort by sender must build exactly the inboxes a stable
+// sort of each destination's messages by sender builds: same messages, same
+// order, same payload slices. The lists mix self-messages, repeated
+// (From, To) pairs and empty payloads, some already in sender order.
+func TestRouteInboxesMatchStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		msgs := make([]Message, rng.Intn(60))
+		for i := range msgs {
+			from, to := rng.Intn(n), rng.Intn(n)
+			if rng.Intn(4) == 0 && i > 0 {
+				from, to = msgs[i-1].From, msgs[i-1].To
+			}
+			// A distinct backing array per message, even when empty, so
+			// payload identity pins which message landed where.
+			payload := make([]Word, rng.Intn(3), 3)
+			for j := range payload {
+				payload[j] = Word(i)
+			}
+			msgs[i] = Message{From: from, To: to, Payload: payload}
+		}
+		if trial%3 == 0 {
+			slices.SortStableFunc(msgs, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
+		}
+		want := make([][]Message, n)
+		for _, m := range msgs {
+			want[m.To] = append(want[m.To], m)
+		}
+		for _, in := range want {
+			slices.SortStableFunc(in, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
+		}
+		got := New(n, 1).Route(msgs, RouteOpts{})
+		for v := 0; v < n; v++ {
+			if len(got[v]) != len(want[v]) {
+				t.Fatalf("trial %d node %d: %d messages, want %d", trial, v, len(got[v]), len(want[v]))
+			}
+			for i, m := range want[v] {
+				g := got[v][i]
+				if g.From != m.From || g.To != m.To || len(g.Payload) != len(m.Payload) ||
+					unsafe.SliceData(g.Payload) != unsafe.SliceData(m.Payload) {
+					t.Fatalf("trial %d node %d message %d: got %+v, want %+v", trial, v, i, g, m)
+				}
+			}
+		}
+	}
 }
 
 func TestSelfMessagesAreFree(t *testing.T) {

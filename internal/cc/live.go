@@ -95,6 +95,8 @@ type liveRun struct {
 
 // deliver moves all outbox messages to inboxes. Called by the barrier while
 // all nodes are parked, so no synchronization with senders is needed.
+// Outboxes are drained in sender order, so every inbox comes out ordered
+// by sender.
 func (r *liveRun) deliver() {
 	r.rounds++
 	for from := range r.outbox {
@@ -104,9 +106,6 @@ func (r *liveRun) deliver() {
 			r.words += m.words()
 		}
 		r.outbox[from] = nil
-	}
-	for v := range r.inbox {
-		sortInbox(r.inbox[v])
 	}
 }
 

@@ -13,6 +13,12 @@
 // fallbacks for degenerate parameters (p < h, or bins no larger than a
 // single list) broadcast the lists outright.
 //
+// A combo node's h-hop search reads the row segments it received in place.
+// Each segment ascends by weight, so once the search has reached k nodes it
+// stops scanning a segment at the first arc that lands strictly beyond τ,
+// the k-th smallest tentative distance: no such arc can reach the k
+// nearest, and the answers and their lengths are those of the full search.
+//
 // Correctness leans on Lemma 5.5 (filtering preserves the optimal paths to
 // k-nearest targets: Ā^h = A^h on those entries), which the tests verify
 // empirically against unfiltered references.
@@ -21,6 +27,7 @@ package knearest
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
@@ -156,25 +163,12 @@ func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Ent
 	// positions [b·binSize, (b+1)·binSize).
 	words := rowWords(rows)
 
-	// Step 3: each combo node collects the edges of its bins. A node's
-	// segment within a bin is one message; senders duplicate across combos,
-	// which is the Lemma 2.2 regime. Duplicates share their payload.
-	// A bin spans at most binSize/k + 2 rows.
+	// Step 3: each combo node collects the edges of its bins. Senders
+	// duplicate across combos, which is the Lemma 2.2 regime. A bin spans
+	// at most binSize/k + 2 rows.
 	collect := make([]cc.Message, 0, len(combos)*h*(binSize/k+2))
 	for comboID, cb := range combos {
-		for _, b := range cb.bins() {
-			lo, hi := b*binSize, min((b+1)*binSize, n*k)
-			for pos := lo; pos < hi; {
-				owner := pos / k
-				end := min((owner+1)*k, hi)
-				from, to := pos-owner*k, min(end-owner*k, len(rows[owner]))
-				if from < to {
-					payload := words[owner][2*from : 2*to : 2*to]
-					collect = append(collect, cc.Message{From: owner, To: comboID, Payload: payload})
-				}
-				pos = end
-			}
-		}
+		collect = appendBinSegments(collect, comboID, cb.bins(), words, k, binSize)
 	}
 	binBudget := int64(2*h*binSize + n)
 	collected := clq.Route(collect, cc.RouteOpts{
@@ -209,32 +203,29 @@ func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Ent
 	// Step 4b: each combo node answers every querying source with the k
 	// nearest nodes it can certify from its local edges within h hops.
 	// Combo nodes work independently within the round, so they fan out
-	// over par; answers are concatenated in combo order, so Route sees the
-	// same message sequence as a serial loop would produce.
-	perCombo := make([][]cc.Message, len(combos))
+	// over par. Every answer owns a 2k-word slot of one payload arena, and
+	// combo c's answers fill responses[first[c]:first[c+1]], so Route sees
+	// the message sequence a serial loop over the combos would produce.
+	first := make([]int, len(combos)+1)
+	for comboID := range combos {
+		first[comboID+1] = first[comboID] + len(queryInbox[comboID])
+	}
+	responses := make([]cc.Message, first[len(combos)])
+	arena := make([]cc.Word, 2*k*len(responses))
 	err := par.ForN(len(combos), chunkFor(par, len(combos)), func(lo, hi int) {
-		var lg localGraph
+		s := newSearcher(n)
 		for comboID := lo; comboID < hi; comboID++ {
-			lg.load(n, collected[comboID])
-			inbox := queryInbox[comboID]
-			msgs := make([]cc.Message, len(inbox))
-			payloads := make([]cc.Word, 0, 2*k*len(inbox))
-			for i, q := range inbox {
-				start := len(payloads)
-				for _, e := range lg.hopKNearest(q.From, k, h) {
-					payloads = append(payloads, int64(e.Col), e.W)
-				}
-				msgs[i] = cc.Message{From: comboID, To: q.From, Payload: payloads[start:len(payloads):len(payloads)]}
+			s.load(collected[comboID])
+			for i, q := range queryInbox[comboID] {
+				slot := first[comboID] + i
+				off := 2 * k * slot
+				ans := s.query(q.From, k, h, arena[off:off:off+2*k])
+				responses[slot] = cc.Message{From: comboID, To: q.From, Payload: ans}
 			}
-			perCombo[comboID] = msgs
 		}
 	})
 	if err != nil {
 		return nil, err
-	}
-	responses := make([]cc.Message, 0, len(queries))
-	for _, msgs := range perCombo {
-		responses = append(responses, msgs...)
 	}
 	respBudget := int64(2*k*(2*(len(combos)/p+1)) + n)
 	respInbox := clq.Route(responses, cc.RouteOpts{
@@ -245,7 +236,9 @@ func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Ent
 
 	// Union-min over responses, then keep the k smallest (Lemma 5.4). Each
 	// node merges into a dense best-distance vector, reset through the list
-	// of nodes it touched.
+	// of nodes it touched. Answers arrive unsorted; this selection sorts,
+	// and the rows must leave sorted because they define the next
+	// iteration's bins.
 	next := make([][]minplus.Entry, n)
 	backing := make([]minplus.Entry, n*k)
 	err = par.ForN(n, chunkFor(par, n), func(lo, hi int) {
@@ -303,11 +296,20 @@ func fallbackBroadcast(clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) [][]
 	for u, w := range rowWords(rows) {
 		all[u] = cc.Message{From: u, Payload: w}
 	}
-	var lg localGraph
-	lg.load(n, all)
+	s := newSearcher(n)
+	s.load(all)
 	next := make([][]minplus.Entry, n)
+	var ans []cc.Word
 	for u := 0; u < n; u++ {
-		next[u] = append([]minplus.Entry(nil), lg.hopKNearest(u, k, h)...)
+		ans = s.query(u, k, h, ans[:0])
+		row := make([]minplus.Entry, len(ans)/2)
+		for i := range row {
+			row[i] = minplus.Entry{Col: int(ans[2*i]), W: ans[2*i+1]}
+		}
+		// Answers are unsorted, and these rows are the next iteration's
+		// input or Compute's lists: both need (W, Col) order.
+		slices.SortFunc(row, minplus.Entry.Compare)
+		next[u] = row
 	}
 	return next
 }
@@ -367,136 +369,200 @@ func binsOfRange(lo, hi, binSize, p int) []int {
 	return out
 }
 
-// localGraph is the edge multiset a node received, in CSR form over the
-// nodes that occur in it, together with the buffers of its h-hop queries.
-// Loading a new multiset reuses every buffer, so one localGraph serves a
-// run of combo nodes; a localGraph is not safe for concurrent use.
-type localGraph struct {
-	index []int32 // global node → local index, -1 when absent
-	nodes []int   // local index → global node: the touched list of index
-	start []int   // node i's arcs are arcs[start[i]:start[i+1]]
-	arcs  []localArc
+// appendBinSegments appends to msgs the edges that node `to` collects from
+// the given bins of the global list M: one message per row segment a bin
+// holds, from the row's owner, in bin order. Position j of M holds entry
+// j%k of node j/k's row, words[owner] is that row as (col, w) word pairs,
+// and payloads alias words. Since a bin is larger than a row, a row meets
+// at most two bins, so `to` receives at most two segments of each row.
+func appendBinSegments(msgs []cc.Message, to int, bins []int, words [][]cc.Word, k, binSize int) []cc.Message {
+	n := len(words)
+	for _, b := range bins {
+		lo, hi := b*binSize, min((b+1)*binSize, n*k)
+		for pos := lo; pos < hi; {
+			owner := pos / k
+			end := min((owner+1)*k, hi)
+			from, until := pos-owner*k, min(end-owner*k, len(words[owner])/2)
+			if from < until {
+				payload := words[owner][2*from : 2*until : 2*until]
+				msgs = append(msgs, cc.Message{From: owner, To: to, Payload: payload})
+			}
+			pos = end
+		}
+	}
+	return msgs
+}
 
-	dist    []int64 // h-hop distances by local index, Inf between queries
+// searcher answers h-hop k-nearest queries over the row segments a node
+// received, read in place: segs[v] holds the at most two segments of v's
+// row, (col, w) word pairs ascending by weight. Every buffer is dense over
+// the n global nodes and reset through a touched list, so one searcher
+// serves a run of combo nodes; a searcher is not safe for concurrent use.
+type searcher struct {
+	segs    [][2][]cc.Word
+	senders []int32 // nodes with segments: the touched list of segs
+
+	dist    []int64 // tentative h-hop distances, Inf between queries
+	reached []int32 // nodes with a finite distance: the touched list of dist
 	stamp   []int   // step in which a node last joined the frontier
 	steps   int     // steps run so far, so stamps never need resetting
-	reached []int32
-	cand    []minplus.Entry
+	// best holds the k nearest nodes reached so far with their distances,
+	// as a max-heap in (dist, node) order once it is full; at[v] is v's
+	// position in it, -1 when outside.
+	best []nodeDist
+	at   []int32
 	// frontier holds (node, distance at the start of the step) pairs.
-	frontier, nextFrontier []localArc
+	frontier, nextFrontier []nodeDist
 }
 
-type localArc struct {
-	to int32
-	w  int64
+type nodeDist struct {
+	v int32
+	d int64
 }
 
-// load replaces the edge multiset with the arcs of msgs: message m carries
-// (to, w) word pairs for arcs leaving m.From, over global IDs in [0, n).
-func (lg *localGraph) load(n int, msgs []cc.Message) {
-	if len(lg.index) < n {
-		lg.index = make([]int32, n)
-		for i := range lg.index {
-			lg.index[i] = -1
-		}
+// before reports whether a precedes b in (dist, node) order.
+func (a nodeDist) before(b nodeDist) bool {
+	return a.d < b.d || (a.d == b.d && a.v < b.v)
+}
+
+func newSearcher(n int) *searcher {
+	s := &searcher{
+		segs:  make([][2][]cc.Word, n),
+		dist:  make([]int64, n),
+		stamp: make([]int, n),
+		at:    make([]int32, n),
 	}
-	for _, v := range lg.nodes {
-		lg.index[v] = -1
+	for v := range s.dist {
+		s.dist[v] = minplus.Inf
+		s.at[v] = -1
 	}
-	lg.nodes, lg.start = lg.nodes[:0], lg.start[:0]
-	// Pass 1 indexes the nodes and counts out-degrees; pass 2 places each
-	// arc below its node's running end offset.
+	return s
+}
+
+// load replaces the segments with those of msgs: message m carries a
+// segment of m.From's row. Each sender sends at most two.
+func (s *searcher) load(msgs []cc.Message) {
+	for _, v := range s.senders {
+		s.segs[v] = [2][]cc.Word{}
+	}
+	s.senders = s.senders[:0]
 	for _, m := range msgs {
-		from := lg.touch(m.From)
-		lg.start[from] += len(m.Payload) / 2
-		for i := 0; i+1 < len(m.Payload); i += 2 {
-			lg.touch(int(m.Payload[i]))
+		seg := &s.segs[m.From]
+		if seg[0] == nil {
+			seg[0] = m.Payload
+			s.senders = append(s.senders, int32(m.From))
+		} else {
+			seg[1] = m.Payload
 		}
-	}
-	lg.start = append(lg.start, 0)
-	end := 0
-	for i := range lg.start {
-		end += lg.start[i]
-		lg.start[i] = end
-	}
-	if cap(lg.arcs) < end {
-		lg.arcs = make([]localArc, end)
-	}
-	lg.arcs = lg.arcs[:end]
-	for _, m := range msgs {
-		from := lg.index[m.From]
-		for i := 0; i+1 < len(m.Payload); i += 2 {
-			lg.start[from]--
-			lg.arcs[lg.start[from]] = localArc{to: lg.index[m.Payload[i]], w: m.Payload[i+1]}
-		}
-	}
-	for len(lg.dist) < len(lg.nodes) {
-		lg.dist = append(lg.dist, minplus.Inf)
-		lg.stamp = append(lg.stamp, 0)
 	}
 }
 
-func (lg *localGraph) touch(global int) int32 {
-	if li := lg.index[global]; li >= 0 {
-		return li
-	}
-	li := int32(len(lg.nodes))
-	lg.index[global] = li
-	lg.nodes = append(lg.nodes, global)
-	lg.start = append(lg.start, 0)
-	return li
-}
-
-// hopKNearest runs an h-hop Bellman–Ford from the global source node over
-// the local edges and returns the k nearest (node, dist) pairs it certifies,
-// as entries ordered by (dist, node). The slice is reused by the next call.
+// query runs an h-hop Bellman–Ford from src over the loaded segments and
+// appends to out the min(k, reached) nearest nodes it certifies, as (node,
+// dist) word pairs in no particular order.
 //
 // Each step relaxes only the nodes whose distance dropped in the previous
 // step (the frontier), from their distances at the start of the step. The
 // other nodes' arcs were relaxed with the same distance one step earlier,
-// so the result equals the full h-hop relaxation.
-func (lg *localGraph) hopKNearest(src, k, h int) []minplus.Entry {
-	li := lg.index[src]
-	if li < 0 {
-		lg.cand = append(lg.cand[:0], minplus.Entry{Col: src, W: 0})
-		return lg.cand
-	}
-	dist := lg.dist
-	dist[li] = 0
-	lg.reached = append(lg.reached[:0], li)
-	cur, nxt := append(lg.frontier[:0], localArc{to: li}), lg.nextFrontier
+// so the result equals the full h-hop relaxation. Once k nodes are reached,
+// τ is the distance at the top of best, and an arc landing beyond τ ends
+// its segment's scan: tentative distances only fall, so no node beyond τ
+// can still be among the k nearest, and with non-negative weights no path
+// through it can either. Ties at τ are relaxed, because they compete on
+// node ID.
+func (s *searcher) query(src, k, h int, out []cc.Word) []cc.Word {
+	s.dist[src] = 0
+	s.reached = append(s.reached[:0], int32(src))
+	s.offer(nodeDist{v: int32(src)}, k)
+	cur, nxt := append(s.frontier[:0], nodeDist{v: int32(src)}), s.nextFrontier
 	for step := 0; step < h && len(cur) > 0; step++ {
-		lg.steps++
+		s.steps++
 		nxt = nxt[:0]
 		for _, f := range cur {
-			for _, a := range lg.arcs[lg.start[f.to]:lg.start[f.to+1]] {
-				nd := minplus.SatAdd(f.w, a.w)
-				if nd >= dist[a.to] {
-					continue
-				}
-				if minplus.IsInf(dist[a.to]) {
-					lg.reached = append(lg.reached, a.to)
-				}
-				dist[a.to] = nd
-				if lg.stamp[a.to] != lg.steps {
-					lg.stamp[a.to] = lg.steps
-					nxt = append(nxt, localArc{to: a.to})
+			for _, seg := range &s.segs[f.v] {
+				for i := 0; i+1 < len(seg); i += 2 {
+					nd := minplus.SatAdd(f.d, seg[i+1])
+					if len(s.best) == k && nd > s.best[0].d {
+						break // the rest of the segment lands beyond τ too
+					}
+					to := int32(seg[i])
+					if nd >= s.dist[to] {
+						continue
+					}
+					if minplus.IsInf(s.dist[to]) {
+						s.reached = append(s.reached, to)
+					}
+					s.dist[to] = nd
+					s.offer(nodeDist{v: to, d: nd}, k)
+					// The last step's frontier is never expanded.
+					if step < h-1 && s.stamp[to] != s.steps {
+						s.stamp[to] = s.steps
+						nxt = append(nxt, nodeDist{v: to})
+					}
 				}
 			}
 		}
 		for i := range nxt {
-			nxt[i].w = dist[nxt[i].to]
+			nxt[i].d = s.dist[nxt[i].v]
 		}
 		cur, nxt = nxt, cur
 	}
-	lg.frontier, lg.nextFrontier = cur, nxt
-	cand := lg.cand[:0]
-	for _, v := range lg.reached {
-		cand = append(cand, minplus.Entry{Col: lg.nodes[v], W: dist[v]})
-		dist[v] = minplus.Inf
+	s.frontier, s.nextFrontier = cur, nxt
+	for _, b := range s.best {
+		out = append(out, int64(b.v), b.d)
+		s.at[b.v] = -1
 	}
-	lg.cand = cand
-	return minplus.SmallestK(cand, k)
+	s.best = s.best[:0]
+	for _, v := range s.reached {
+		s.dist[v] = minplus.Inf
+	}
+	return out
+}
+
+// offer records that node x.v's tentative distance fell to x.d. Until k
+// nodes are reached, best holds them all in no order; the k-th makes it a
+// heap. From then on x sinks within best, replaces its top, or stays out.
+func (s *searcher) offer(x nodeDist, k int) {
+	i := s.at[x.v]
+	switch {
+	case i >= 0:
+		s.best[i].d = x.d
+		if len(s.best) == k {
+			s.down(int(i))
+		}
+	case len(s.best) < k:
+		s.at[x.v] = int32(len(s.best))
+		s.best = append(s.best, x)
+		if len(s.best) == k {
+			for j := k/2 - 1; j >= 0; j-- {
+				s.down(j)
+			}
+		}
+	case x.before(s.best[0]):
+		s.at[s.best[0].v] = -1
+		s.best[0], s.at[x.v] = x, 0
+		s.down(0)
+	}
+}
+
+// down restores the max-heap property after best[i] moved nearer.
+func (s *searcher) down(i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		big := i
+		if l < len(s.best) && s.best[big].before(s.best[l]) {
+			big = l
+		}
+		if r < len(s.best) && s.best[big].before(s.best[r]) {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		s.best[i], s.best[big] = s.best[big], s.best[i]
+		s.at[s.best[i].v], s.at[s.best[big].v] = int32(i), int32(big)
+		i = big
+	}
 }
 
 // Reference computes the k-nearest lists under hops-hop distances by direct

@@ -472,17 +472,24 @@ func (sk *Skeleton) Translate(clq *cc.Clique, deltaGS *minplus.Dense) (*minplus.
 	})
 
 	// Reverse-list exchange: v tells each u ∈ Ñk(v) the value δ(v,u), so
-	// both sides of the "u ∈ Ñk(v) or v ∈ Ñk(u)" rule are known at u.
-	var revMsgs []cc.Message
+	// both sides of the "u ∈ Ñk(v) or v ∈ Ñk(u)" rule are known at u. The
+	// one-word payloads share one backing slice.
+	total := 0
+	for _, l := range sk.in.Lists {
+		total += len(l)
+	}
+	words := make([]cc.Word, 0, total)
+	revMsgs := make([]cc.Message, 0, total)
 	for v := 0; v < n; v++ {
 		for _, nd := range sk.in.Lists[v] {
 			if nd.Node == v {
 				continue
 			}
+			words = append(words, nd.Dist)
 			revMsgs = append(revMsgs, cc.Message{
 				From:    v,
 				To:      nd.Node,
-				Payload: []cc.Word{nd.Dist},
+				Payload: words[len(words)-1 : len(words) : len(words)],
 			})
 		}
 	}
