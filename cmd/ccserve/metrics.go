@@ -142,7 +142,7 @@ func (s *server) registerCollectors(reg *obs.Registry) {
 			"gomaxprocs":             float64(ps.GOMAXPROCS),
 			"open_fds":               float64(ps.OpenFDs),
 			"heap_inuse_bytes":       float64(ps.HeapInuseBytes),
-			"gc_pause_seconds_total": ps.gcPauseSeconds,
+			"gc_pause_seconds_total": float64(ps.GCPauseTotalNS) / 1e9,
 			"http_requests":          float64(s.reqs.Load()),
 			"http_errors":            float64(s.errs.Load()),
 			"graph_uploads":          float64(s.graphs.Load()),
@@ -163,8 +163,6 @@ type processStats struct {
 	HeapInuseBytes uint64  `json:"heap_inuse_bytes"`
 	GCPauseTotalNS uint64  `json:"gc_pause_total_ns"`
 	NumGC          uint32  `json:"num_gc"`
-
-	gcPauseSeconds float64 // same as GCPauseTotalNS, in the scrape's unit
 }
 
 func readProcessStats(start time.Time) processStats {
@@ -179,7 +177,6 @@ func readProcessStats(start time.Time) processStats {
 		HeapInuseBytes: ms.HeapInuse,
 		GCPauseTotalNS: ms.PauseTotalNs,
 		NumGC:          ms.NumGC,
-		gcPauseSeconds: float64(ms.PauseTotalNs) / 1e9,
 	}
 }
 

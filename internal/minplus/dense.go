@@ -331,8 +331,9 @@ func (d *Dense) Mul(o *Dense) *Dense {
 
 // MulNaive is the retained reference kernel: the straightforward untiled,
 // single-threaded triple loop the tiled kernel must match byte-for-byte.
-// Property tests and the ccbench .kernel suite compare against it; it is
-// also the single-thread baseline the ≥1.5× kernel speedup gate measures.
+// Property tests compare against it, and BenchmarkMulNaive1024 times it as
+// the baseline of the ≥1.5× kernel speedup that scripts/benchgate.sh
+// checks.
 func (d *Dense) MulNaive(o *Dense) *Dense {
 	if d.n != o.n {
 		panic(fmt.Sprintf("minplus: dimension mismatch %d vs %d", d.n, o.n))

@@ -14,7 +14,7 @@ import (
 // property needs: unlike Equal it does NOT treat distinct ≥ Inf encodings
 // as interchangeable, so a kernel that merely preserves reachability but
 // drifts on saturated values fails here.
-func identicalEntries(t *testing.T, want, got *Dense) {
+func identicalEntries(t testing.TB, want, got *Dense) {
 	t.Helper()
 	if want.N() != got.N() {
 		t.Fatalf("dimension %d vs %d", want.N(), got.N())

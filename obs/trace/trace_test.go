@@ -246,3 +246,38 @@ func TestFormatInt(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSpanSampled and BenchmarkSpanUnsampled price the tracing layer
+// from both sides of the sampling decision: the span work a sampled request
+// does (root, child, attributes, both Ends, into a store) against the
+// passthrough every unsampled request pays (the coin flip plus a StartSpan
+// on a span-free context). scripts/benchgate.sh requires the unsampled path
+// to stay allocation-free and at least 10× cheaper.
+func BenchmarkSpanSampled(b *testing.B) {
+	tracer := NewTracer(1, NewStore(64))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root := tracer.StartRoot("GET /v1/dist", TraceID{}, SpanID{})
+		root.SetInt("u", int64(i))
+		_, child := StartSpan(ContextWith(context.Background(), root), "oracle.dist")
+		child.SetInt("version", 1)
+		child.End()
+		root.SetStatus(200)
+		root.End()
+	}
+}
+
+func BenchmarkSpanUnsampled(b *testing.B) {
+	off := NewTracer(0, nil)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if off.Sample() {
+			b.Fatal("sample rate 0 sampled a request")
+		}
+		_, sp := StartSpan(ctx, "oracle.dist")
+		sp.End()
+	}
+}

@@ -55,7 +55,7 @@ func mustRegister(name cliqueapsp.Algorithm, spec cliqueapsp.AlgorithmSpec) {
 	}
 }
 
-func waitReady(t *testing.T, o *oracle.Oracle, version uint64) {
+func waitReady(t testing.TB, o *oracle.Oracle, version uint64) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -654,3 +654,49 @@ func TestOracleOnRepairHook(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPublishRebuild256 and BenchmarkPublishRepair256 time the two
+// ways a single-edge reweight (+1, the direction that must prove which
+// sources the old weight was load-bearing for) can publish on an exact
+// n=256 snapshot: a full rebuild, and the repair path. scripts/benchgate.sh
+// requires the repair to be faster; the repair benchmark fails outright if
+// the delta fell back to a rebuild.
+func BenchmarkPublishRebuild256(b *testing.B) {
+	g := cliqueapsp.RandomGraph(256, 100, 1)
+	o := oracle.New(oracle.Config{Algorithm: cliqueapsp.AlgExact})
+	defer o.Close()
+	for i := 0; i < b.N; i++ {
+		v, err := o.SetGraph(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		waitReady(b, o, v)
+	}
+}
+
+func BenchmarkPublishRepair256(b *testing.B) {
+	g := cliqueapsp.RandomGraph(256, 100, 1)
+	e := g.Edges()[0]
+	d := cliqueapsp.GraphDelta{Edges: []cliqueapsp.EdgeDelta{
+		{Op: cliqueapsp.DeltaReweight, U: e.U, V: e.V, W: e.W + 1},
+	}}
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		o := oracle.New(oracle.Config{Algorithm: cliqueapsp.AlgExact, RepairMaxDirtyFrac: 1})
+		v, err := o.SetGraph(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		waitReady(b, o, v)
+		b.StartTimer()
+		if v, err = o.ApplyDelta(d); err != nil {
+			b.Fatal(err)
+		}
+		waitReady(b, o, v)
+		b.StopTimer()
+		if o.Stats().Repairs != 1 {
+			b.Fatal("the single-edge reweight fell back to a rebuild")
+		}
+		o.Close()
+	}
+}

@@ -1,9 +1,11 @@
 package store_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	cliqueapsp "github.com/congestedclique/cliqueapsp"
@@ -202,5 +204,41 @@ func TestDirLoadVersionRejectsMisplacedFile(t *testing.T) {
 	}
 	if s, err := d.LoadVersion("alpha", 1); err != nil || s.Version != 1 {
 		t.Fatalf("LoadVersion(1) of the genuine file: %v", err)
+	}
+}
+
+// TestDirLoadVersionChecksSizeBeforeDecoding: a header-only file claiming
+// n=4096 promises a 128 MiB matrix. LoadVersion must reject it with
+// ErrCorrupt from the header and the file's length alone, allocating next
+// to nothing, rather than let Decode allocate the matrix and then hit EOF.
+func TestDirLoadVersionChecksSizeBeforeDecoding(t *testing.T) {
+	root := t.TempDir()
+	d, err := store.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.NewGraph(1), 1)
+	ix, err := store.IndexOf(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With no edges the header ends where the rows begin, on n then m.
+	header := encodeToBytes(t, snap)[:ix.RowOffset]
+	binary.LittleEndian.PutUint32(header[len(header)-8:], 4096)
+	if err := os.MkdirAll(filepath.Join(root, "alpha"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "alpha", "0000000000000001.snap"), header, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = d.LoadVersion("alpha", 1)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("LoadVersion of a %d-byte file claiming n=4096: %v, want ErrCorrupt", len(header), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(header), grew)
 	}
 }

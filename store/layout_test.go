@@ -15,29 +15,40 @@ import (
 // TestIndexOfMatchesEncodedBytes is the layout-vs-encode property the whole
 // tier package stands on: the arithmetic index computed from a snapshot's
 // header must point exactly at the rows Encode writes — row u's entry for v
-// sits at RowOffset + u×RowWidth + 8v, and Size is the encoded length.
+// sits at RowOffset + u×RowWidth + 8v, and Size is the encoded length — and
+// Decode reads the same matrix back. The n=1024 case is the 8 MiB matrix
+// the serving benchmarks use; its distances come from cliqueapsp.Exact
+// rather than a simulated engine run, which would take seconds.
 func TestIndexOfMatchesEncodedBytes(t *testing.T) {
-	snap := buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.RandomGraph(13, 20, 6), 4)
-	raw := encodeToBytes(t, snap)
+	g := cliqueapsp.RandomGraph(1024, 100, 1)
+	big := &store.Snapshot{Version: 4, Algorithm: string(cliqueapsp.AlgExact), FactorBound: 1,
+		Engine: cliqueapsp.EngineVersion, Graph: g, Distances: cliqueapsp.Exact(g)}
+	for _, snap := range []*store.Snapshot{buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.RandomGraph(13, 20, 6), 4), big} {
+		raw := encodeToBytes(t, snap)
 
-	ix, err := store.IndexOf(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Size != int64(len(raw)) {
-		t.Fatalf("index size %d, encoded %d bytes", ix.Size, len(raw))
-	}
-	n := snap.Graph.N()
-	if ix.N != n || ix.M != snap.Graph.NumEdges() || ix.RowWidth != 8*int64(n) {
-		t.Fatalf("index dimensions %+v for n=%d m=%d", ix, n, snap.Graph.NumEdges())
-	}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			off := ix.RowOffset + int64(u)*ix.RowWidth + 8*int64(v)
-			got := int64(binary.LittleEndian.Uint64(raw[off : off+8]))
-			if want := snap.Distances.At(u, v); got != want {
-				t.Fatalf("byte offset of d(%d,%d) holds %d, want %d", u, v, got, want)
+		ix, err := store.IndexOf(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := snap.Graph.N()
+		if ix.Size != int64(len(raw)) || ix.Size <= 8*int64(n)*int64(n) {
+			t.Fatalf("n=%d: index size %d, encoded %d bytes", n, ix.Size, len(raw))
+		}
+		if ix.N != n || ix.M != snap.Graph.NumEdges() || ix.RowWidth != 8*int64(n) {
+			t.Fatalf("index dimensions %+v for n=%d m=%d", ix, n, snap.Graph.NumEdges())
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				off := ix.RowOffset + int64(u)*ix.RowWidth + 8*int64(v)
+				got := int64(binary.LittleEndian.Uint64(raw[off : off+8]))
+				if want := snap.Distances.At(u, v); got != want {
+					t.Fatalf("n=%d: byte offset of d(%d,%d) holds %d, want %d", n, u, v, got, want)
+				}
 			}
+		}
+		got, err := store.Decode(bytes.NewReader(raw))
+		if err != nil || !sameDistances(got.Distances, snap.Distances) {
+			t.Fatalf("n=%d: decode of the encoded snapshot: %v", n, err)
 		}
 	}
 }

@@ -334,3 +334,68 @@ func TestNextHopRowFromOverReader(t *testing.T) {
 		}
 	}
 }
+
+// benchReader opens a reader with ccserve's default 64-row cache over a
+// persisted n=1024 snapshot, an 8 MiB matrix. The distances are filler: a
+// row read costs the same whatever the values.
+func benchReader(b *testing.B) *tier.Reader {
+	const n = 1024
+	dist, err := cliqueapsp.DistancesFromRows(n, func(u int, dst []int64) error {
+		for v := range dst {
+			dst[v] = int64((u*31+v*7)%1000 + 1)
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := &store.Snapshot{Version: 1, Algorithm: "bench", FactorBound: 1,
+		Engine: cliqueapsp.EngineVersion, Graph: cliqueapsp.RandomGraph(n, 100, 1), Distances: dist}
+	if err := d.Save("bench", snap); err != nil {
+		b.Fatal(err)
+	}
+	r, err := tier.NewStore(d).OpenCold("bench", 1, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { r.Close() })
+	return r
+}
+
+// BenchmarkRowMiss is one cold row read: the rows are swept in order, so
+// with 64 of 1024 rows cached every read is a pread plus a row decode.
+func BenchmarkRowMiss(b *testing.B) {
+	r := benchReader(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Row(i % r.N()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRowHit is one hot-row cache hit: the lookups cycle over the 64
+// rows a warm-up pass left resident.
+func BenchmarkRowHit(b *testing.B) {
+	r := benchReader(b)
+	const cached = 64
+	for u := 0; u < cached; u++ {
+		if _, err := r.Row(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Row(i % cached); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := r.Stats(); st.Misses != cached {
+		b.Fatalf("%d row loads for %d distinct rows", st.Misses, cached)
+	}
+}
