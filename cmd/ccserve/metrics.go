@@ -13,6 +13,7 @@ import (
 
 	"github.com/congestedclique/cliqueapsp/internal/sched"
 	"github.com/congestedclique/cliqueapsp/obs"
+	"github.com/congestedclique/cliqueapsp/oracle"
 )
 
 // serverMetrics are the instruments ccserve updates on the request and
@@ -52,104 +53,131 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 }
 
 // registerCollectors bridges the values other structs own into gauges
-// refreshed once per scrape. The manager sample comes from Manager.Stats(),
-// which iterates tenants without touching LRU recency — same reason the
-// stats routes resolve tenants via Peek: scraping must never decide who
-// gets evicted next.
+// refreshed once per scrape from one statsSample, the same reading /v1/stats
+// serves. Its Manager.Stats() iterates tenants without touching LRU recency —
+// same reason the stats routes resolve tenants via peek: scraping must never
+// decide who gets evicted next.
 func (s *server) registerCollectors(reg *obs.Registry) {
 	version, revision := buildInfo()
 	reg.Gauge("ccserve_build_info",
 		"Build metadata; always 1, the value is in the labels.",
 		"version", "revision").With(version, revision).Set(1)
 
-	mgr := reg.Gauge("ccserve_manager",
-		"Manager occupancy, budgets, and lifetime totals, sampled at scrape.",
-		"stat")
-	rowCache := reg.Gauge("ccserve_row_cache",
-		"Disk-tier hot-row cache state summed over hosted cold tenants.",
-		"stat")
-	proc := reg.Gauge("ccserve_process",
-		"Process runtime state: uptime, goroutines, heap, GC totals.",
-		"stat")
-	pool := reg.Gauge("ccserve_pool",
-		"Shared compute pool: worker budget, in-flight kernel tasks, lifetime completions.",
-		"stat")
-	builds := reg.Gauge("ccserve_builds",
-		"Fleet build admission: configured concurrency, running/queued builds, admissions, queue wait.",
-		"stat")
+	fams := (&statsSample{}).gauges()
+	vecs := make([]*obs.GaugeVec, len(fams))
+	for i, f := range fams {
+		vecs[i] = reg.Gauge(f.name, f.help, "stat")
+	}
 	reg.OnScrape(func() {
-		st := s.mgr.Stats()
-		for stat, v := range map[string]float64{
-			"graphs":           float64(st.Graphs),
-			"max_graphs":       float64(st.MaxGraphs),
-			"total_nodes":      float64(st.TotalNodes),
-			"max_total_nodes":  float64(st.MaxTotalNodes),
-			"created":          float64(st.Created),
-			"deleted":          float64(st.Deleted),
-			"evictions":        float64(st.Evictions),
-			"persists":         float64(st.Persists),
-			"persist_errors":   float64(st.PersistErrors),
-			"restored":         float64(st.Restored),
-			"restore_errors":   float64(st.RestoreErrors),
-			"cold_hits":        float64(st.ColdHits),
-			"rehydrate_errors": float64(st.RehydrateErrors),
-			"throttled":        float64(st.Throttled),
-			"demotions":        float64(st.Demotions),
-			"promotions":       float64(st.Promotions),
-			"full_decodes":     float64(st.FullDecodes),
-			"cold_tenants":     float64(st.ColdTenants),
-			"cold_serves":      float64(st.ColdServes),
-		} {
-			mgr.With(stat).Set(v)
-		}
-		var resident, capacity int
-		for _, ts := range st.Tenants {
-			if rc := ts.Oracle.RowCache; rc != nil {
-				resident += rc.Resident
-				capacity += rc.Capacity
+		st := s.sampleStats()
+		for i, f := range st.gauges() {
+			for _, g := range f.stats {
+				vecs[i].With(g.stat).Set(g.value)
 			}
 		}
-		for stat, v := range map[string]float64{
-			"hits":          float64(st.RowCacheHits),
-			"misses":        float64(st.RowCacheMisses),
-			"evictions":     float64(st.RowCacheEvictions),
-			"resident_rows": float64(resident),
-			"capacity_rows": float64(capacity),
-		} {
-			rowCache.With(stat).Set(v)
-		}
-		pst := sched.Shared().Stats()
-		for stat, v := range map[string]float64{
-			"workers":         float64(pst.Workers),
-			"in_flight":       float64(pst.InFlight),
-			"tasks_completed": float64(pst.Completed),
-		} {
-			pool.With(stat).Set(v)
-		}
-		for stat, v := range map[string]float64{
-			"concurrency":        float64(st.BuildConcurrency),
-			"running":            float64(st.BuildsRunning),
-			"queued":             float64(st.BuildsQueued),
-			"admitted":           float64(st.BuildsAdmitted),
-			"wait_seconds_total": float64(st.BuildWaitNS) / 1e9,
-		} {
-			builds.With(stat).Set(v)
-		}
-		ps := readProcessStats(s.start)
-		for stat, v := range map[string]float64{
-			"uptime_seconds":         ps.UptimeSeconds,
-			"goroutines":             float64(ps.Goroutines),
-			"gomaxprocs":             float64(ps.GOMAXPROCS),
-			"open_fds":               float64(ps.OpenFDs),
-			"heap_inuse_bytes":       float64(ps.HeapInuseBytes),
-			"gc_pause_seconds_total": float64(ps.GCPauseTotalNS) / 1e9,
-			"http_requests":          float64(s.reqs.Load()),
-			"http_errors":            float64(s.errs.Load()),
-			"graph_uploads":          float64(s.graphs.Load()),
-		} {
-			proc.With(stat).Set(v)
-		}
 	})
+}
+
+// statsSample is one reading of every sampled serving stat. It is the
+// /v1/stats body, and the /metrics gauges are laid out from it by gauges.
+type statsSample struct {
+	UptimeNS     time.Duration       `json:"uptime_ns"`
+	HTTPRequests uint64              `json:"http_requests"`
+	HTTPErrors   uint64              `json:"http_errors"`
+	GraphUploads uint64              `json:"graph_uploads"`
+	Manager      oracle.ManagerStats `json:"manager"`
+	Process      processStats        `json:"process"`
+	Pool         sched.PoolStats     `json:"-"` // /metrics only
+}
+
+func (s *server) sampleStats() statsSample {
+	up := time.Since(s.start)
+	return statsSample{
+		UptimeNS:     up,
+		HTTPRequests: s.reqs.Load(),
+		HTTPErrors:   s.errs.Load(),
+		GraphUploads: s.graphs.Load(),
+		Manager:      s.mgr.Stats(),
+		Process:      readProcessStats(up),
+		Pool:         sched.Shared().Stats(),
+	}
+}
+
+// gaugeFamily is one stat-labeled /metrics gauge family with its series.
+type gaugeFamily struct {
+	name, help string
+	stats      []statGauge
+}
+
+type statGauge struct {
+	stat  string
+	value float64
+}
+
+// gauges is the one table behind the stat-labeled /metrics families: each
+// family's name and help, and each stat label with its value in st.
+func (st *statsSample) gauges() []gaugeFamily {
+	m, p := &st.Manager, &st.Process
+	var resident, capacity int
+	for _, ts := range m.Tenants {
+		if rc := ts.Oracle.RowCache; rc != nil {
+			resident += rc.Resident
+			capacity += rc.Capacity
+		}
+	}
+	return []gaugeFamily{
+		{"ccserve_manager", "Manager occupancy, budgets, and lifetime totals, sampled at scrape.", []statGauge{
+			{"graphs", float64(m.Graphs)},
+			{"max_graphs", float64(m.MaxGraphs)},
+			{"total_nodes", float64(m.TotalNodes)},
+			{"max_total_nodes", float64(m.MaxTotalNodes)},
+			{"created", float64(m.Created)},
+			{"deleted", float64(m.Deleted)},
+			{"evictions", float64(m.Evictions)},
+			{"persists", float64(m.Persists)},
+			{"persist_errors", float64(m.PersistErrors)},
+			{"restored", float64(m.Restored)},
+			{"restore_errors", float64(m.RestoreErrors)},
+			{"cold_hits", float64(m.ColdHits)},
+			{"rehydrate_errors", float64(m.RehydrateErrors)},
+			{"throttled", float64(m.Throttled)},
+			{"demotions", float64(m.Demotions)},
+			{"promotions", float64(m.Promotions)},
+			{"full_decodes", float64(m.FullDecodes)},
+			{"cold_tenants", float64(m.ColdTenants)},
+			{"cold_serves", float64(m.ColdServes)},
+		}},
+		{"ccserve_row_cache", "Disk-tier hot-row cache state summed over hosted cold tenants.", []statGauge{
+			{"hits", float64(m.RowCacheHits)},
+			{"misses", float64(m.RowCacheMisses)},
+			{"evictions", float64(m.RowCacheEvictions)},
+			{"resident_rows", float64(resident)},
+			{"capacity_rows", float64(capacity)},
+		}},
+		{"ccserve_pool", "Shared compute pool: worker budget, in-flight kernel tasks, lifetime completions.", []statGauge{
+			{"workers", float64(st.Pool.Workers)},
+			{"in_flight", float64(st.Pool.InFlight)},
+			{"tasks_completed", float64(st.Pool.Completed)},
+		}},
+		{"ccserve_builds", "Fleet build admission: configured concurrency, running/queued builds, admissions, queue wait.", []statGauge{
+			{"concurrency", float64(m.BuildConcurrency)},
+			{"running", float64(m.BuildsRunning)},
+			{"queued", float64(m.BuildsQueued)},
+			{"admitted", float64(m.BuildsAdmitted)},
+			{"wait_seconds_total", float64(m.BuildWaitNS) / 1e9},
+		}},
+		{"ccserve_process", "Process runtime state: uptime, goroutines, heap, GC totals.", []statGauge{
+			{"uptime_seconds", p.UptimeSeconds},
+			{"goroutines", float64(p.Goroutines)},
+			{"gomaxprocs", float64(p.GOMAXPROCS)},
+			{"open_fds", float64(p.OpenFDs)},
+			{"heap_inuse_bytes", float64(p.HeapInuseBytes)},
+			{"gc_pause_seconds_total", float64(p.GCPauseTotalNS) / 1e9},
+			{"http_requests", float64(st.HTTPRequests)},
+			{"http_errors", float64(st.HTTPErrors)},
+			{"graph_uploads", float64(st.GraphUploads)},
+		}},
+	}
 }
 
 // processStats is the `process` section of /v1/stats: the runtime-level
@@ -165,11 +193,11 @@ type processStats struct {
 	NumGC          uint32  `json:"num_gc"`
 }
 
-func readProcessStats(start time.Time) processStats {
+func readProcessStats(uptime time.Duration) processStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return processStats{
-		UptimeSeconds:  time.Since(start).Seconds(),
+		UptimeSeconds:  uptime.Seconds(),
 		GoVersion:      runtime.Version(),
 		Goroutines:     runtime.NumGoroutine(),
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
@@ -128,6 +129,114 @@ func TestMetricsExposition(t *testing.T) {
 	if v := metricValue(t, text,
 		`ccserve_requests_total{route="/metrics",method="GET",status="200"}`); v < 1 {
 		t.Errorf("/metrics self-count = %v, want >= 1", v)
+	}
+}
+
+// jsonKeys returns the keys of the JSON object raw in document order.
+func jsonKeys(t *testing.T, raw []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("want a JSON object, got %v (%v)", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestStatsSurfacesPinned pins the sampled stats surfaces: the stat labels
+// of every /metrics gauge family, the /v1/stats key order, and that on an
+// idle server the two read the same numbers.
+func TestStatsSurfacesPinned(t *testing.T) {
+	base := startServer(t, testConfig(defaultLimits()))
+	postJSON(t, newTenant(t, base, "", "g")+"/graph?wait=1", "application/json",
+		`{"n":3,"edges":[[0,1,2],[1,2,3]]}`, http.StatusOK, nil)
+
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := scrape(t, base, "")
+
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		keys []string
+		want string
+	}{
+		{jsonKeys(t, raw), "uptime_ns http_requests http_errors graph_uploads manager process"},
+		{jsonKeys(t, doc["manager"]), "graphs max_graphs total_nodes max_total_nodes created deleted evictions " +
+			"persists persist_errors restored restore_errors cold_hits rehydrate_errors throttled " +
+			"demotions promotions full_decodes cold_tenants cold_serves row_cache_hits row_cache_misses " +
+			"row_cache_evictions build_concurrency builds_running builds_queued builds_admitted build_wait_ns tenants"},
+		{jsonKeys(t, doc["process"]), "uptime_seconds go_version goroutines gomaxprocs open_fds " +
+			"heap_inuse_bytes gc_pause_total_ns num_gc"},
+	} {
+		if got := strings.Join(c.keys, " "); got != c.want {
+			t.Errorf("/v1/stats keys\n got %s\nwant %s", got, c.want)
+		}
+	}
+
+	// Exposition sorts series by label value, so the labels come out sorted.
+	statLine := regexp.MustCompile(`^(ccserve_[a-z_]+)\{stat="([a-z_]+)"\} `)
+	labels := map[string][]string{}
+	for _, line := range strings.Split(text, "\n") {
+		if m := statLine.FindStringSubmatch(line); m != nil {
+			labels[m[1]] = append(labels[m[1]], m[2])
+		}
+	}
+	for fam, want := range map[string]string{
+		"ccserve_manager": "cold_hits cold_serves cold_tenants created deleted demotions evictions " +
+			"full_decodes graphs max_graphs max_total_nodes persist_errors persists promotions " +
+			"rehydrate_errors restore_errors restored throttled total_nodes",
+		"ccserve_row_cache": "capacity_rows evictions hits misses resident_rows",
+		"ccserve_pool":      "in_flight tasks_completed workers",
+		"ccserve_builds":    "admitted concurrency queued running wait_seconds_total",
+		"ccserve_process": "gc_pause_seconds_total gomaxprocs goroutines graph_uploads heap_inuse_bytes " +
+			"http_errors http_requests open_fds uptime_seconds",
+	} {
+		if got := strings.Join(labels[fam], " "); got != want {
+			t.Errorf("%s stats\n got %s\nwant %s", fam, got, want)
+		}
+		delete(labels, fam)
+	}
+	for fam := range labels {
+		t.Errorf("unexpected stat-labeled family %s", fam)
+	}
+
+	var st struct {
+		Manager oracle.ManagerStats `json:"manager"`
+		Process processStats        `json:"process"`
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	for series, want := range map[string]float64{
+		`ccserve_manager{stat="graphs"}`:     float64(st.Manager.Graphs),
+		`ccserve_manager{stat="evictions"}`:  float64(st.Manager.Evictions),
+		`ccserve_builds{stat="admitted"}`:    float64(st.Manager.BuildsAdmitted),
+		`ccserve_process{stat="gomaxprocs"}`: float64(st.Process.GOMAXPROCS),
+	} {
+		if got := metricValue(t, text, series); got != want {
+			t.Errorf("%s = %v, /v1/stats says %v", series, got, want)
+		}
 	}
 }
 

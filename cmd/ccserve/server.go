@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -79,9 +78,6 @@ type server struct {
 	tracer *trace.Tracer // samples requests; builds are always traced
 	traces *trace.Store  // bounded ring of completed traces (/v1/traces)
 
-	tmu  sync.Mutex
-	tlim map[string]int // per-tenant max-node overrides (≤ lim.maxNodes)
-
 	reqs   atomic.Uint64 // total requests
 	errs   atomic.Uint64 // responses with status >= 400
 	graphs atomic.Uint64 // accepted graph uploads (all tenants)
@@ -102,7 +98,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		log:   logger,
 		slow:  cfg.slowQuery,
 		met:   newServerMetrics(reg),
-		tlim:  make(map[string]int),
 	}
 	// The tracer exists even at -tracesample 0: forced captures (slow and
 	// 5xx requests) and build traces still need somewhere to land.
@@ -131,19 +126,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		BuildConcurrency: buildConc,
 		Base:             cfg.base,
 		OnEvict: func(name string) {
-			// An evicted tenant with a persisted snapshot is expected back
-			// via rehydration and must return with its max-node cap intact;
-			// one with nothing on disk is gone for good, so its override
-			// must not leak. (Per-tenant caps are process-local state: they
-			// reset on a daemon restart either way.)
-			// On a failed probe keep the cap: retaining a stale entry is
-			// harmless, silently uncapping a tenant that does rehydrate is
-			// not.
-			if onDisk, err := s.snapshotOnDisk(name); err == nil && !onDisk {
-				s.tmu.Lock()
-				delete(s.tlim, name)
-				s.tmu.Unlock()
-			}
 			logger.Info("tenant evicted", "tenant", name, "reason", "lru")
 		},
 		OnRebuild: func(name string, version uint64, elapsed time.Duration, err error) {
@@ -616,19 +598,6 @@ func (e *jsonEdge) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// maxNodesFor resolves the effective node limit for a tenant: the global
-// -maxn bound, tightened by the tenant's own max_nodes if one was set at
-// creation.
-func (s *server) maxNodesFor(name string) int {
-	max := s.lim.maxNodes
-	s.tmu.Lock()
-	if own, ok := s.tlim[name]; ok && own < max {
-		max = own
-	}
-	s.tmu.Unlock()
-	return max
-}
-
 // readGraph decodes a request body as a graph: JSON
 // ({"n":4,"edges":[[0,1,3],…]}) or the package's plain edge-list format
 // (as written by ccgen), bounded by maxNodes.
@@ -714,7 +683,13 @@ func duplicateEdge(g *cliqueapsp.Graph) (int, int, bool) {
 // With ?wait=1 the response is delayed until the rebuild finishes (bounded
 // by the request context), so the reported version is immediately queryable.
 func (s *server) uploadGraph(w http.ResponseWriter, r *http.Request, t *oracle.Tenant) {
-	g, ok := s.readGraph(w, r, s.maxNodesFor(t.Name()))
+	// The global -maxn, tightened by the tenant's own max_nodes (which
+	// SetGraph enforces too): checked here so an oversized upload is a 413.
+	maxNodes := s.lim.maxNodes
+	if own := t.MaxNodes(); own > 0 {
+		maxNodes = min(maxNodes, own)
+	}
+	g, ok := s.readGraph(w, r, maxNodes)
 	if !ok {
 		return
 	}
@@ -835,21 +810,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, struct {
-		UptimeNS     time.Duration       `json:"uptime_ns"`
-		HTTPRequests uint64              `json:"http_requests"`
-		HTTPErrors   uint64              `json:"http_errors"`
-		GraphUploads uint64              `json:"graph_uploads"`
-		Manager      oracle.ManagerStats `json:"manager"`
-		Process      processStats        `json:"process"`
-	}{
-		UptimeNS:     time.Since(s.start),
-		HTTPRequests: s.reqs.Load(),
-		HTTPErrors:   s.errs.Load(),
-		GraphUploads: s.graphs.Load(),
-		Manager:      s.mgr.Stats(),
-		Process:      readProcessStats(s.start),
-	})
+	s.writeJSON(w, http.StatusOK, s.sampleStats())
 }
 
 // GET /healthz — always 200 while the process serves: the hosted graph
@@ -1015,6 +976,7 @@ func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 		Eps:       req.Eps,
 		Seed:      req.Seed,
 		Quota:     quota,
+		MaxNodes:  req.MaxNodes,
 	})
 	if err != nil {
 		// fail() maps the client-caused sentinels (exists → 409, over
@@ -1023,15 +985,6 @@ func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	// Always overwrite: a previous incarnation of the name (evicted with
-	// snapshots on disk) may have left a stale cap behind.
-	s.tmu.Lock()
-	if req.MaxNodes > 0 {
-		s.tlim[req.Name] = req.MaxNodes
-	} else {
-		delete(s.tlim, req.Name)
-	}
-	s.tmu.Unlock()
 	if req.Key != "" {
 		s.auth.setAPIKey(req.Name, req.Key)
 	}
@@ -1077,28 +1030,9 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	if !hasOp || op == "" {
 		switch r.Method {
 		case http.MethodGet:
-			// Peek, not Get: a monitoring scrape must not refresh LRU
-			// recency, or eviction would track poll phase instead of
-			// actual query traffic.
-			t, err := s.mgr.Peek(name)
-			if err != nil {
-				onDisk, perr := s.snapshotOnDisk(name)
-				if perr != nil {
-					// Could not tell: a 404 here could steer the client into
-					// a re-create that replaces a persisted incarnation.
-					s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("probing persisted snapshots of %q: %w", name, perr))
-					return
-				}
-				if onDisk {
-					// Evicted but persisted: the tenant still exists (the
-					// next query rehydrates it).
-					s.writeJSON(w, http.StatusOK, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
-					return
-				}
-				s.fail(w, r, http.StatusInternalServerError, err)
-				return
+			if t, ok := s.peek(w, r, name); ok {
+				s.writeJSON(w, http.StatusOK, summarize(t.Stats()))
 			}
-			s.writeJSON(w, http.StatusOK, summarize(t.Stats()))
 		case http.MethodDelete:
 			s.deleteTenant(w, r, name)
 		default:
@@ -1109,7 +1043,6 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 
 	var method string
 	var serve func(http.ResponseWriter, *http.Request, *oracle.Tenant)
-	touch := true // stats scrapes resolve via Peek to leave LRU order alone
 	switch op {
 	case "dist":
 		method, serve = http.MethodGet, s.dist
@@ -1124,7 +1057,7 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	case "promote":
 		method, serve = http.MethodPost, s.promoteTenant
 	case "stats":
-		method, serve, touch = http.MethodGet, s.tenantStats, false
+		method = http.MethodGet // the tenant's full counters, resolved by peek
 	default:
 		s.writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no route %s", r.URL.Path)})
 		return
@@ -1132,22 +1065,14 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, method) {
 		return
 	}
-	resolve := s.mgr.Get
-	if !touch {
-		resolve = s.mgr.Peek
-	}
-	t, err := resolve(name)
-	if err != nil {
-		if op == "stats" {
-			// Keep the monitoring surface consistent with the summary
-			// route: an evicted-but-persisted tenant exists (Peek just
-			// cannot see it), and a 404 here would steer clients into a
-			// destructive re-create.
-			if onDisk, perr := s.snapshotOnDisk(name); perr == nil && onDisk {
-				s.writeJSON(w, http.StatusOK, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
-				return
-			}
+	if op == "stats" {
+		if t, ok := s.peek(w, r, name); ok {
+			s.writeJSON(w, http.StatusOK, t.Stats())
 		}
+		return
+	}
+	t, err := s.mgr.Get(name)
+	if err != nil {
 		// fail() maps a genuinely absent tenant to 404; anything else — a
 		// corrupt snapshot or I/O failure during rehydration — is a server
 		// fault the client must not mistake for "no such tenant".
@@ -1157,29 +1082,38 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	serve(w, r, t)
 }
 
-// GET /v1/graphs/{name}/stats — the tenant's full oracle counters.
-func (s *server) tenantStats(w http.ResponseWriter, r *http.Request, t *oracle.Tenant) {
-	s.writeJSON(w, http.StatusOK, t.Stats())
+// peek resolves name for the single-name monitoring routes (GET
+// /v1/graphs/{name} and its /stats). Peek, not Get: a monitoring scrape must
+// not refresh LRU recency, or eviction would track poll phase instead of
+// query traffic. A name Peek cannot see may be evicted but persisted; it
+// still exists (the next query rehydrates it) and answers its evicted
+// summary. When the disk probe fails the answer is 500, never 404: a 404
+// could steer the client into a re-create that replaces the persisted
+// incarnation. ok is false once the response is written.
+func (s *server) peek(w http.ResponseWriter, r *http.Request, name string) (t *oracle.Tenant, ok bool) {
+	t, err := s.mgr.Peek(name)
+	if err == nil {
+		return t, true
+	}
+	switch onDisk, perr := s.snapshotOnDisk(name); {
+	case perr != nil:
+		s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("probing persisted snapshots of %q: %w", name, perr))
+	case onDisk:
+		s.writeJSON(w, http.StatusOK, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
+	default:
+		s.fail(w, r, http.StatusInternalServerError, err) // fail() maps ErrTenantNotFound to 404
+	}
+	return nil, false
 }
 
 // DELETE /v1/graphs/{name}
 func (s *server) deleteTenant(w http.ResponseWriter, r *http.Request, name string) {
 	err := s.mgr.Delete(name)
-	// The override goes away when the tenant is gone — including the
-	// already-gone 404 case, which is the only path left to the entry of an
-	// evicted-without-snapshot tenant. It must survive a failed store erase
-	// though: the files remain, so the tenant can still rehydrate and must
-	// come back with its cap.
-	if err == nil || errors.Is(err, oracle.ErrTenantNotFound) {
-		s.tmu.Lock()
-		delete(s.tlim, name)
-		s.tmu.Unlock()
-		if s.auth != nil {
-			// The runtime-registered key dies with the tenant (file keys are
-			// the operator's to remove); a failed store erase keeps it, since
-			// the name can still rehydrate.
-			s.auth.dropAPIKey(name)
-		}
+	if s.auth != nil && (err == nil || errors.Is(err, oracle.ErrTenantNotFound)) {
+		// The runtime-registered key dies with the tenant (file keys are the
+		// operator's to remove), including the already-gone 404 case; a
+		// failed store erase keeps it, since the name can still rehydrate.
+		s.auth.dropAPIKey(name)
 	}
 	if err != nil {
 		// fail() maps ErrTenantNotFound to 404; anything else here means the

@@ -666,6 +666,79 @@ func TestServerPerTenantNodeLimit(t *testing.T) {
 		`{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1]]}`, http.StatusOK, nil)
 }
 
+// TestServerNodeLimitSurvivesEviction checks a persisted tenant's max_nodes
+// comes back with it after LRU eviction and rehydration, and that DELETE
+// plus a re-create without max_nodes leaves only the global -maxn.
+func TestServerNodeLimitSurvivesEviction(t *testing.T) {
+	snapshots, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := defaultLimits()
+	lim.maxNodes = 5
+	cfg := testConfig(lim)
+	cfg.snapshots = snapshots
+	cfg.maxGraphs = 1
+	base := startServer(t, cfg)
+	small := base + "/v1/graphs/small"
+
+	postJSON(t, base+"/v1/graphs", "application/json",
+		`{"name":"small","max_nodes":3}`, http.StatusCreated, nil)
+	postJSON(t, small+"/graph?wait=1", "application/json",
+		`{"n":3,"edges":[[0,1,1],[1,2,1]]}`, http.StatusOK, nil)
+	// A second tenant takes the only slot: small is evicted, not lost.
+	newTenant(t, base, "", "other")
+	var sum tenantSummary
+	getJSON(t, small, http.StatusOK, &sum)
+	if !sum.Evicted {
+		t.Fatalf("small after eviction: %+v, want evicted", sum)
+	}
+
+	// The upload rehydrates small, which must still enforce its own cap.
+	postJSON(t, small+"/graph?wait=1", "application/json",
+		`{"n":4,"edges":[[0,1,1]]}`, http.StatusRequestEntityTooLarge, nil)
+	postJSON(t, small+"/graph?wait=1", "application/json",
+		`{"n":3,"edges":[[0,1,2]]}`, http.StatusOK, nil)
+	var st struct {
+		Manager oracle.ManagerStats `json:"manager"`
+	}
+	getJSON(t, base+"/v1/stats", http.StatusOK, &st)
+	if st.Manager.ColdHits != 1 || st.Manager.Evictions != 2 {
+		t.Fatalf("manager %+v, want one rehydration after two evictions", st.Manager)
+	}
+
+	// Delete forgets the cap: the re-created name takes up to -maxn.
+	doJSON(t, http.MethodDelete, small, http.StatusOK, nil)
+	newTenant(t, base, "", "small")
+	postJSON(t, small+"/graph?wait=1", "application/json",
+		`{"n":5,"edges":[[0,1,1]]}`, http.StatusOK, nil)
+	postJSON(t, small+"/graph?wait=1", "application/json",
+		`{"n":6,"edges":[[0,1,1]]}`, http.StatusRequestEntityTooLarge, nil)
+}
+
+// TestServerSnapshotProbeFailureIs500 checks both single-name monitoring
+// routes answer 500, not 404, when the persisted-snapshot probe fails (here:
+// a regular file where the tenant's directory would be). A 404 would invite
+// a create that replaces whatever the store holds under the name.
+func TestServerSnapshotProbeFailureIs500(t *testing.T) {
+	dir := t.TempDir()
+	snapshots, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(defaultLimits())
+	cfg.snapshots = snapshots
+	base := startServer(t, cfg)
+	if err := os.WriteFile(filepath.Join(dir, "ghost"), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	getJSON(t, base+"/v1/graphs/ghost", http.StatusInternalServerError, nil)
+	getJSON(t, base+"/v1/graphs/ghost/stats", http.StatusInternalServerError, nil)
+	// A name with nothing on disk is still a plain 404 on both.
+	getJSON(t, base+"/v1/graphs/nobody", http.StatusNotFound, nil)
+	getJSON(t, base+"/v1/graphs/nobody/stats", http.StatusNotFound, nil)
+}
+
 // TestServerNodeBudgetAdmission checks -maxtotaln admission over the
 // /v1/graphs tree: a graph that cannot fit is 429, and freeing capacity by
 // eviction keeps the server serving.

@@ -143,6 +143,10 @@ type TenantConfig struct {
 	// Pinned exempts the tenant from eviction (it still counts against the
 	// budgets).
 	Pinned bool
+	// MaxNodes, when > 0, caps the node count of every graph the tenant
+	// accepts (SetGraph fails above it). Like Quota it is remembered across
+	// eviction, but not across a restart: snapshots do not record it.
+	MaxNodes int
 }
 
 // Manager hosts many named, independently versioned Oracles behind one
@@ -183,8 +187,8 @@ type Manager struct {
 	evictions  uint64
 	closed     bool
 	// evictedCfg remembers evicted tenants' full configs (RunOptions,
-	// BuildTimeout, Pinned — state a snapshot cannot carry), so a same-
-	// process rehydration brings the tenant back behaving identically.
+	// BuildTimeout, Pinned, MaxNodes — state a snapshot cannot carry), so a
+	// same-process rehydration brings the tenant back behaving identically.
 	// Entries are dropped when the name is re-created, rehydrated, or
 	// deleted. Cross-restart rehydrations fall back to the persisted
 	// provenance (algorithm/eps/pinned seed).
@@ -491,14 +495,18 @@ func (m *Manager) Delete(name string) error {
 			}
 		}
 	}
-	if hosted || delErr == nil {
-		// The remembered eviction config dies with the tenant — but only
-		// once the erase actually went through: a name whose files survived
-		// a failed erase can still rehydrate and must keep its config.
-		m.mu.Lock()
+	// The remembered eviction config dies with the tenant — but only once
+	// the erase actually went through: a name whose files survived a failed
+	// erase can still rehydrate and must keep (or, if hosted, gain) its
+	// config.
+	m.mu.Lock()
+	switch {
+	case delErr == nil:
 		delete(m.evictedCfg, name)
-		m.mu.Unlock()
+	case hosted:
+		m.evictedCfg[name] = t.cfg
 	}
+	m.mu.Unlock()
 	if !hosted {
 		if listErr != nil && delErr == nil {
 			// The blind erase went through, but we never learned whether the
@@ -728,11 +736,14 @@ func (m *Manager) drain(victims []*Tenant) {
 	}
 }
 
-// setGraph admits g against the node budget (evicting idle tenants if
-// needed) and registers it with t's oracle.
+// setGraph checks g against t's own node cap, admits it against the node
+// budget (evicting idle tenants if needed) and registers it with t's oracle.
 func (m *Manager) setGraph(t *Tenant, g *cliqueapsp.Graph) (uint64, error) {
 	if g == nil {
 		return 0, fmt.Errorf("oracle: nil graph")
+	}
+	if limit := t.cfg.MaxNodes; limit > 0 && g.N() > limit {
+		return 0, fmt.Errorf("oracle: graph of %d nodes exceeds tenant %q's limit of %d", g.N(), t.name, limit)
 	}
 	// Serialize per tenant so concurrent SetGraph calls can't interleave
 	// their budget deltas (the oracle itself coalesces rapid updates).
@@ -874,9 +885,9 @@ func (m *Manager) lockHydration(name string) func() {
 
 // rehydrate brings a tenant that is not hosted — typically evicted — back
 // from its newest persisted snapshot, with the config the evicted
-// incarnation was created with (it carries RunOptions/BuildTimeout/Pinned,
-// which a snapshot cannot) or, after a process restart, the persisted
-// provenance.
+// incarnation was created with (it carries RunOptions, BuildTimeout, Pinned
+// and MaxNodes, which a snapshot cannot) or, after a process restart, the
+// persisted provenance.
 func (m *Manager) rehydrate(name string) (*Tenant, error) {
 	release := m.lockHydration(name)
 	defer release()
@@ -1324,6 +1335,10 @@ func (t *Tenant) Name() string { return t.name }
 
 // Pinned reports whether the tenant is exempt from eviction.
 func (t *Tenant) Pinned() bool { return t.cfg.Pinned }
+
+// MaxNodes reports the tenant's own node cap (0 = none; see
+// TenantConfig.MaxNodes).
+func (t *Tenant) MaxNodes() int { return t.cfg.MaxNodes }
 
 // Evicted reports whether the tenant was removed by LRU eviction (its
 // last snapshot still answers queries on this handle).

@@ -3,6 +3,7 @@ package oracle_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -682,6 +683,72 @@ type failingStore struct{ *store.Dir }
 
 func (failingStore) Save(tenant string, s *store.Snapshot) error {
 	return errors.New("disk on fire")
+}
+
+// undeletableStore wraps a Dir but refuses to erase persisted snapshots.
+type undeletableStore struct{ *store.Dir }
+
+func (s undeletableStore) Delete(tenant string) error {
+	if vs, err := s.Versions(tenant); err == nil && len(vs) == 0 {
+		return nil // nothing to erase
+	}
+	return errors.New("disk on fire")
+}
+
+// TestManagerTenantMaxNodes checks TenantConfig.MaxNodes: SetGraph refuses a
+// larger graph, and the cap comes back with every same-process rehydration
+// (after eviction, and after a Delete whose erase failed) but not with a
+// re-created name.
+func TestManagerTenantMaxNodes(t *testing.T) {
+	for _, failErase := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failErase=%v", failErase), func(t *testing.T) {
+			var st oracle.SnapshotStore = openStore(t)
+			if failErase {
+				st = undeletableStore{st.(*store.Dir)}
+			}
+			m := oracle.NewManager(oracle.ManagerConfig{
+				MaxGraphs: 1,
+				Base:      oracle.Config{Algorithm: "test-exact"},
+				Store:     st,
+			})
+			defer m.Close()
+			capped := func(tn *oracle.Tenant) {
+				t.Helper()
+				if tn.MaxNodes() != 3 {
+					t.Fatalf("MaxNodes() = %d, want 3", tn.MaxNodes())
+				}
+				if _, err := tn.SetGraph(pathGraph(t, 4, 1)); err == nil {
+					t.Fatal("SetGraph accepted 4 nodes over a cap of 3")
+				}
+			}
+			tn := mustTenant(t, m, "small", oracle.TenantConfig{MaxNodes: 3})
+			capped(tn)
+			setAndWait(t, tn, pathGraph(t, 3, 1))
+			if !failErase {
+				mustTenant(t, m, "other", oracle.TenantConfig{}) // evicts small
+			} else if err := m.Delete("small"); err == nil {
+				t.Fatal("Delete reported an erase the store refused")
+			}
+			tn, err := m.Get("small")
+			if err != nil {
+				t.Fatalf("rehydrating Get: %v", err)
+			}
+			capped(tn)
+			if st := m.Stats(); st.ColdHits != 1 {
+				t.Fatalf("cold hits %d, want 1", st.ColdHits)
+			}
+			if failErase {
+				return
+			}
+			if err := m.Delete("small"); err != nil {
+				t.Fatal(err)
+			}
+			if tn = mustTenant(t, m, "small", oracle.TenantConfig{}); tn.MaxNodes() != 0 {
+				t.Fatalf("re-created tenant kept MaxNodes %d", tn.MaxNodes())
+			}
+			setAndWait(t, tn, pathGraph(t, 4, 1))
+		})
+	}
 }
 
 func TestTenantNameValidationSharedWithStore(t *testing.T) {
