@@ -401,6 +401,92 @@ func TestBuildPhaseMetrics(t *testing.T) {
 	}
 }
 
+// TestBuildAdmissionQueueObservable holds three gated builds behind one
+// build slot and checks the queue behind it is visible in /v1/stats and
+// /metrics while the uploads are in flight, then that every upload
+// converges once the gate opens, with the admissions and the queue wait
+// accounted.
+func TestBuildAdmissionQueueObservable(t *testing.T) {
+	cfg := testConfig(defaultLimits())
+	cfg.buildPar = 1
+	base := startServer(t, cfg)
+	gate := resetGate()
+	released := false
+	defer func() {
+		if !released {
+			close(gate) // never strand the held builds on a failed assertion
+		}
+	}()
+
+	tenants := []string{"alpha", "beta", "gamma"}
+	for _, name := range tenants {
+		postJSON(t, base+"/v1/graphs", "application/json",
+			fmt.Sprintf(`{"name":%q,"algorithm":"ccserve-test-gated"}`, name), http.StatusCreated, nil)
+	}
+	uploads := make(chan error, len(tenants))
+	for _, name := range tenants {
+		go func(name string) {
+			resp, err := http.Post(base+"/v1/graphs/"+name+"/graph?wait=1", "application/json",
+				strings.NewReader(`{"n":4,"edges":[[0,1,3],[1,2,1],[2,3,2]]}`))
+			if err != nil {
+				uploads <- err
+				return
+			}
+			defer resp.Body.Close()
+			var up struct {
+				Version uint64 `json:"version"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&up)
+			if err == nil && (resp.StatusCode != http.StatusOK || up.Version < 1) {
+				err = fmt.Errorf("upload %s: status %d, version %d", name, resp.StatusCode, up.Version)
+			}
+			uploads <- err
+		}(name)
+	}
+
+	// One build holds the only slot inside the gated algorithm; the other
+	// two queue at admission until the test gate opens.
+	var st statsSample
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		getJSON(t, base+"/v1/stats", http.StatusOK, &st)
+		if st.Manager.BuildsRunning == 1 && st.Manager.BuildsQueued == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("builds running=%d queued=%d, want 1/2", st.Manager.BuildsRunning, st.Manager.BuildsQueued)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v := metricValue(t, scrape(t, base, ""), `ccserve_builds{stat="queued"}`); v != 2 {
+		t.Fatalf(`ccserve_builds{stat="queued"} = %v while held, want 2`, v)
+	}
+
+	close(gate)
+	released = true
+	for range tenants {
+		if err := <-uploads; err != nil {
+			t.Fatal(err)
+		}
+	}
+	getJSON(t, base+"/v1/stats", http.StatusOK, &st)
+	if m := st.Manager; m.BuildConcurrency != 1 || m.BuildsAdmitted != 3 || m.BuildsRunning != 0 ||
+		m.BuildsQueued != 0 || m.BuildWaitNS <= 0 || st.HTTPErrors != 0 {
+		t.Fatalf("after release: concurrency=%d admitted=%d running=%d queued=%d wait_ns=%d http_errors=%d",
+			m.BuildConcurrency, m.BuildsAdmitted, m.BuildsRunning, m.BuildsQueued, m.BuildWaitNS, st.HTTPErrors)
+	}
+	text := scrape(t, base, "")
+	for series, want := range map[string]float64{
+		`ccserve_builds{stat="concurrency"}`: 1,
+		`ccserve_builds{stat="admitted"}`:    3,
+		`ccserve_builds{stat="queued"}`:      0,
+	} {
+		if v := metricValue(t, text, series); v != want {
+			t.Errorf("%s = %v, want %v", series, v, want)
+		}
+	}
+}
+
 // TestStatsProcessSectionAndHealthzBuild covers the /v1/stats process
 // section and the build metadata /healthz reports.
 func TestStatsProcessSectionAndHealthzBuild(t *testing.T) {

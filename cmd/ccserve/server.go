@@ -137,12 +137,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			s.met.rebuilds.With("ok").Inc()
 			logger.Info("tenant rebuild done", "tenant", name, "version", version, "dur", elapsed)
 		},
-		OnRepair: func(name string, version uint64, elapsed time.Duration, err error) {
-			if err != nil {
-				s.met.repairs.With("error").Inc()
-				logger.Error("tenant repair failed", "tenant", name, "version", version, "dur", elapsed, "err", err)
-				return
-			}
+		OnRepair: func(name string, version uint64, elapsed time.Duration) {
 			s.met.repairs.With("ok").Inc()
 			logger.Info("tenant repair done", "tenant", name, "version", version, "dur", elapsed)
 		},

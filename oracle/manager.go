@@ -52,18 +52,27 @@ type ManagerConfig struct {
 	// after the tenant has been removed from the table, concurrently with
 	// its drain.
 	OnEvict func(name string)
-	// OnRebuild, when non-nil, observes every tenant's completed build
-	// attempts, tagged with the tenant name. Per-tenant Config.OnRebuild
-	// hooks still fire.
+	// OnRebuild, when non-nil, observes every tenant's completed engine
+	// build attempts — including deltas that fell back to a full rebuild —
+	// tagged with the tenant name: the version built, the wall time it took,
+	// and nil or the build error. It is called from the tenant's build
+	// goroutine and must not block for long. It runs after a successful
+	// build's snapshot is published (queries may already see it) but before
+	// Tenant.Wait returns for that version, so a caller whose Wait returned
+	// has observed the hook's effects.
 	OnRebuild func(name string, version uint64, elapsed time.Duration, err error)
 	// OnRepair, when non-nil, observes every tenant's completed incremental
 	// repairs — publishes that patched the previous distances instead of
-	// running the engine — tagged with the tenant name. Per-tenant
-	// Config.OnRepair hooks still fire.
-	OnRepair func(name string, version uint64, elapsed time.Duration, err error)
-	// OnPhase, when non-nil, observes every tenant's per-phase build timing,
-	// tagged with the tenant name (see Config.OnPhase). Per-tenant
-	// Config.OnPhase hooks still fire.
+	// running the engine — tagged with the tenant name. A repair cannot
+	// fail, so there is no error. Same ordering as OnRebuild.
+	OnRepair func(name string, version uint64, elapsed time.Duration)
+	// OnPhase, when non-nil, observes every pipeline phase of every tenant's
+	// build or repair attempt after it finishes, tagged with the tenant
+	// name: the phase name (as reported by the engine's progress
+	// checkpoints) and its wall time. Phases arrive in execution order, for
+	// failed builds too (the phases that completed before the failure), and
+	// before OnRebuild/OnRepair for the same attempt. Same goroutine and
+	// ordering contract as OnRebuild.
 	OnPhase func(name, phase string, d time.Duration)
 	// Store, when non-nil, makes the fleet durable: every snapshot a tenant
 	// publishes is saved under the tenant's name, Get rehydrates evicted
@@ -162,7 +171,7 @@ type Manager struct {
 	tick atomic.Uint64 // logical LRU clock
 
 	// Persistence counters live outside mu: they are bumped from tenant
-	// build goroutines (persist hooks) and from rehydrating readers.
+	// build goroutines (persist calls) and from rehydrating readers.
 	persists        atomic.Uint64
 	persistErrors   atomic.Uint64
 	restored        atomic.Uint64
@@ -284,12 +293,13 @@ func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
 }
 
 // newTenant builds name's tenant and its oracle from the Base config with
-// tc's overrides and the manager's hooks, without making it visible.
+// tc's overrides, reporting to the manager, without making it visible.
 func (m *Manager) newTenant(name string, tc TenantConfig) *Tenant {
 	cfg := m.cfg.Base
 	cfg.Engine = m.eng
-	cfg.gate = m.gate // every tenant build passes the fleet admission gate
-	cfg.name = name   // so build traces carry the tenant they belong to
+	cfg.gate = m.gate     // every tenant build passes the fleet admission gate
+	cfg.name = name       // so build traces carry the tenant they belong to
+	cfg.report = m.report // every finished build reaches the manager's hooks
 	if tc.Algorithm != "" {
 		cfg.Algorithm = tc.Algorithm
 	}
@@ -304,43 +314,10 @@ func (m *Manager) newTenant(name string, tc TenantConfig) *Tenant {
 	if tc.BuildTimeout > 0 {
 		cfg.BuildTimeout = tc.BuildTimeout
 	}
-	if hook := m.cfg.OnRebuild; hook != nil {
-		inner := cfg.OnRebuild
-		cfg.OnRebuild = func(version uint64, elapsed time.Duration, err error) {
-			if inner != nil {
-				inner(version, elapsed, err)
-			}
-			hook(name, version, elapsed, err)
-		}
-	}
-	if hook := m.cfg.OnRepair; hook != nil {
-		inner := cfg.OnRepair
-		cfg.OnRepair = func(version uint64, elapsed time.Duration, err error) {
-			if inner != nil {
-				inner(version, elapsed, err)
-			}
-			hook(name, version, elapsed, err)
-		}
-	}
-	if hook := m.cfg.OnPhase; hook != nil {
-		inner := cfg.OnPhase
-		cfg.OnPhase = func(phase string, d time.Duration) {
-			if inner != nil {
-				inner(phase, d)
-			}
-			hook(name, phase, d)
-		}
-	}
 	if m.cfg.Store != nil {
-		inner := cfg.OnPublish
 		eps := cfg.Eps // the single effective value every rebuild runs with
 		seedPinned := tc.Seed != 0
-		cfg.OnPublish = func(p Published) {
-			if inner != nil {
-				inner(p)
-			}
-			m.persist(name, eps, seedPinned, p)
-		}
+		cfg.persist = func(p published) { m.persist(name, eps, seedPinned, p) }
 	}
 	t := &Tenant{name: name, m: m, o: New(cfg), cfg: tc, created: time.Now()}
 	t.lim.Store(newLimiter(tc.Quota, nil))
@@ -808,24 +785,42 @@ func (m *Manager) rollbackNodes(t *Tenant, prev int) {
 	m.mu.Unlock()
 }
 
+// report fans one tenant's completed build attempt out to the hooks. It
+// runs on the tenant's build goroutine before Wait can return for the
+// version.
+func (m *Manager) report(name string, r buildReport) {
+	if m.cfg.OnPhase != nil {
+		for _, p := range r.phases {
+			m.cfg.OnPhase(name, p.Phase, p.Duration)
+		}
+	}
+	if r.repaired {
+		if m.cfg.OnRepair != nil {
+			m.cfg.OnRepair(name, r.version, r.elapsed)
+		}
+	} else if m.cfg.OnRebuild != nil {
+		m.cfg.OnRebuild(name, r.version, r.elapsed, r.err)
+	}
+}
+
 // persist saves one published snapshot under the tenant's name. It runs on
 // the tenant's build goroutine: blocking the build loop on the write is
 // deliberate — a rebuild is orders of magnitude more expensive than
 // streaming its output to disk, and it guarantees publish order matches
 // persist order per tenant.
-func (m *Manager) persist(name string, eps float64, seedPinned bool, p Published) {
+func (m *Manager) persist(name string, eps float64, seedPinned bool, p published) {
 	err := m.cfg.Store.Save(name, &store.Snapshot{
-		Version:     p.Version,
-		Algorithm:   string(p.Result.Algorithm),
-		FactorBound: p.Result.FactorBound,
+		Version:     p.version,
+		Algorithm:   string(p.res.Algorithm),
+		FactorBound: p.res.FactorBound,
 		Eps:         eps,
-		Seed:        p.Result.Seed,
+		Seed:        p.res.Seed,
 		SeedPinned:  seedPinned,
 		Engine:      cliqueapsp.EngineVersion,
-		BaseVersion: p.BaseVersion,
-		DeltaCount:  p.DeltaCount,
-		Graph:       p.Graph,
-		Distances:   p.Result.Distances,
+		BaseVersion: p.baseVersion,
+		DeltaCount:  p.deltaCount,
+		Graph:       p.graph,
+		Distances:   p.res.Distances,
 	})
 	if err != nil {
 		m.persistErrors.Add(1)
@@ -833,7 +828,7 @@ func (m *Manager) persist(name string, eps float64, seedPinned bool, p Published
 		m.persists.Add(1)
 	}
 	if m.cfg.OnPersist != nil {
-		m.cfg.OnPersist(name, p.Version, err)
+		m.cfg.OnPersist(name, p.version, err)
 	}
 }
 

@@ -82,51 +82,21 @@ type Config struct {
 	Eps float64
 	// RunOptions are appended to every rebuild's Engine.Run call after the
 	// Algorithm and Eps fields (so an explicit option here wins ties) —
-	// e.g. cliqueapsp.WithSeed for reproducible serving.
+	// e.g. cliqueapsp.WithSeed for reproducible serving. The oracle installs
+	// its own progress recorder last on every run, so a
+	// cliqueapsp.WithProgress here never fires: phase boundaries reach
+	// Stats().LastBuildPhases and ManagerConfig.OnPhase instead.
 	RunOptions []cliqueapsp.RunOption
 	// BuildTimeout bounds each rebuild (0 = no limit). A timed-out rebuild
 	// keeps the previous snapshot serving and records the error.
 	BuildTimeout time.Duration
-	// OnRebuild, when non-nil, observes every completed build attempt: the
-	// version built, the wall time it took, and nil or the build error. It is
-	// called from the build goroutine and must not block for long. It runs
-	// after a successful build's snapshot is published (queries may already
-	// see it) but before Wait returns for that version, so a caller whose
-	// Wait returned has observed the hook's effects.
-	OnRebuild func(version uint64, elapsed time.Duration, err error)
-	// OnRepair, when non-nil, observes every completed incremental repair —
-	// a publish that patched the previous snapshot's distances instead of
-	// running the engine. Same contract as OnRebuild; a delta that fell back
-	// to a full rebuild reports through OnRebuild instead.
-	OnRepair func(version uint64, elapsed time.Duration, err error)
 	// RepairMaxDirtyFrac bounds the incremental repair path: a delta whose
 	// dirty node set exceeds this fraction of n falls back to a full engine
 	// rebuild. 0 selects the default (0.25); a negative value disables
 	// repair entirely, turning every delta into a coalesced rebuild.
 	RepairMaxDirtyFrac float64
-	// OnPhase, when non-nil, observes every pipeline phase of every build
-	// attempt after the run finishes: the phase name (as reported by the
-	// engine's progress checkpoints) and its wall time. Phases are reported
-	// in execution order, for failed builds too (the phases that completed
-	// before the failure). The oracle installs its own progress recorder on
-	// every run, superseding any cliqueapsp.WithProgress in RunOptions —
-	// consume phase boundaries here instead. Called from the build
-	// goroutine; must not block for long. Like OnRebuild, it runs before
-	// Wait returns for the build's version.
-	OnPhase func(phase string, d time.Duration)
-	// OnPublish, when non-nil, observes every snapshot a completed engine
-	// build is about to publish — the persistence hook: the graph and
-	// result it receives are immutable, so they can be encoded to disk
-	// freely. It is called from the build goroutine BEFORE the snapshot
-	// becomes visible to queries and waiters, so once Dist or Wait observes
-	// the version, the hook has completed — a persist that succeeded is
-	// durable by then (one that failed is the hook's own to report; the
-	// snapshot serves regardless). It is NOT called for snapshots installed by
-	// RestoreSnapshot, so a restore never re-persists the bytes it was just
-	// decoded from.
-	OnPublish func(p Published)
 	// Tracer, when non-nil, records a trace per build attempt (gate wait,
-	// one span per engine phase, the publish hook) and lets the context-
+	// one span per engine phase, the persist call) and lets the context-
 	// carried request spans opened by DistCtx/BatchCtx/PathCtx land
 	// somewhere. Builds are always captured — they are rare and each one is
 	// a per-phase flame view of the pipeline; request sampling is the
@@ -145,19 +115,44 @@ type Config struct {
 	// the same reason gate is unexported: a standalone Oracle has no fleet
 	// identity to report.
 	name string
+	// persist, when non-nil, saves every snapshot a build or repair is about
+	// to publish. It runs on the build goroutine BEFORE the snapshot becomes
+	// visible to queries and waiters, so once Dist or Wait observes the
+	// version a successful save is durable (a failed one is the Manager's to
+	// report; the snapshot serves regardless). Restored snapshots are never
+	// persisted again. Set by Manager when it has a store.
+	persist func(published)
+	// report, when non-nil, receives one report per completed build attempt,
+	// tagged with name, before the attempt is recorded for Wait: a caller
+	// whose Wait returned has observed everything report did. Set by
+	// Manager, which fans the report out to its hooks.
+	report func(name string, r buildReport)
 }
 
-// Published describes one published snapshot to Config.OnPublish. All
-// fields must be treated as read-only. BaseVersion and DeltaCount are the
-// incremental-repair provenance: a repaired snapshot names the snapshot its
-// distances were patched from and how many edge deltas were folded in,
+// published is one snapshot about to be published, handed to
+// Config.persist. All fields are read-only. baseVersion and deltaCount are
+// the incremental-repair provenance: a repaired snapshot names the snapshot
+// its distances were patched from and how many edge deltas were folded in,
 // while a from-scratch engine build carries (0, 0).
-type Published struct {
-	Version     uint64
-	Graph       *cliqueapsp.Graph
-	Result      *cliqueapsp.Result
-	BaseVersion uint64
-	DeltaCount  int
+type published struct {
+	version     uint64
+	graph       *cliqueapsp.Graph
+	res         *cliqueapsp.Result
+	baseVersion uint64
+	deltaCount  int
+}
+
+// buildReport describes one completed build attempt to Config.report: the
+// version it was for, whether it ran the repair path or the engine, its wall
+// time, the phases it finished in execution order (for a failed build too),
+// and nil or the build error. A repair cannot fail, so err is nil whenever
+// repaired is set.
+type buildReport struct {
+	version  uint64
+	repaired bool
+	elapsed  time.Duration
+	phases   []PhaseTiming
+	err      error
 }
 
 // PhaseTiming is the wall time of one pipeline phase of a build, in
@@ -548,8 +543,8 @@ func (o *Oracle) buildLoop() {
 		// named for what actually ran.
 		plan := o.planRepair(w)
 
-		// Every publish attempt gets its own trace (root ends after the
-		// completion bookkeeping below): builds are rare, and the child
+		// Every publish attempt gets its own trace (root ends once the
+		// report below has run): builds are rare, and the child
 		// spans are a flame view of the pipeline (or repair) itself. An
 		// abandoned root is simply never submitted.
 		rootName := "oracle.build"
@@ -598,20 +593,18 @@ func (o *Oracle) buildLoop() {
 		if err == nil {
 			snap.buildDur = elapsed // set before publishing: snapshots are immutable once stored
 			snap.phases = phases
-			// The persistence hook runs before the snapshot is stored, so no
+			// The persist call runs before the snapshot is stored, so no
 			// query or waiter can observe the version until it is durable.
 			// The previous snapshot keeps serving meanwhile. Repaired
 			// snapshots persist like built ones — with their provenance —
 			// so restore, tiering and GC treat them identically.
-			if o.cfg.OnPublish != nil {
-				pub := Published{Version: w.v, Graph: w.g, Result: snap.res}
+			if o.cfg.persist != nil {
+				p := published{version: w.v, graph: w.g, res: snap.res}
 				if repaired {
-					pub.BaseVersion, pub.DeltaCount = w.baseV, len(w.deltas)
+					p.baseVersion, p.deltaCount = w.baseV, len(w.deltas)
 				}
 				pubStart := time.Now()
-				o.cfg.OnPublish(pub)
-				// The hook IS the persistence path when a store is wired, so
-				// this child measures persist+publish latency.
+				o.cfg.persist(p)
 				root.AddChild("oracle.publish", pubStart, time.Since(pubStart))
 			}
 			o.mu.Lock()
@@ -631,20 +624,13 @@ func (o *Oracle) buildLoop() {
 			o.cnt.rebuildErrors.Add(1)
 		}
 
-		// Hooks run before the attempt is recorded: Wait keys on lastDone,
-		// so a waiter never returns before the hooks for its version ran.
-		if o.cfg.OnPhase != nil {
-			for _, p := range phases {
-				o.cfg.OnPhase(p.Phase, p.Duration)
-			}
+		// The report runs, and the trace is stored, before the attempt is
+		// recorded: Wait keys on lastDone, so a waiter never returns before
+		// its version's report, and finds the build's trace in the store.
+		if o.cfg.report != nil {
+			o.cfg.report(o.cfg.name, buildReport{version: w.v, repaired: repaired, elapsed: elapsed, phases: phases, err: err})
 		}
-		if repaired {
-			if o.cfg.OnRepair != nil {
-				o.cfg.OnRepair(w.v, elapsed, err)
-			}
-		} else if o.cfg.OnRebuild != nil {
-			o.cfg.OnRebuild(w.v, elapsed, err)
-		}
+		root.End()
 
 		// Going idle before waking the waiters means a caller whose Wait
 		// returned never finds this oracle still building: eviction skips
@@ -657,7 +643,6 @@ func (o *Oracle) buildLoop() {
 		}
 		o.wakeLocked()
 		o.mu.Unlock()
-		root.End()
 		if idle {
 			return
 		}
@@ -682,7 +667,7 @@ func (o *Oracle) build(g *cliqueapsp.Graph, version uint64) (*snapshot, []PhaseT
 	}
 	opts = append(opts, o.cfg.RunOptions...)
 	// The recorder goes last so it always wins: phase timing is serving
-	// infrastructure, not a per-run choice (Config.OnPhase documents this).
+	// infrastructure, not a per-run choice (Config.RunOptions documents this).
 	rec := &phaseRecorder{}
 	opts = append(opts, cliqueapsp.WithProgress(rec.mark))
 	res, err := o.eng.Run(ctx, g, opts...)
@@ -793,7 +778,7 @@ func (o *Oracle) wakeLocked() {
 // Wait blocks until a snapshot with version ≥ version is serving, the build
 // responsible for it fails (returning that build's error), the context is
 // done, or the oracle is closed. It returns only once the publishing
-// attempt is complete, completion hooks included.
+// attempt is complete: under a Manager, its hooks for the version have run.
 func (o *Oracle) Wait(ctx context.Context, version uint64) error {
 	for {
 		o.mu.Lock()

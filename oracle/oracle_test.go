@@ -566,31 +566,3 @@ func TestOracleWaitRacingClose(t *testing.T) {
 		}
 	}
 }
-
-// TestOracleOnRebuildHook checks the observability hook fires per build
-// attempt with the built version.
-func TestOracleOnRebuildHook(t *testing.T) {
-	type event struct {
-		version uint64
-		err     error
-	}
-	events := make(chan event, 8)
-	o := oracle.New(oracle.Config{
-		Algorithm: "test-exact",
-		OnRebuild: func(v uint64, d time.Duration, err error) { events <- event{v, err} },
-	})
-	defer o.Close()
-	v, err := o.SetGraph(pathGraph(t, 4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, o, v)
-	select {
-	case e := <-events:
-		if e.version != v || e.err != nil {
-			t.Fatalf("rebuild event %+v", e)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no rebuild event")
-	}
-}

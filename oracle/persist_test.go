@@ -241,7 +241,7 @@ func TestManagerPersistsRepairProvenance(t *testing.T) {
 	m := oracle.NewManager(oracle.ManagerConfig{
 		Base:     oracle.Config{Algorithm: "test-exact", RepairMaxDirtyFrac: 1},
 		Store:    dir,
-		OnRepair: func(tenant string, v uint64, d time.Duration, err error) { repairs <- v },
+		OnRepair: func(tenant string, v uint64, d time.Duration) { repairs <- v },
 	})
 	defer m.Close()
 

@@ -2,6 +2,7 @@ package oracle_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,20 +11,11 @@ import (
 )
 
 // TestBuildPhaseTimings drives a build through an algorithm with a known
-// minimum runtime and checks that the phase breakdown lands both in the
-// OnPhase hook and in Stats().LastBuildPhases, with durations that account
-// for the work actually done.
+// minimum runtime and checks that the phase breakdown lands in
+// Stats().LastBuildPhases, with durations that account for the work
+// actually done.
 func TestBuildPhaseTimings(t *testing.T) {
-	var mu sync.Mutex
-	var hooked []oracle.PhaseTiming
-	o := oracle.New(oracle.Config{
-		Algorithm: "test-slow",
-		OnPhase: func(phase string, d time.Duration) {
-			mu.Lock()
-			hooked = append(hooked, oracle.PhaseTiming{Phase: phase, Duration: d})
-			mu.Unlock()
-		},
-	})
+	o := oracle.New(oracle.Config{Algorithm: "test-slow"})
 	defer o.Close()
 
 	v, err := o.SetGraph(pathGraph(t, 6, 2))
@@ -60,32 +52,20 @@ func TestBuildPhaseTimings(t *testing.T) {
 	if total > st.LastRebuild+50*time.Millisecond {
 		t.Fatalf("phase total %v exceeds build time %v", total, st.LastRebuild)
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(hooked) != len(st.LastBuildPhases) {
-		t.Fatalf("OnPhase saw %d phases, stats carry %d", len(hooked), len(st.LastBuildPhases))
-	}
-	for i, p := range hooked {
-		if p != st.LastBuildPhases[i] {
-			t.Fatalf("OnPhase[%d] = %+v, stats %+v", i, p, st.LastBuildPhases[i])
-		}
-	}
 }
 
 // TestManagerOnPhaseTagsTenant checks the Manager-level hook fires with the
-// tenant name and that per-tenant breakdowns stay separate.
+// tenant name, that per-tenant breakdowns stay separate, and that by the
+// time Wait returns each tenant's OnPhase calls equal, in order and
+// duration, the Stats().LastBuildPhases of the build they report.
 func TestManagerOnPhaseTagsTenant(t *testing.T) {
-	type tagged struct {
-		name, phase string
-	}
 	var mu sync.Mutex
-	var seen []tagged
+	seen := map[string][]oracle.PhaseTiming{}
 	m := oracle.NewManager(oracle.ManagerConfig{
 		Base: oracle.Config{Algorithm: "test-exact"},
 		OnPhase: func(name, phase string, d time.Duration) {
 			mu.Lock()
-			seen = append(seen, tagged{name, phase})
+			seen[name] = append(seen[name], oracle.PhaseTiming{Phase: phase, Duration: d})
 			mu.Unlock()
 		},
 	})
@@ -98,62 +78,65 @@ func TestManagerOnPhaseTagsTenant(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	want := map[tagged]bool{
-		{"a", "test-exact"}: false,
-		{"b", "test-slow"}:  false,
-	}
-	for _, s := range seen {
-		if _, ok := want[s]; ok {
-			want[s] = true
+	for _, c := range []struct {
+		tn    *oracle.Tenant
+		first string
+	}{{a, "test-exact"}, {b, "test-slow"}} {
+		got, want := seen[c.tn.Name()], c.tn.Stats().Oracle.LastBuildPhases
+		if len(want) == 0 || want[0].Phase != c.first {
+			t.Fatalf("tenant %s phases = %+v, want %s first", c.tn.Name(), want, c.first)
 		}
-	}
-	for k, ok := range want {
-		if !ok {
-			t.Errorf("OnPhase never saw %+v (got %+v)", k, seen)
+		if !slices.Equal(got, want) {
+			t.Fatalf("tenant %s: OnPhase saw %+v, stats carry %+v", c.tn.Name(), got, want)
 		}
-	}
-
-	if st := a.Stats(); len(st.Oracle.LastBuildPhases) == 0 || st.Oracle.LastBuildPhases[0].Phase != "test-exact" {
-		t.Errorf("tenant a phases = %+v", st.Oracle.LastBuildPhases)
 	}
 }
 
 // TestFailedBuildReportsPhases: phases completed before a failure still
-// reach OnPhase, but never Stats (no snapshot was published).
+// reach OnPhase by the time Wait returns the error, but never Stats (no
+// snapshot was published), on a standalone Oracle as under a Manager.
 func TestFailedBuildReportsPhases(t *testing.T) {
-	var mu sync.Mutex
-	var phases []string
-	o := oracle.New(oracle.Config{
-		Algorithm:    "test-slow",
-		BuildTimeout: 5 * time.Millisecond, // well under test-slow's 30ms sleep
-		OnPhase: func(phase string, d time.Duration) {
-			mu.Lock()
-			phases = append(phases, phase)
-			mu.Unlock()
-		},
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const timeout = 5 * time.Millisecond // well under test-slow's 30ms sleep
+
+	o := oracle.New(oracle.Config{Algorithm: "test-slow", BuildTimeout: timeout})
 	defer o.Close()
 	v, err := o.SetGraph(pathGraph(t, 4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	if err := o.Wait(ctx, v); err == nil {
 		t.Fatal("build should have timed out")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, p := range phases {
-		if p == "test-slow" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("failed build reported phases %v, want test-slow present", phases)
-	}
 	if st := o.Stats(); len(st.LastBuildPhases) != 0 {
 		t.Fatalf("no snapshot published, but LastBuildPhases = %+v", st.LastBuildPhases)
+	}
+
+	var mu sync.Mutex
+	var phases []string
+	m := oracle.NewManager(oracle.ManagerConfig{
+		Base: oracle.Config{Algorithm: "test-slow", BuildTimeout: timeout},
+		OnPhase: func(name, phase string, d time.Duration) {
+			mu.Lock()
+			phases = append(phases, phase)
+			mu.Unlock()
+		},
+	})
+	defer m.Close()
+	tn := mustTenant(t, m, "failing", oracle.TenantConfig{})
+	if v, err = tn.SetGraph(pathGraph(t, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tn.Wait(ctx, v); err == nil {
+		t.Fatal("tenant build should have timed out")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Contains(phases, "test-slow") {
+		t.Fatalf("failed build reported phases %v, want test-slow present", phases)
+	}
+	if st := tn.Stats(); len(st.Oracle.LastBuildPhases) != 0 {
+		t.Fatalf("no snapshot published, but tenant LastBuildPhases = %+v", st.Oracle.LastBuildPhases)
 	}
 }

@@ -571,90 +571,6 @@ func TestOracleConcurrentDeltasAndQueries(t *testing.T) {
 	}
 }
 
-// TestOracleRepairPersistsProvenance: OnPublish must see repaired snapshots
-// with their base version and delta count, engine builds with (0, 0).
-func TestOracleRepairPersistsProvenance(t *testing.T) {
-	type pub struct {
-		v, base uint64
-		deltas  int
-	}
-	pubs := make(chan pub, 8)
-	o := oracle.New(oracle.Config{
-		Algorithm:          "test-exact",
-		RepairMaxDirtyFrac: 1,
-		OnPublish: func(p oracle.Published) {
-			pubs <- pub{p.Version, p.BaseVersion, p.DeltaCount}
-		},
-	})
-	defer o.Close()
-	v1, err := o.SetGraph(pathGraph(t, 6, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, o, v1)
-	v2, err := o.ApplyDelta(cliqueapsp.GraphDelta{Edges: []cliqueapsp.EdgeDelta{
-		{Op: cliqueapsp.DeltaReweight, U: 0, V: 1, W: 1},
-		{Op: cliqueapsp.DeltaAdd, U: 0, V: 5, W: 2},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, o, v2)
-
-	want := []pub{{v1, 0, 0}, {v2, v1, 2}}
-	for _, w := range want {
-		select {
-		case got := <-pubs:
-			if got != w {
-				t.Fatalf("publish %+v, want %+v", got, w)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("missing publish")
-		}
-	}
-}
-
-// TestOracleOnRepairHook mirrors TestOracleOnRebuildHook for the repair path:
-// the repair hook fires for repaired publishes and the rebuild hook does not.
-func TestOracleOnRepairHook(t *testing.T) {
-	type event struct {
-		kind    string
-		version uint64
-	}
-	events := make(chan event, 8)
-	o := oracle.New(oracle.Config{
-		Algorithm:          "test-exact",
-		RepairMaxDirtyFrac: 1,
-		OnRebuild:          func(v uint64, d time.Duration, err error) { events <- event{"rebuild", v} },
-		OnRepair:           func(v uint64, d time.Duration, err error) { events <- event{"repair", v} },
-	})
-	defer o.Close()
-	v1, err := o.SetGraph(pathGraph(t, 4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, o, v1)
-	v2, err := o.ApplyDelta(cliqueapsp.GraphDelta{Edges: []cliqueapsp.EdgeDelta{
-		{Op: cliqueapsp.DeltaReweight, U: 2, V: 3, W: 9},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, o, v2)
-
-	want := []event{{"rebuild", v1}, {"repair", v2}}
-	for _, w := range want {
-		select {
-		case got := <-events:
-			if got != w {
-				t.Fatalf("event %+v, want %+v", got, w)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("missing %s event", w.kind)
-		}
-	}
-}
-
 // BenchmarkPublishRebuild256 and BenchmarkPublishRepair256 time the two
 // ways a single-edge reweight (+1, the direction that must prove which
 // sources the old weight was load-bearing for) can publish on an exact

@@ -16,10 +16,10 @@
 //     rename), interrupted writes are swept on Open, and GC keeps the
 //     newest K versions per tenant.
 //
-// The oracle package drives it: Oracle publishes through an OnPublish hook,
-// Manager rehydrates evicted tenants from Dir on their next access, and
-// Manager.RestoreAll brings a whole fleet back up at boot before any rebuild
-// runs (see cmd/ccserve's -datadir flag).
+// The oracle package drives it: a Manager saves every snapshot a tenant
+// publishes before it serves, rehydrates evicted tenants from Dir on their
+// next access, and Manager.RestoreAll brings a whole fleet back up at boot
+// before any rebuild runs (see cmd/ccserve's -datadir flag).
 package store
 
 import (
