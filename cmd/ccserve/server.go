@@ -311,6 +311,87 @@ func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
 }
 
+// writeAnswer sends a 200 with an append-encoded JSON body: one Write, with
+// an explicit Content-Length.
+func writeAnswer(w http.ResponseWriter, body []byte) {
+	// Both header values share one allocation; each slice is capped, so an
+	// append to one can never write into the other.
+	vals := []string{"application/json", strconv.Itoa(len(body))}
+	h := w.Header()
+	h["Content-Type"], h["Content-Length"] = vals[:1:1], vals[1:]
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // the client is gone if this fails; nothing to do
+}
+
+// The append encoders write the three answer types byte for byte as
+// writeJSON's encoder would (field order, omitempty, trailing newline):
+// every field is a number or a bool, so nothing needs escaping.
+
+// appendAnswerFields appends a's members without the enclosing braces.
+func appendAnswerFields(b []byte, a oracle.Answer) []byte {
+	b = append(b, `"u":`...)
+	b = strconv.AppendInt(b, int64(a.U), 10)
+	b = append(b, `,"v":`...)
+	b = strconv.AppendInt(b, int64(a.V), 10)
+	b = append(b, `,"distance":`...)
+	b = strconv.AppendInt(b, a.Distance, 10)
+	b = append(b, `,"reachable":`...)
+	return strconv.AppendBool(b, a.Reachable)
+}
+
+func appendDistResult(b []byte, res oracle.DistResult) []byte {
+	b = append(b, '{')
+	b = appendAnswerFields(b, res.Answer)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, res.Version, 10)
+	return append(b, "}\n"...)
+}
+
+func appendBatchResult(b []byte, res oracle.BatchResult) []byte {
+	b = append(b, `{"version":`...)
+	b = strconv.AppendUint(b, res.Version, 10)
+	b = append(b, `,"answers":`...)
+	if res.Answers == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, a := range res.Answers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '{')
+			b = appendAnswerFields(b, a)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
+}
+
+func appendPathResult(b []byte, res oracle.PathResult) []byte {
+	b = append(b, `{"u":`...)
+	b = strconv.AppendInt(b, int64(res.U), 10)
+	b = append(b, `,"v":`...)
+	b = strconv.AppendInt(b, int64(res.V), 10)
+	b = append(b, `,"reachable":`...)
+	b = strconv.AppendBool(b, res.Reachable)
+	if len(res.Path) > 0 {
+		b = append(b, `,"path":[`...)
+		for i, x := range res.Path {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(x), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"cost":`...)
+	b = strconv.AppendInt(b, res.Cost, 10)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, res.Version, 10)
+	return append(b, "}\n"...)
+}
+
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -473,13 +554,77 @@ func (s *server) dist(w http.ResponseWriter, r *http.Request, t *oracle.Tenant) 
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, res)
+	writeAnswer(w, appendDistResult(make([]byte, 0, 128), res))
+}
+
+// scanIntArray reads b as a JSON array of at most 3 integers, such as
+// [0, 1] or [0,1,7], parsing each element with strconv.ParseInt(…, 10, 64)
+// as encoding/json does for an int. It reports ok false for anything else —
+// objects, null, floats, exponents, overflow, a fourth element — and the
+// pair and edge decoders then take their general encoding/json path, so the
+// scan changes no accepted value and no error. encoding/json has already
+// checked b's syntax; the scan still rejects what it does not expect.
+func scanIntArray(b []byte) (x [3]int64, k int, ok bool) {
+	i := skipJSONSpace(b, 0)
+	if i == len(b) || b[i] != '[' {
+		return x, 0, false
+	}
+	i = skipJSONSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return x, 0, skipJSONSpace(b, i+1) == len(b)
+	}
+	for k < len(x) {
+		start := i
+		if i < len(b) && b[i] == '-' {
+			i++
+		}
+		digits := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		if i == digits {
+			return x, 0, false // not a number: null, a string, an array…
+		}
+		v, err := strconv.ParseInt(string(b[start:i]), 10, 64)
+		if err != nil {
+			return x, 0, false
+		}
+		x[k] = v
+		k++
+		if i = skipJSONSpace(b, i); i == len(b) {
+			return x, 0, false
+		}
+		switch b[i] {
+		case ',':
+			i = skipJSONSpace(b, i+1)
+		case ']':
+			return x, k, skipJSONSpace(b, i+1) == len(b)
+		default:
+			return x, 0, false
+		}
+	}
+	return x, 0, false
+}
+
+// skipJSONSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipJSONSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // jsonPair accepts both {"u":0,"v":1} and [0,1].
 type jsonPair oracle.Pair
 
 func (p *jsonPair) UnmarshalJSON(b []byte) error {
+	// Where int is 32 bits, a value out of its range takes the general
+	// path, which reports the overflow as encoding/json does.
+	if x, k, ok := scanIntArray(b); ok && k == 2 && int64(int(x[0])) == x[0] && int64(int(x[1])) == x[1] {
+		p.U, p.V = int(x[0]), int(x[1])
+		return nil
+	}
 	trimmed := strings.TrimSpace(string(b))
 	if strings.HasPrefix(trimmed, "[") {
 		var arr []int
@@ -534,7 +679,7 @@ func (s *server) batch(w http.ResponseWriter, r *http.Request, t *oracle.Tenant)
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, res)
+	writeAnswer(w, appendBatchResult(make([]byte, 0, 32+64*len(res.Answers)), res))
 }
 
 // GET …/path?u=0&v=3
@@ -549,7 +694,7 @@ func (s *server) path(w http.ResponseWriter, r *http.Request, t *oracle.Tenant) 
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, res)
+	writeAnswer(w, appendPathResult(make([]byte, 0, 96+8*len(res.Path)), res))
 }
 
 // jsonEdge accepts both {"u":0,"v":1,"w":3} and [0,1,3] (weight defaults
@@ -560,6 +705,13 @@ type jsonEdge struct {
 }
 
 func (e *jsonEdge) UnmarshalJSON(b []byte) error {
+	if x, k, ok := scanIntArray(b); ok && (k == 2 || k == 3) {
+		e.U, e.V, e.W = int(x[0]), int(x[1]), 1
+		if k == 3 {
+			e.W = x[2]
+		}
+		return nil
+	}
 	trimmed := strings.TrimSpace(string(b))
 	if strings.HasPrefix(trimmed, "[") {
 		var arr []int64

@@ -190,8 +190,10 @@ func NewGreedyRouter(g *Graph, rows func(src int) []int) *GreedyRouter {
 
 // Route forwards one packet from u to v, returning the realized hop
 // sequence (u..v inclusive) and its cost in edge weights. Dead ends and
-// loops (guarded by a TTL of 4n hops) return ErrNoRoute; a row naming a
-// non-neighbor as next hop is a corrupt-table error.
+// loops return ErrNoRoute; a row naming a non-neighbor as next hop is a
+// corrupt-table error. A next hop depends only on the current node and v,
+// so a walk that revisits a node would repeat itself forever: the first
+// revisit is reported as the loop, after at most n row lookups.
 func (r *GreedyRouter) Route(u, v int) ([]int, int64, error) {
 	return r.RouteVia(u, v, r.rows)
 }
@@ -207,11 +209,10 @@ func (r *GreedyRouter) RouteVia(u, v int, rows func(src int) []int) ([]int, int6
 		return nil, 0, fmt.Errorf("cliqueapsp: route (%d,%d) out of range for n=%d", u, v, r.n)
 	}
 	path := []int{u}
+	visited := make([]uint64, (r.n+63)/64) // one bit per node on the path
+	visited[u/64] |= 1 << (u % 64)
 	cur, cost := u, int64(0)
 	for cur != v {
-		if len(path) > 4*r.n {
-			return nil, 0, fmt.Errorf("%w: loop routing %d to %d", ErrNoRoute, u, v)
-		}
 		nh := rows(cur)[v]
 		if nh < 0 || nh == cur {
 			return nil, 0, fmt.Errorf("%w: dead end at %d routing %d to %d", ErrNoRoute, cur, u, v)
@@ -220,6 +221,10 @@ func (r *GreedyRouter) RouteVia(u, v int, rows func(src int) []int) ([]int, int6
 		if !exists {
 			return nil, 0, fmt.Errorf("cliqueapsp: table routes %d->%d over a non-edge", cur, nh)
 		}
+		if visited[nh/64]&(1<<(nh%64)) != 0 {
+			return nil, 0, fmt.Errorf("%w: loop routing %d to %d", ErrNoRoute, u, v)
+		}
+		visited[nh/64] |= 1 << (nh % 64)
 		cost += w
 		path = append(path, nh)
 		cur = nh

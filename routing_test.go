@@ -2,6 +2,11 @@ package cliqueapsp
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -417,5 +422,122 @@ func mustAdd(t *testing.T, g *Graph, u, v int, w int64) {
 	t.Helper()
 	if err := g.AddEdge(u, v, w); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// routeTTLReference is the TTL-guarded walk RouteVia replaced, kept verbatim
+// as the differential reference: it follows a loop for 4n hops before it
+// reports it.
+func routeTTLReference(r *GreedyRouter, u, v int, rows func(src int) []int) ([]int, int64, error) {
+	if u < 0 || u >= r.n || v < 0 || v >= r.n {
+		return nil, 0, fmt.Errorf("cliqueapsp: route (%d,%d) out of range for n=%d", u, v, r.n)
+	}
+	path := []int{u}
+	cur, cost := u, int64(0)
+	for cur != v {
+		if len(path) > 4*r.n {
+			return nil, 0, fmt.Errorf("%w: loop routing %d to %d", ErrNoRoute, u, v)
+		}
+		nh := rows(cur)[v]
+		if nh < 0 || nh == cur {
+			return nil, 0, fmt.Errorf("%w: dead end at %d routing %d to %d", ErrNoRoute, cur, u, v)
+		}
+		w, exists := r.weights[cur][nh]
+		if !exists {
+			return nil, 0, fmt.Errorf("cliqueapsp: table routes %d->%d over a non-edge", cur, nh)
+		}
+		cost += w
+		path = append(path, nh)
+		cur = nh
+	}
+	return path, cost, nil
+}
+
+// TestRouteViaMatchesTTLReference routes every pair of random next-hop
+// tables that mix true next hops with random neighbors (loops), dead ends
+// and non-edge hops, and requires the path, cost and error of the
+// first-revisit walk to match the TTL walk's exactly.
+func TestRouteViaMatchesTTLReference(t *testing.T) {
+	var delivered, loops, deadEnds, nonEdges int
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(16)
+		g := RandomGraph(n, 9, seed)
+		exact, err := NextHopTables(g, Exact(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj := adjacency(g)
+		table := make([][]int, n)
+		for x := range table {
+			table[x] = make([]int, n)
+			for v := range table[x] {
+				switch k := rng.Intn(10); {
+				case k < 4:
+					table[x][v] = exact[x][v]
+				case k < 8 && len(adj[x]) > 0:
+					table[x][v] = adj[x][rng.Intn(len(adj[x]))].to
+				case k == 8:
+					table[x][v] = rng.Intn(n + 2) // may be a non-edge or out of range
+				default:
+					table[x][v] = []int{-1, x}[rng.Intn(2)]
+				}
+			}
+		}
+		router := NewGreedyRouter(g, func(src int) []int { return table[src] })
+		for u := -1; u <= n; u++ {
+			for v := -1; v <= n; v++ {
+				path, cost, err := router.Route(u, v)
+				wantPath, wantCost, wantErr := routeTTLReference(router, u, v, router.rows)
+				if !reflect.DeepEqual(path, wantPath) || cost != wantCost || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("seed %d n=%d route(%d,%d) = %v, %d, %v; reference %v, %d, %v",
+						seed, n, u, v, path, cost, err, wantPath, wantCost, wantErr)
+				}
+				switch msg := fmt.Sprint(err); {
+				case err == nil:
+					delivered++
+				case strings.Contains(msg, "loop"):
+					loops++
+				case strings.Contains(msg, "dead end"):
+					deadEnds++
+				case strings.Contains(msg, "non-edge"):
+					nonEdges++
+				}
+			}
+		}
+	}
+	// The tables must actually exercise every outcome.
+	if delivered == 0 || loops == 0 || deadEnds == 0 || nonEdges == 0 {
+		t.Fatalf("outcomes delivered=%d loops=%d dead-ends=%d non-edges=%d: want each > 0",
+			delivered, loops, deadEnds, nonEdges)
+	}
+}
+
+// TestRouteViaLoopCostsAtMostNRows routes over a table that cycles through
+// every node but the destination: the loop must be reported after at most n
+// row lookups, not after a 4n-hop walk.
+func TestRouteViaLoopCostsAtMostNRows(t *testing.T) {
+	const n = 64
+	g := NewGraph(n)
+	for x := 0; x < n-1; x++ {
+		mustAdd(t, g, x, (x+1)%(n-1), 1) // a ring over 0..n-2
+	}
+	mustAdd(t, g, 0, n-1, 1)
+	table := make([][]int, n)
+	for x := range table {
+		table[x] = make([]int, n)
+		table[x][n-1] = (x + 1) % (n - 1) // around the ring, never to n-1
+	}
+	calls := 0
+	router := NewGreedyRouter(g, nil)
+	path, _, err := router.RouteVia(0, n-1, func(src int) []int {
+		calls++
+		return table[src]
+	})
+	if !errors.Is(err, ErrNoRoute) || !strings.Contains(err.Error(), "loop") || path != nil {
+		t.Fatalf("RouteVia = %v, %v; want a nil path and an ErrNoRoute loop", path, err)
+	}
+	if calls > n {
+		t.Fatalf("rows called %d times on a loop, want at most n=%d", calls, n)
 	}
 }
