@@ -189,7 +189,7 @@ func TestResultPhasesPopulated(t *testing.T) {
 	for _, p := range res.Phases {
 		names[p.Name] = true
 	}
-	for _, want := range []string{"knearest", "skeleton"} {
+	for _, want := range []string{"theorem11/knearest", "theorem11/skeleton"} {
 		if !names[want] {
 			t.Fatalf("phase %q missing from %v", want, res.Phases)
 		}

@@ -219,7 +219,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	route := routeTemplate(r.URL.Path)
 	id := requestID(r)
 	ctx := withRequestID(r.Context(), id)
-	sc, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
+	sc, _ := trace.ParseTraceparent(r.Header.Get("Traceparent"))
 	var span *trace.Span
 	if sc.Sampled || s.tracer.Sample() {
 		tid := sc.TraceID
@@ -231,7 +231,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		span = s.tracer.StartRoot(r.Method+" "+route, tid, sc.SpanID)
 		ctx = trace.ContextWith(ctx, span)
-		w.Header().Set("traceparent", trace.FormatTraceparent(span.TraceID(), span.ID(), true))
+		w.Header().Set("Traceparent", trace.FormatTraceparent(span.TraceID(), span.ID(), true))
 	}
 	r = r.WithContext(ctx)
 	w.Header().Set("X-Request-Id", id)
@@ -499,11 +499,12 @@ func (s *server) requireMethod(w http.ResponseWriter, r *http.Request, methods .
 
 // queryPair parses the u/v query parameters.
 func queryPair(r *http.Request) (int, int, error) {
-	u, err := strconv.Atoi(r.URL.Query().Get("u"))
+	q := r.URL.Query()
+	u, err := strconv.Atoi(q.Get("u"))
 	if err != nil {
 		return 0, 0, fmt.Errorf("query parameter u: want an integer node index")
 	}
-	v, err := strconv.Atoi(r.URL.Query().Get("v"))
+	v, err := strconv.Atoi(q.Get("v"))
 	if err != nil {
 		return 0, 0, fmt.Errorf("query parameter v: want an integer node index")
 	}

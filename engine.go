@@ -136,10 +136,10 @@ func WithParallelismRun(n int) RunOption {
 	return func(c *runConfig) { c.par = n }
 }
 
-// ProgressFunc observes phase boundaries of a run. It is called
-// synchronously from the run's goroutine with the phase name; implementations
-// must not block for long and must be safe for whatever concurrency the
-// caller itself runs with.
+// ProgressFunc observes phase boundaries of a run, named as in Result.Phases.
+// It is called synchronously from the run's goroutine; implementations must
+// not block for long and must be safe for whatever concurrency the caller
+// itself runs with.
 type ProgressFunc func(phase string)
 
 // WithProgress installs a per-phase progress callback for this run.

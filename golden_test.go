@@ -18,10 +18,12 @@ var goldenAlgorithms = []Algorithm{
 // goldenModelCost pins the paper's cost model and the estimate for a fixed
 // sweep: every built-in algorithm on RandomGraph(n, 100, seed) run with the
 // same seed, plus the Theorem 1.1 pipeline at n=512. Each value is the
-// modelCostDigest of the run. The digests were generated from the
-// simulator before its hot loops were rewritten, so any change to
-// Rounds, Messages, Words, the violation count, a phase's
-// Rounds/Messages/Words or a single distance fails here.
+// modelCostDigest of the run. The totals, violation counts and distance
+// checksums were generated from the simulator before its hot loops were
+// rewritten; the phase segment names each phase by its pipeline checkpoint,
+// with nested pipelines lifted by name. Any change to Rounds, Messages,
+// Words, the violation count, a phase's Rounds/Messages/Words or a single
+// distance fails here.
 var goldenModelCost = []struct {
 	alg    Algorithm
 	n      int
@@ -29,37 +31,37 @@ var goldenModelCost = []struct {
 	digest string
 }{
 	{"constant", 64, 1,
-		"rounds=265 messages=47389 words=74599 violations=0 init:0/0/0 theorem11:0/0/0 knearest:38/2268/26579 skeleton:22/18241/19073 thm81-on-skeleton:201/26383/27764 skeleton-translate:4/497/1183 dist=8b39146ab01e8c39"},
+		"rounds=265 messages=47389 words=74599 violations=0 init:0/0/0 theorem11/knearest:38/2268/26579 theorem11/skeleton:22/18241/19073 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:11/630/630 largebw/hopset:6/90/270 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/630/630 smalldiam/reduce:76/11020/11479 smalldiam/final:70/12085/12548 largebw/skeleton:27/1928/2207 theorem11/translate:4/497/1183 dist=8b39146ab01e8c39"},
 	{"constant", 64, 2,
-		"rounds=408 messages=34959 words=71655 violations=0 init:0/0/0 theorem11:0/0/0 knearest:38/2268/26513 skeleton:22/18463/19295 thm81-on-skeleton:344/13734/24571 skeleton-translate:4/494/1276 dist=ff8e27d6ff7fb0c5"},
+		"rounds=408 messages=34959 words=71655 violations=0 init:0/0/0 theorem11/knearest:38/2268/26513 theorem11/skeleton:22/18463/19295 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:13/1026/1026 largebw/hopset:6/162/594 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:13/1026/1026 smalldiam/reduce:194/5296/11954 smalldiam/final:91/3603/6946 largebw/skeleton:27/2621/3025 theorem11/translate:4/494/1276 dist=ff8e27d6ff7fb0c5"},
 	{"constant", 256, 1,
-		"rounds=391 messages=386420 words=1058910 violations=0 init:0/0/0 theorem11:0/0/0 knearest:48/28560/614966 skeleton:22/278703/284079 thm81-on-skeleton:317/75101/147385 skeleton-translate:4/4056/12480 dist=8ec6da9c19b237ed"},
+		"rounds=391 messages=386420 words=1058910 violations=0 init:0/0/0 theorem11/knearest:48/28560/614966 theorem11/skeleton:22/278703/284079 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:11/6000/6000 largebw/hopset:6/600/3000 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/6000/6000 smalldiam/reduce:180/26139/71409 smalldiam/final:82/19631/42275 largebw/skeleton:27/16731/18701 theorem11/translate:4/4056/12480 dist=8ec6da9c19b237ed"},
 	{"constant", 256, 2,
-		"rounds=391 messages=388873 words=1061802 violations=0 init:0/0/0 theorem11:0/0/0 knearest:48/28560/613558 skeleton:22/278973/284349 thm81-on-skeleton:317/77285/151240 skeleton-translate:4/4055/12655 dist=d1da165acd4f4275"},
+		"rounds=391 messages=388873 words=1061802 violations=0 init:0/0/0 theorem11/knearest:48/28560/613558 theorem11/skeleton:22/278973/284349 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:11/6150/6150 largebw/hopset:6/615/3075 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/6150/6150 smalldiam/reduce:180/26713/73022 smalldiam/final:82/21771/44978 largebw/skeleton:27/15886/17865 theorem11/translate:4/4055/12655 dist=d1da165acd4f4275"},
 	{"tradeoff", 64, 1,
-		"rounds=271 messages=46444 words=73654 violations=0 init:0/0/0 theorem11:0/0/0 knearest:38/2268/26579 skeleton:22/18241/19073 thm81-on-skeleton:207/25438/26819 skeleton-translate:4/497/1183 dist=8b39146ab01e8c39"},
+		"rounds=271 messages=46444 words=73654 violations=0 init:0/0/0 theorem11/knearest:38/2268/26579 theorem11/skeleton:22/18241/19073 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:11/630/630 largebw/hopset:6/90/270 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/630/630 smalldiam/reduce:152/22160/23082 largebw/skeleton:27/1928/2207 theorem11/translate:4/497/1183 dist=8b39146ab01e8c39"},
 	{"tradeoff", 64, 2,
-		"rounds=319 messages=31698 words=65057 violations=0 init:0/0/0 theorem11:0/0/0 knearest:38/2268/26513 skeleton:22/18463/19295 thm81-on-skeleton:255/10473/17973 skeleton-translate:4/494/1276 dist=62eb7d81aba995e9"},
+		"rounds=319 messages=31698 words=65057 violations=0 init:0/0/0 theorem11/knearest:38/2268/26513 theorem11/skeleton:22/18463/19295 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:13/1026/1026 largebw/hopset:6/162/594 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:13/1026/1026 smalldiam/reduce:194/5296/11954 largebw/skeleton:29/2963/3373 theorem11/translate:4/494/1276 dist=62eb7d81aba995e9"},
 	{"tradeoff", 256, 1,
-		"rounds=309 messages=366789 words=1016635 violations=0 init:0/0/0 theorem11:0/0/0 knearest:48/28560/614966 skeleton:22/278703/284079 thm81-on-skeleton:235/55470/105110 skeleton-translate:4/4056/12480 dist=66e0e723cca334c9"},
+		"rounds=309 messages=366789 words=1016635 violations=0 init:0/0/0 theorem11/knearest:48/28560/614966 theorem11/skeleton:22/278703/284079 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:11/6000/6000 largebw/hopset:6/600/3000 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/6000/6000 smalldiam/reduce:180/26139/71409 largebw/skeleton:27/16731/18701 theorem11/translate:4/4056/12480 dist=66e0e723cca334c9"},
 	{"tradeoff", 256, 2,
-		"rounds=309 messages=370020 words=1019778 violations=0 init:0/0/0 theorem11:0/0/0 knearest:48/28560/613558 skeleton:22/278973/284349 thm81-on-skeleton:235/58432/109216 skeleton-translate:4/4055/12655 dist=13953e234f324abd"},
+		"rounds=309 messages=370020 words=1019778 violations=0 init:0/0/0 theorem11/knearest:48/28560/613558 theorem11/skeleton:22/278973/284349 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:11/6150/6150 largebw/hopset:6/615/3075 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/6150/6150 smalldiam/reduce:180/26713/73022 largebw/skeleton:27/18804/20819 theorem11/translate:4/4055/12655 dist=13953e234f324abd"},
 	{"smalldiameter", 64, 1,
-		"rounds=383 messages=95148 words=271042 violations=0 init:0/0/0 logapprox:17/13248/13248 hopset:21/4032/22290 knearest:234/13608/166698 skeleton:99/62769/65265 skeleton-translate:12/1491/3541 dist=4506ae05b0130f65"},
+		"rounds=383 messages=95148 words=271042 violations=0 init:0/0/0 smalldiam/bootstrap:17/13248/13248 smalldiam/reduce:244/55124/172470 smalldiam/final:122/26776/85324 dist=4506ae05b0130f65"},
 	{"smalldiameter", 64, 2,
-		"rounds=383 messages=97793 words=272309 violations=0 init:0/0/0 logapprox:17/13824/13824 hopset:21/4032/20774 knearest:234/13608/166698 skeleton:99/64842/67338 skeleton-translate:12/1487/3675 dist=0994874e37fc6945"},
+		"rounds=383 messages=97793 words=272309 violations=0 init:0/0/0 smalldiam/bootstrap:17/13824/13824 smalldiam/reduce:244/56452/172824 smalldiam/final:122/27517/85661 dist=0994874e37fc6945"},
 	{"smalldiameter", 256, 1,
-		"rounds=383 messages=1383149 words=4572781 violations=0 init:0/0/0 logapprox:17/249600/249600 hopset:21/34560/193658 knearest:234/128520/3116610 skeleton:99/958307/974435 skeleton-translate:12/12162/38478 dist=0156fe2c79828e6d"},
+		"rounds=383 messages=1383149 words=4572781 violations=0 init:0/0/0 smalldiam/bootstrap:17/249600/249600 smalldiam/reduce:244/752581/2878641 smalldiam/final:122/380968/1444540 dist=0156fe2c79828e6d"},
 	{"smalldiameter", 256, 2,
-		"rounds=383 messages=1388802 words=4579046 violations=0 init:0/0/0 logapprox:17/258048/258048 hopset:21/34560/195146 knearest:234/128520/3116610 skeleton:99/955507/971635 skeleton-translate:12/12167/37607 dist=4a5a092b0cd96ec9"},
+		"rounds=383 messages=1388802 words=4579046 violations=0 init:0/0/0 smalldiam/bootstrap:17/258048/258048 smalldiam/reduce:244/754200/2881202 smalldiam/final:122/376554/1439796 dist=4a5a092b0cd96ec9"},
 	{"largebandwidth", 64, 1,
-		"rounds=296 messages=169815 words=383658 violations=0 init:0/0/0 largebw:0/0/0 logapprox:11/13248/13248 hopset:258/112926/325185 skeleton:20/18378/19210 bruteforce:3/24768/24768 skeleton-translate:4/495/1247 dist=6626e5d0de46a405"},
+		"rounds=296 messages=169815 words=383658 violations=0 init:0/0/0 largebw/bootstrap:11/13248/13248 largebw/hopset:6/1344/7454 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/13248/13248 smalldiam/reduce:166/57632/195136 smalldiam/final:75/40702/109347 largebw/skeleton:27/43641/45225 dist=6626e5d0de46a405"},
 	{"largebandwidth", 64, 2,
-		"rounds=296 messages=177380 words=390729 violations=0 init:0/0/0 largebw:0/0/0 logapprox:11/13824/13824 hopset:258/120107/331872 skeleton:20/18378/19210 bruteforce:3/24576/24576 skeleton-translate:4/495/1247 dist=47a1bfc9fdfda405"},
+		"rounds=296 messages=177380 words=390729 violations=0 init:0/0/0 largebw/bootstrap:11/13824/13824 largebw/hopset:6/1344/6894 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/13824/13824 smalldiam/reduce:166/58912/196432 smalldiam/final:75/46027/114722 largebw/skeleton:27/43449/45033 dist=47a1bfc9fdfda405"},
 	{"largebandwidth", 256, 1,
-		"rounds=296 messages=3163073 words=7140970 violations=0 init:0/0/0 largebw:0/0/0 logapprox:11/249600/249600 hopset:258/2080835/6044932 skeleton:20/278694/284070 bruteforce:3/549888/549888 skeleton-translate:4/4056/12480 dist=57b737272a24747d"},
+		"rounds=296 messages=3163073 words=7140970 violations=0 init:0/0/0 largebw/bootstrap:11/249600/249600 largebw/hopset:6/11520/64178 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/249600/249600 smalldiam/reduce:166/776361/3383813 smalldiam/final:75/1043354/2347341 largebw/skeleton:27/832638/846438 dist=57b737272a24747d"},
 	{"largebandwidth", 256, 2,
-		"rounds=296 messages=3116075 words=7093490 violations=0 init:0/0/0 largebw:0/0/0 logapprox:11/258048/258048 hopset:258/1935444/5898537 skeleton:20/279554/284930 bruteforce:3/638976/638976 skeleton-translate:4/4053/12999 dist=880d6a543642c749"},
+		"rounds=296 messages=3116075 words=7093490 violations=0 init:0/0/0 largebw/bootstrap:11/258048/258048 largebw/hopset:6/11520/64566 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/258048/258048 smalldiam/reduce:166/777636/3384748 smalldiam/final:75/888240/2191175 largebw/skeleton:27/922583/936905 dist=880d6a543642c749"},
 	{"logapprox", 64, 1,
 		"rounds=17 messages=13248 words=13248 violations=0 init:0/0/0 logapprox:17/13248/13248 dist=d3fe73a89a59c485"},
 	{"logapprox", 64, 2,
@@ -77,7 +79,7 @@ var goldenModelCost = []struct {
 	{"exact", 256, 2,
 		"rounds=35 messages=0 words=0 violations=0 init:0/0/0 exact-squaring:35/0/0 dist=f1ef296a7428d6f1"},
 	{"constant", 512, 1,
-		"rounds=409 messages=1441947 words=4616232 violations=0 init:0/0/0 theorem11:0/0/0 knearest:64/104060/2992748 skeleton:22/1100336/1114160 thm81-on-skeleton:319/226355/468380 skeleton-translate:4/11196/40944 dist=764f4981cc62a52d"},
+		"rounds=409 messages=1441947 words=4616232 violations=0 init:0/0/0 theorem11/knearest:64/104060/2992748 theorem11/skeleton:22/1100336/1114160 theorem11/thm81-on-skeleton:0/0/0 largebw/bootstrap:11/20400/20400 largebw/hopset:6/1428/9044 largebw/scaled-instances:0/0/0 smalldiam/bootstrap:11/20400/20400 smalldiam/reduce:180/70914/223538 smalldiam/final:84/67020/143455 largebw/skeleton:27/46193/51543 theorem11/translate:4/11196/40944 dist=764f4981cc62a52d"},
 }
 
 // modelCostDigest renders a run's model cost and an FNV-64a checksum of its
@@ -127,6 +129,57 @@ func TestGoldenModelCost(t *testing.T) {
 			}
 			if got := modelCostDigest(res); got != c.digest {
 				t.Fatalf("model cost or distances changed\n got  %s\n want %s", got, c.digest)
+			}
+		})
+	}
+}
+
+// TestPhasesAreProgressNames checks the one phase vocabulary on the golden
+// sweep plus a zero-weight run: the phase breakdown sums to the run's
+// totals, and every phase that costs anything carries a name the run's
+// Progress callback reported, so wall-clock and model-cost breakdowns line
+// up phase for phase.
+func TestPhasesAreProgressNames(t *testing.T) {
+	type run struct {
+		name string
+		g    *Graph
+		alg  Algorithm
+		seed int64
+	}
+	var runs []run
+	for _, c := range goldenModelCost {
+		runs = append(runs, run{fmt.Sprintf("%s/n=%d/seed=%d", c.alg, c.n, c.seed),
+			RandomGraph(c.n, 100, c.seed), c.alg, c.seed})
+	}
+	zc, err := Generate("zeroclusters", 64, 1, 30, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, run{"constant/zeroclusters/n=64", zc, AlgConstant, 3})
+
+	eng := New()
+	for _, r := range runs {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
+			reported := map[string]bool{}
+			res, err := eng.Run(context.Background(), r.g, WithAlgorithm(r.alg), WithSeed(r.seed),
+				WithProgress(func(phase string) { reported[phase] = true }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rounds, messages, words int64
+			for _, p := range res.Phases {
+				rounds += p.Rounds
+				messages += p.Messages
+				words += p.Words
+				if (p.Rounds != 0 || p.Messages != 0 || p.Words != 0) && !reported[p.Name] {
+					t.Errorf("phase %q costs %d/%d/%d but no progress event names it (reported %v)",
+						p.Name, p.Rounds, p.Messages, p.Words, reported)
+				}
+			}
+			if rounds != res.Rounds || messages != res.Messages || words != res.Words {
+				t.Fatalf("phases sum to %d/%d/%d, totals are %d/%d/%d",
+					rounds, messages, words, res.Rounds, res.Messages, res.Words)
 			}
 		})
 	}

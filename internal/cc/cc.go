@@ -17,6 +17,9 @@
 //     natural mapping of the model onto Go and cross-validates the superstep
 //     engine in tests.
 //
+// Subclique and Parallel lift each child phase into the parent phase of the
+// same name, so a nested pipeline's phases read in the parent unprefixed.
+//
 // One Word models one O(log n)-bit machine word; the standard model is
 // bandwidth 1 word per ordered pair per round, and Congested-Clique[log^c n]
 // corresponds to bandwidth log^{c-1} n words.
@@ -288,15 +291,14 @@ func (c *Clique) Broadcast(totalWords int64, note string) {
 	c.ChargeRounds(rounds)
 	c.chargeTraffic(totalWords*int64(c.n), totalWords*int64(c.n))
 	c.recordLoads(totalWords, totalWords)
-	_ = note
 }
 
 // Parallel runs fn once per lane on a fresh child Clique of the same size
 // with laneBW bandwidth each, modelling parallel execution of independent
 // instances inside a larger-bandwidth model (paper §8.2: "the increased
 // bandwidth allows us to run O(log n) instances … in parallel"). The parent
-// is charged the maximum child round count; messages and words are summed.
-// If the lanes oversubscribe the parent bandwidth, a violation is recorded.
+// is charged, phase by phase (see lift), the slowest lane's rounds and every
+// lane's messages and words; oversubscribing its bandwidth is a violation.
 func (c *Clique) Parallel(lanes, laneBW int, note string, fn func(lane int, child *Clique)) {
 	if lanes <= 0 {
 		return
@@ -305,27 +307,30 @@ func (c *Clique) Parallel(lanes, laneBW int, note string, fn func(lane int, chil
 		c.Violate("parallel %q: %d lanes × bandwidth %d exceed parent bandwidth %d",
 			note, lanes, laneBW, c.bw)
 	}
-	var maxRounds, sumMsgs, sumWords int64
-	for lane := 0; lane < lanes; lane++ {
+	laneMetrics := make([]Metrics, lanes)
+	slowest := 0
+	for lane := range laneMetrics {
 		child := New(c.n, laneBW)
 		fn(lane, child)
-		cm := child.Metrics()
-		if cm.Rounds > maxRounds {
-			maxRounds = cm.Rounds
+		laneMetrics[lane] = child.Metrics()
+		if laneMetrics[lane].Rounds > laneMetrics[slowest].Rounds {
+			slowest = lane
 		}
-		sumMsgs += cm.Messages
-		sumWords += cm.Words
-		c.metrics.Violations = append(c.metrics.Violations, cm.Violations...)
 	}
-	c.ChargeRounds(maxRounds)
-	c.chargeTraffic(sumMsgs, sumWords)
+	for lane, cm := range laneMetrics {
+		var perRound int64
+		if lane == slowest {
+			perRound = 1
+		}
+		c.lift(cm, perRound)
+	}
 }
 
 // Subclique returns a child Clique on m ≤ n nodes with childBW bandwidth,
 // together with a finish function that lifts the child's cost onto the
-// parent. Simulating one child round routes m·childBW words per child node
-// through the parent clique (Lemma 2.1), costing
-// ⌈m·childBW/(n·bw)⌉ parent rounds per child round — O(1) whenever
+// parent phase by phase (see lift). Simulating one child round routes
+// m·childBW words per child node through the parent clique (Lemma 2.1),
+// costing ⌈m·childBW/(n·bw)⌉ parent rounds per child round — O(1) whenever
 // m·childBW ≤ n·bw, which is exactly the regime used by Theorem 1.1
 // (m = n/log³n nodes at bandwidth log³n words).
 func (c *Clique) Subclique(m, childBW int) (*Clique, func()) {
@@ -334,16 +339,26 @@ func (c *Clique) Subclique(m, childBW int) (*Clique, func()) {
 	}
 	child := New(m, childBW)
 	finish := func() {
-		cm := child.Metrics()
-		perRound := ceilDiv(int64(m)*int64(childBW), c.capacity())
-		if perRound < 1 {
-			perRound = 1
-		}
-		c.ChargeRounds(cm.Rounds * perRound)
-		c.chargeTraffic(cm.Messages, cm.Words)
-		c.metrics.Violations = append(c.metrics.Violations, cm.Violations...)
+		// At least 1: New has rejected m < 1 and childBW < 1.
+		c.lift(child.Metrics(), ceilDiv(int64(m)*int64(childBW), c.capacity()))
 	}
 	return child, finish
+}
+
+// lift charges a child's phases (rounds times perRound) to the parent phases
+// of the same name, creating any c lacks; the child's opening phase belongs to
+// c's current phase, which lift leaves current.
+func (c *Clique) lift(cm Metrics, perRound int64) {
+	cur := c.phase
+	for i, p := range cm.Phases {
+		if i > 0 {
+			c.Phase(p.Name)
+		}
+		c.ChargeRounds(p.Rounds * perRound)
+		c.chargeTraffic(p.Messages, p.Words)
+	}
+	c.phase = cur
+	c.metrics.Violations = append(c.metrics.Violations, cm.Violations...)
 }
 
 func maxOf(xs []int64) int64 {

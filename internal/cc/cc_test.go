@@ -163,14 +163,24 @@ func TestPhaseAccounting(t *testing.T) {
 func TestParallelChargesMax(t *testing.T) {
 	c := New(8, 16)
 	c.Parallel(4, 4, "lanes", func(lane int, child *Clique) {
+		child.Phase("work")
 		child.ChargeRounds(int64(lane + 1))
+		child.Phase("talk")
+		child.Broadcast(8, "talk") // capacity 32: 1+2 rounds, 64 messages
 	})
 	m := c.Metrics()
-	if m.Rounds != 4 {
-		t.Fatalf("rounds = %d, want max lane = 4", m.Rounds)
+	if m.Rounds != 7 || m.Messages != 4*64 {
+		t.Fatalf("rounds/messages = %d/%d, want max lane 7 and every lane's 256", m.Rounds, m.Messages)
 	}
 	if len(m.Violations) != 0 {
 		t.Fatalf("violations: %v", m.Violations)
+	}
+	// The breakdown shows the slowest lane's rounds and every lane's traffic.
+	if w, _ := m.PhaseByName("work"); w.Rounds != 4 || w.Messages != 0 {
+		t.Fatalf("work phase = %+v, want the slowest lane's 4 rounds", w)
+	}
+	if tk, _ := m.PhaseByName("talk"); tk.Rounds != 3 || tk.Messages != 4*64 || tk.Words != 4*64 {
+		t.Fatalf("talk phase = %+v, want 3 rounds and 256 messages/words", tk)
 	}
 }
 
@@ -192,13 +202,25 @@ func TestSubcliqueLift(t *testing.T) {
 	if got := c.Metrics().Rounds; got != 5 {
 		t.Fatalf("parent rounds = %d, want 5", got)
 	}
-	// Child with more bandwidth than the parent can carry per round.
+	// Child with more bandwidth than the parent can carry per round: each
+	// child phase lifts into the parent phase of the same name at 8x.
 	c2 := New(4, 1)
+	c2.Phase("outer")
 	child2, finish2 := c2.Subclique(4, 8) // 32 words per child round, capacity 4
+	child2.ChargeRounds(1)                // before any child phase: lifts into "outer"
+	child2.Phase("inner")
 	child2.ChargeRounds(2)
 	finish2()
-	if got := c2.Metrics().Rounds; got != 16 {
-		t.Fatalf("parent rounds = %d, want 16 (8x lift)", got)
+	c2.ChargeRounds(3) // finish left the parent in "outer"
+	m2 := c2.Metrics()
+	if m2.Rounds != 27 {
+		t.Fatalf("parent rounds = %d, want 27 (8x lift of 3, then 3)", m2.Rounds)
+	}
+	if p, _ := m2.PhaseByName("outer"); p.Rounds != 11 {
+		t.Fatalf("outer phase = %+v, want 8+3 rounds", p)
+	}
+	if p, _ := m2.PhaseByName("inner"); p.Rounds != 16 {
+		t.Fatalf("inner phase = %+v, want 16 rounds (8x lift)", p)
 	}
 }
 

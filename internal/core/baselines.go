@@ -24,7 +24,6 @@ func LogApprox(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
 	if err := validateInput(g); err != nil {
 		return Estimate{}, err
 	}
-	clq.Phase("logapprox")
 	b := clampInt(int(log2(g.N())/3), 2, g.N())
 	return spannerApprox(clq, g, b)
 }
@@ -48,7 +47,6 @@ func spannerApprox(clq *cc.Clique, g *graph.Graph, b int) (Estimate, error) {
 // node compute exact APSP locally. It is the paper's "solve by brute force
 // in O(1) rounds" fallback for degenerate parameter regimes, and is exact.
 func BruteForce(clq *cc.Clique, g *graph.Graph) Estimate {
-	clq.Phase("bruteforce")
 	clq.Broadcast(int64(3*g.NumEdges()), "full graph broadcast")
 	return Estimate{D: g.ExactAPSP(), Factor: 1}
 }
@@ -60,7 +58,6 @@ func BruteForce(clq *cc.Clique, g *graph.Graph) Estimate {
 // with n — the contrast row in the benchmark tables. The squaring runs on
 // cfg.Par, so a cancelled run aborts mid-product.
 func ExactCliqueAPSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
-	clq.Phase("exact-squaring")
 	n := g.N()
 	a := minplus.NewDense(n)
 	a.SetDiagZero()

@@ -18,18 +18,29 @@ func TestCheckpointFiresProgressThenChecksContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen []string
 	cfg := ctxConfig(ctx, func(phase string) { seen = append(seen, phase) })
-	if err := cfg.Checkpoint("alpha"); err != nil {
+	clq := cc.New(4, 1)
+	if err := cfg.Checkpoint(clq, "alpha"); err != nil {
 		t.Fatal(err)
 	}
+	clq.ChargeRounds(2)
 	cancel()
-	if err := cfg.Checkpoint("beta"); !errors.Is(err, context.Canceled) {
+	if err := cfg.Checkpoint(clq, "beta"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
+	clq.ChargeRounds(3)
 	if len(seen) != 2 || seen[0] != "alpha" || seen[1] != "beta" {
 		t.Fatalf("progress events %v", seen)
 	}
+	// Each checkpoint also switched the accounting phase to its name.
+	m := clq.Metrics()
+	if a, _ := m.PhaseByName("alpha"); a.Rounds != 2 {
+		t.Fatalf("alpha phase = %+v, want 2 rounds", a)
+	}
+	if b, _ := m.PhaseByName("beta"); b.Rounds != 3 {
+		t.Fatalf("beta phase = %+v, want 3 rounds", b)
+	}
 	// Nil context and nil progress are both fine.
-	if err := (Config{}).Checkpoint("gamma"); err != nil {
+	if err := (Config{}).Checkpoint(clq, "gamma"); err != nil {
 		t.Fatal(err)
 	}
 }

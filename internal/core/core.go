@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
 	"github.com/congestedclique/cliqueapsp/internal/minplus"
 	"github.com/congestedclique/cliqueapsp/internal/sched"
@@ -77,10 +78,11 @@ type Config struct {
 	Par *sched.Group
 }
 
-// Checkpoint marks a phase boundary: it fires the Progress callback and
-// returns the context's error if the run has been cancelled. Pipelines call
-// it between phases so long runs stop promptly once their context dies.
-func (c Config) Checkpoint(phase string) error {
+// Checkpoint marks a phase boundary: it switches clq's accounting to phase,
+// fires Progress, and returns the context's error if the run is cancelled.
+// It is how pipelines name phases, for the model cost and Progress alike.
+func (c Config) Checkpoint(clq *cc.Clique, phase string) error {
+	clq.Phase(phase)
 	if c.Progress != nil {
 		c.Progress(phase)
 	}

@@ -30,8 +30,7 @@ func APSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
 	if n <= 8 {
 		return BruteForce(clq, g), nil
 	}
-	clq.Phase("theorem11")
-	if err := cfg.Checkpoint("theorem11/knearest"); err != nil {
+	if err := cfg.Checkpoint(clq, "theorem11/knearest"); err != nil {
 		return Estimate{}, err
 	}
 
@@ -49,7 +48,7 @@ func APSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
 	}
 
 	// Step 2: skeleton graph (exact lists, a = 1).
-	if err := cfg.Checkpoint("theorem11/skeleton"); err != nil {
+	if err := cfg.Checkpoint(clq, "theorem11/skeleton"); err != nil {
 		return Estimate{}, err
 	}
 	sk, err := skeleton.Build(clq, skeleton.Input{
@@ -71,19 +70,18 @@ func APSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
 	if childBW < 1 {
 		childBW = 1
 	}
-	if err := cfg.Checkpoint("theorem11/thm81-on-skeleton"); err != nil {
+	if err := cfg.Checkpoint(clq, "theorem11/thm81-on-skeleton"); err != nil {
 		return Estimate{}, err
 	}
 	child, finish := clq.Subclique(m, childBW)
 	gsEst, err := LargeBandwidthAPSP(child, sk.GS, cfg)
-	clq.Phase("thm81-on-skeleton")
 	finish()
 	if err != nil {
 		return Estimate{}, err
 	}
 
 	// Step 4: translate.
-	if err := cfg.Checkpoint("theorem11/translate"); err != nil {
+	if err := cfg.Checkpoint(clq, "theorem11/translate"); err != nil {
 		return Estimate{}, err
 	}
 	eta, err := sk.Translate(clq, gsEst.D)

@@ -36,8 +36,7 @@ func LargeBandwidthAPSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, e
 	if n <= 4 {
 		return BruteForce(clq, g), nil
 	}
-	clq.Phase("largebw")
-	if err := cfg.Checkpoint("largebw/bootstrap"); err != nil {
+	if err := cfg.Checkpoint(clq, "largebw/bootstrap"); err != nil {
 		return Estimate{}, err
 	}
 
@@ -48,7 +47,7 @@ func LargeBandwidthAPSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, e
 	}
 
 	// Step 2: hopset and symmetrized union.
-	if err := cfg.Checkpoint("largebw/hopset"); err != nil {
+	if err := cfg.Checkpoint(clq, "largebw/hopset"); err != nil {
 		return Estimate{}, err
 	}
 	k := intSqrt(n)
@@ -70,7 +69,7 @@ func LargeBandwidthAPSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, e
 	// Step 4: Theorem 7.1 on each distinct scaled graph, in parallel lanes
 	// that share the parent's bandwidth. Lane bandwidth is the parent's
 	// share; real loads determine the (max-combined) round charge.
-	if err := cfg.Checkpoint("largebw/scaled-instances"); err != nil {
+	if err := cfg.Checkpoint(clq, "largebw/scaled-instances"); err != nil {
 		return Estimate{}, err
 	}
 	lanes := len(sc.Graphs)
@@ -110,7 +109,7 @@ func LargeBandwidthAPSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, e
 	aList := sc.CombinedFactor(innerFactor)
 
 	// Step 6: full-version skeleton from the recombined estimate.
-	if err := cfg.Checkpoint("largebw/skeleton"); err != nil {
+	if err := cfg.Checkpoint(clq, "largebw/skeleton"); err != nil {
 		return Estimate{}, err
 	}
 	lists := skeleton.ListsFromEstimate(etaCombined, k)

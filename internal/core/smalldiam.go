@@ -31,7 +31,7 @@ func SmallDiameterAPSP(clq *cc.Clique, g *graph.Graph, cfg Config, bigBandwidth 
 		return BruteForce(clq, g), nil
 	}
 
-	if err := cfg.Checkpoint("smalldiam/bootstrap"); err != nil {
+	if err := cfg.Checkpoint(clq, "smalldiam/bootstrap"); err != nil {
 		return Estimate{}, err
 	}
 	est, err := LogApprox(clq, g, cfg)
@@ -49,7 +49,7 @@ func SmallDiameterAPSP(clq *cc.Clique, g *graph.Graph, cfg Config, bigBandwidth 
 		iters = cfg.MaxReduceIters
 	}
 	for i := 0; i < iters; i++ {
-		if err := cfg.Checkpoint("smalldiam/reduce"); err != nil {
+		if err := cfg.Checkpoint(clq, "smalldiam/reduce"); err != nil {
 			return Estimate{}, err
 		}
 		est, err = ReduceApprox(clq, g, est, cfg)
@@ -64,7 +64,7 @@ func SmallDiameterAPSP(clq *cc.Clique, g *graph.Graph, cfg Config, bigBandwidth 
 	// Final stage: hopset from the current estimate, exact distances to the
 	// √n-nearest nodes with h=2, skeleton with k=√n, and an exact or
 	// 3-spanner solution on G_S.
-	if err := cfg.Checkpoint("smalldiam/final"); err != nil {
+	if err := cfg.Checkpoint(clq, "smalldiam/final"); err != nil {
 		return Estimate{}, err
 	}
 	k := intSqrt(n)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
@@ -35,8 +34,7 @@ func WithZeroWeights(clq *cc.Clique, g *graph.Graph, cfg Config, inner Algorithm
 		return inner(clq, g, cfg)
 	}
 	n := g.N()
-	clq.Phase("zeroweights")
-	if err := cfg.Checkpoint("zeroweights"); err != nil {
+	if err := cfg.Checkpoint(clq, "zeroweights"); err != nil {
 		return Estimate{}, err
 	}
 
@@ -45,18 +43,13 @@ func WithZeroWeights(clq *cc.Clique, g *graph.Graph, cfg Config, inner Algorithm
 	comp := zeroComponents(g)
 	clq.ChargeRounds(nowickiMSTRounds)
 
-	leaders := make([]int, 0)
-	seen := make(map[int]bool)
-	for _, c := range comp {
-		if !seen[c] {
-			seen[c] = true
-			leaders = append(leaders, c)
+	var leaders []int // ascending: a leader is its own component's label
+	leaderIdx := make(map[int]int)
+	for v, c := range comp {
+		if c == v {
+			leaderIdx[v] = len(leaders)
+			leaders = append(leaders, v)
 		}
-	}
-	sort.Ints(leaders)
-	leaderIdx := make(map[int]int, len(leaders))
-	for i, l := range leaders {
-		leaderIdx[l] = i
 	}
 	m := len(leaders)
 
@@ -64,9 +57,7 @@ func WithZeroWeights(clq *cc.Clique, g *graph.Graph, cfg Config, inner Algorithm
 		// Everything is at distance zero.
 		d := minplus.NewDense(n)
 		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				d.Set(u, v, 0)
-			}
+			clear(d.Row(u))
 		}
 		return Estimate{D: d, Factor: 1}, nil
 	}
@@ -129,14 +120,12 @@ func WithZeroWeights(clq *cc.Clique, g *graph.Graph, cfg Config, inner Algorithm
 		return Estimate{}, fmt.Errorf("core: compressed graph: %w", err)
 	}
 
-	// Run the inner algorithm among the leaders; its lifted cost is
-	// accounted under its own phase so the reduction's O(1) overhead stays
-	// visible.
+	// Run the inner algorithm among the leaders; its cost lifts into the
+	// phases its own checkpoints name, so the reduction's O(1) overhead
+	// stays visible under "zeroweights".
 	child, finish := clq.Subclique(m, clq.Bandwidth())
 	compressed, err := inner(child, cg, cfg)
-	clq.Phase("zeroweights-inner")
 	finish()
-	clq.Phase("zeroweights")
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -90,3 +90,27 @@ func TestSampleSources(t *testing.T) {
 		t.Fatalf("want 10 sources, got %d", len(got))
 	}
 }
+
+// TestQuickSuiteRendersIdentically renders the quick suite repeatedly: every
+// table is a pure function of the suite, so any iteration-order dependence
+// (a map ranged over to emit rows) shows up as a difference between renders.
+// One render in eight reverses a two-key map, so forty renders catch such a
+// dependence with probability above 99%.
+func TestQuickSuiteRendersIdentically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep")
+	}
+	render := func() string {
+		var b strings.Builder
+		for _, tb := range All(quickSuite()) {
+			b.WriteString(Render(tb))
+		}
+		return b.String()
+	}
+	want := render()
+	for i := 1; i < 40; i++ {
+		if got := render(); got != want {
+			t.Fatalf("render %d differs from the first:\n%s\nfirst:\n%s", i, got, want)
+		}
+	}
+}

@@ -38,7 +38,6 @@ func Build(clq *cc.Clique, g *graph.Graph, delta *minplus.Dense, k int) (*graph.
 	if k > n {
 		k = n
 	}
-	clq.Phase("hopset")
 
 	// Step 1 (local): approximate k-nearest sets from the estimate.
 	near := make([][]minplus.Entry, n)

@@ -64,7 +64,6 @@ func Compute(par *sched.Group, clq *cc.Clique, g *graph.Graph, k, h, iters int) 
 	if par == nil {
 		par = sched.Background()
 	}
-	clq.Phase("knearest")
 
 	rows := initialRows(g, k)
 	hops := 1

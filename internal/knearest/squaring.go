@@ -32,7 +32,6 @@ func ComputeViaSquaring(clq *cc.Clique, g *graph.Graph, k, iters int) (*Result, 
 	if k > n {
 		k = n
 	}
-	clq.Phase("knearest-squaring")
 
 	cur := minplus.NewRowSparse(n)
 	for u, row := range initialRows(g, k) {

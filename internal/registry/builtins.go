@@ -80,6 +80,9 @@ func init() {
 		Bandwidth:   Standard,
 		Baseline:    true,
 		Run: func(clq *cc.Clique, g *graph.Graph, cfg core.Config, _ Params) (core.Estimate, error) {
+			if err := cfg.Checkpoint(clq, "logapprox"); err != nil {
+				return core.Estimate{}, err
+			}
 			return core.LogApprox(clq, g, cfg)
 		},
 	})
@@ -91,7 +94,7 @@ func init() {
 		Bandwidth:   Standard,
 		Baseline:    true,
 		Run: func(clq *cc.Clique, g *graph.Graph, cfg core.Config, _ Params) (core.Estimate, error) {
-			if err := cfg.Checkpoint("exact-squaring"); err != nil {
+			if err := cfg.Checkpoint(clq, "exact-squaring"); err != nil {
 				return core.Estimate{}, err
 			}
 			return core.ExactCliqueAPSP(clq, g, cfg)

@@ -84,7 +84,6 @@ func Build(clq *cc.Clique, in Input) (*Skeleton, error) {
 			return nil, fmt.Errorf("skeleton: empty list at node %d", u)
 		}
 	}
-	clq.Phase("skeleton")
 
 	var s []int
 	if in.Deterministic {
@@ -451,7 +450,6 @@ func (sk *Skeleton) Translate(clq *cc.Clique, deltaGS *minplus.Dense) (*minplus.
 	if deltaGS.N() != len(sk.Nodes) {
 		return nil, fmt.Errorf("skeleton: deltaGS has %d nodes, want %d", deltaGS.N(), len(sk.Nodes))
 	}
-	clq.Phase("skeleton-translate")
 
 	// Each skeleton node s sends its deltaGS row (|S| words) to every node
 	// in its cluster (duplicable; each node receives |S| ≤ n words).

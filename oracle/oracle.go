@@ -157,8 +157,8 @@ type buildReport struct {
 
 // PhaseTiming is the wall time of one pipeline phase of a build, in
 // execution order. Phase names come from the engine's progress checkpoints
-// (e.g. "theorem11/knearest"), so the T1/F1-style phase costs ccbench
-// measures offline are observable on a serving build too.
+// (e.g. "theorem11/knearest"), the names Result.Phases breaks the build's
+// model cost down by, with nested pipelines' phases lifted by name.
 type PhaseTiming struct {
 	Phase    string        `json:"phase"`
 	Duration time.Duration `json:"duration_ns"`

@@ -147,7 +147,7 @@ func Register(name Algorithm, spec AlgorithmSpec) error {
 			if ctx == nil {
 				ctx = context.Background()
 			}
-			if err := cfg.Checkpoint(string(name)); err != nil {
+			if err := cfg.Checkpoint(clq, string(name)); err != nil {
 				return core.Estimate{}, err
 			}
 			out, err := run(ctx, &Graph{inner: g}, RunParams{
@@ -165,7 +165,6 @@ func Register(name Algorithm, spec AlgorithmSpec) error {
 			if out.Factor < 1 {
 				out.Factor = 1
 			}
-			clq.Phase(string(name))
 			clq.ChargeRounds(out.Rounds)
 			return core.Estimate{D: out.Distances.dense(), Factor: out.Factor}, nil
 		},

@@ -132,7 +132,7 @@ type Result struct {
 	Rounds   int64
 	Messages int64
 	Words    int64
-	// Phases breaks the accounting down by algorithm phase.
+	// Phases breaks the accounting down by the phases WithProgress reports.
 	Phases []PhaseStat
 	// Violations lists any Congested Clique load-budget violations detected
 	// by the simulator (empty for sound runs).
