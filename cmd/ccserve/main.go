@@ -81,12 +81,12 @@
 // tenant-scoped routes, so under -keys only the admin key reaches them.
 //
 // Logging is structured (log/slog, text format): one completion line per
-// request with route, tenant, status, bytes, duration and a request ID.
-// The ID is taken from the client's X-Request-Id (if printable ASCII,
-// <=128 bytes) or minted, and is always echoed on the response.
-// Requests slower than -slowquery log at warning level. -loglevel
-// picks the floor (debug|info|warn|error); -version prints build
-// metadata and exits.
+// request with route, tenant, status, bytes, duration and a request ID,
+// at debug level. The ID is taken from the client's X-Request-Id (if
+// printable ASCII, <=128 bytes) or minted, and is always echoed on the
+// response. Requests slower than -slowquery log their completion line at
+// warning level and 5xx responses at error level. -loglevel picks the
+// floor (debug|info|warn|error); -version prints build metadata and exits.
 //
 // Tracing: -tracesample picks the fraction of requests traced end to end
 // (handler, oracle, disk-tier and build spans); slow (>= -slowquery) and

@@ -561,3 +561,67 @@ func TestFailLogsServerErrors(t *testing.T) {
 		t.Errorf("400 not logged at debug level:\n%s", logged)
 	}
 }
+
+// TestRequestLogLevels pins the completion line's levels: debug for a
+// request that went well, warn for one slower than -slowquery, error for a
+// 5xx. At the default info floor a healthy request logs nothing.
+func TestRequestLogLevels(t *testing.T) {
+	var buf bytes.Buffer
+	serve := func(s *server, method, target, body string) (int, string) {
+		t.Helper()
+		buf.Reset()
+		req := httptest.NewRequest(method, target, strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec.Code, buf.String()
+	}
+	// line returns the completion line (msg=request or msg="slow request").
+	line := func(logged string) string {
+		for _, l := range strings.Split(logged, "\n") {
+			if strings.Contains(l, "msg=request ") || strings.Contains(l, `msg="slow request"`) {
+				return l
+			}
+		}
+		return ""
+	}
+
+	cfg := testConfig(defaultLimits())
+	cfg.log = slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if code, logged := serve(s, http.MethodPost, "/v1/graphs", `{"name":"g"}`); code != http.StatusCreated ||
+		!strings.Contains(line(logged), "level=DEBUG") {
+		t.Fatalf("create: status %d, completion line %q, want 201 at debug", code, line(logged))
+	}
+	// No graph yet: dist fails 503.
+	if code, logged := serve(s, http.MethodGet, "/v1/graphs/g/dist?u=0&v=1", ""); code != http.StatusServiceUnavailable ||
+		!strings.Contains(line(logged), "level=ERROR") {
+		t.Fatalf("dist: status %d, completion line %q, want 503 at error", code, line(logged))
+	}
+
+	cfg.log = slog.New(slog.NewTextHandler(&buf, nil)) // the info floor
+	cfg.slowQuery = time.Nanosecond                    // every request is slow
+	slow, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	if code, logged := serve(slow, http.MethodPost, "/v1/graphs", `{"name":"g"}`); code != http.StatusCreated ||
+		!strings.Contains(line(logged), "level=WARN") {
+		t.Fatalf("slow create: status %d, completion line %q, want 201 at warn", code, line(logged))
+	}
+
+	cfg.slowQuery = 0
+	quiet, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	if code, logged := serve(quiet, http.MethodGet, "/v1/graphs", ""); code != http.StatusOK || logged != "" {
+		t.Fatalf("list at the info floor: status %d, logged %q, want 200 and nothing", code, logged)
+	}
+}

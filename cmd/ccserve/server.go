@@ -277,14 +277,18 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			traceID = tid.String()
 		}
 	}
-	level := slog.LevelInfo
-	msg := "request"
-	switch {
-	case slow:
+	// The completion line is debug: at serving rates one line per request
+	// would drown the log, and the metrics count every request anyway. Slow
+	// requests warn and server errors log at error level.
+	level, msg := slog.LevelDebug, "request"
+	if slow {
 		level, msg = slog.LevelWarn, "slow request"
-	case route == "/healthz" || route == "/metrics":
-		// Probe and scrape traffic: one line per poll would drown the log.
-		level = slog.LevelDebug
+	}
+	if sw.status >= 500 {
+		level = slog.LevelError
+	}
+	if !s.log.Enabled(r.Context(), level) {
+		return
 	}
 	args := []any{"route", route, "method", r.Method, "status", sw.status,
 		"bytes", sw.bytes, "dur", dur, "id", id}

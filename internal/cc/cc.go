@@ -347,7 +347,11 @@ func (c *Clique) Subclique(m, childBW int) (*Clique, func()) {
 
 // lift charges a child's phases (rounds times perRound) to the parent phases
 // of the same name, creating any c lacks; the child's opening phase belongs to
-// c's current phase, which lift leaves current.
+// c's current phase, which lift leaves current. A parent phase's MaxSend and
+// MaxRecv become the larger of its own and the child phase's, unscaled: they
+// record the largest per-node volume any op moved, and a child op's volume is
+// what its nodes sent and received, however many parent rounds simulating it
+// took.
 func (c *Clique) lift(cm Metrics, perRound int64) {
 	cur := c.phase
 	for i, p := range cm.Phases {
@@ -356,6 +360,7 @@ func (c *Clique) lift(cm Metrics, perRound int64) {
 		}
 		c.ChargeRounds(p.Rounds * perRound)
 		c.chargeTraffic(p.Messages, p.Words)
+		c.recordLoads(p.MaxSend, p.MaxRecv)
 	}
 	c.phase = cur
 	c.metrics.Violations = append(c.metrics.Violations, cm.Violations...)

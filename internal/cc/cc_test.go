@@ -182,6 +182,11 @@ func TestParallelChargesMax(t *testing.T) {
 	if tk, _ := m.PhaseByName("talk"); tk.Rounds != 3 || tk.Messages != 4*64 || tk.Words != 4*64 {
 		t.Fatalf("talk phase = %+v, want 3 rounds and 256 messages/words", tk)
 	}
+	// Per-node loads lift as the largest any lane saw, not a sum over lanes:
+	// each lane's Broadcast(8) moved 8 words per node.
+	if tk, _ := m.PhaseByName("talk"); tk.MaxSend != 8 || tk.MaxRecv != 8 {
+		t.Fatalf("talk loads = %d/%d, want 8/8", tk.MaxSend, tk.MaxRecv)
+	}
 }
 
 func TestParallelOversubscriptionViolates(t *testing.T) {
@@ -221,6 +226,20 @@ func TestSubcliqueLift(t *testing.T) {
 	}
 	if p, _ := m2.PhaseByName("inner"); p.Rounds != 16 {
 		t.Fatalf("inner phase = %+v, want 16 rounds (8x lift)", p)
+	}
+
+	// Per-node loads lift unscaled: a child Broadcast(8) reads 8/8 in the
+	// parent phase of its name, though each child round cost 8 parent ones.
+	c3 := New(4, 1)
+	child3, finish3 := c3.Subclique(4, 8)
+	child3.Phase("talk")
+	child3.Broadcast(8, "talk")
+	if p, _ := child3.Metrics().PhaseByName("talk"); p.MaxSend != 8 || p.MaxRecv != 8 {
+		t.Fatalf("child talk loads = %d/%d, want 8/8", p.MaxSend, p.MaxRecv)
+	}
+	finish3()
+	if p, _ := c3.Metrics().PhaseByName("talk"); p.MaxSend != 8 || p.MaxRecv != 8 {
+		t.Fatalf("lifted talk loads = %d/%d, want 8/8", p.MaxSend, p.MaxRecv)
 	}
 }
 

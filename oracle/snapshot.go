@@ -11,9 +11,13 @@ import (
 	"github.com/congestedclique/cliqueapsp/tier"
 )
 
-// rowSource supplies a snapshot's distance rows and input graph. Rows are
-// full length-n vectors, shared and read-only. *tier.Reader is one.
+// rowSource supplies a snapshot's distance entries, rows and input graph.
+// EntryCtx answers one pair and is what Dist, Batch and Path's first lookup
+// use: the source keeps its rows, so a cold one may recycle them. RowCtx
+// hands out a full length-n row, shared and read-only, which the source
+// never reuses; only next-hop builds need whole rows. *tier.Reader is one.
 type rowSource interface {
+	EntryCtx(ctx context.Context, u, v int) (int64, error)
 	RowCtx(ctx context.Context, u int) ([]int64, error)
 	GraphCtx(ctx context.Context) (*cliqueapsp.Graph, error)
 }
@@ -24,6 +28,8 @@ type resident struct {
 	g *cliqueapsp.Graph
 	d *cliqueapsp.DistanceMatrix
 }
+
+func (r *resident) EntryCtx(_ context.Context, u, v int) (int64, error) { return r.d.At(u, v), nil }
 
 func (r *resident) RowCtx(_ context.Context, u int) ([]int64, error) { return r.d.Row(u), nil }
 
@@ -144,11 +150,11 @@ func (s *snapshot) check(u, v int) error {
 // sampled); it does not cancel the read.
 func (s *snapshot) answer(ctx context.Context, u, v int) (Answer, error) {
 	a := Answer{U: u, V: v, Distance: Unreachable}
-	row, err := s.src.RowCtx(ctx, u)
+	d, err := s.src.EntryCtx(ctx, u, v)
 	if err != nil {
 		return a, fmt.Errorf("%w: %w", ErrColdRead, err)
 	}
-	if d := row[v]; d < cliqueapsp.Inf {
+	if d < cliqueapsp.Inf {
 		a.Distance, a.Reachable = d, true
 	}
 	return a, nil

@@ -10,11 +10,12 @@
 # BenchmarkSpanUnsampled allocation-free and at least 10x cheaper than
 # BenchmarkSpanSampled; BenchmarkPublishRepair256 faster than
 # BenchmarkPublishRebuild256.
-# Given a base ref, it also builds BenchmarkMulTo1024, BenchmarkRowMiss,
-# BenchmarkRowHit and the ccserve read handlers (BenchmarkServeDist,
-# BenchmarkServeBatch64, BenchmarkServePath) from a temporary git worktree of
-# that ref, runs base and working tree in 5 alternating rounds, and fails if a working-tree median
-# ns/op exceeds the base's divided by (1 - bound), where bound is the
+# Given a base ref, it also builds BenchmarkMulTo1024, the disk-tier reads
+# (BenchmarkRowMiss, BenchmarkRowHit, BenchmarkEntryMiss, BenchmarkEntryHit)
+# and the ccserve read handlers (BenchmarkServeDist, BenchmarkServeBatch64,
+# BenchmarkServePath) from a temporary git worktree of that ref, runs base
+# and working tree in 5 alternating rounds, and fails if a working-tree
+# median ns/op exceeds the base's divided by (1 - bound), where bound is the
 # ops_per_s bound in BENCHMARK.json. A benchmark missing at the base passes.
 set -euo pipefail
 
@@ -104,15 +105,15 @@ if [[ -n ${1:-} ]]; then
 	for _ in 1 2 3 4 5; do
 		for side in base- ""; do
 			bench "${side}minplus" '^BenchmarkMulTo1024$' 3x 1
-			bench "${side}tier" '^BenchmarkRowMiss$' 20000x 1
-			bench "${side}tier" '^BenchmarkRowHit$' 5000000x 1
+			bench "${side}tier" '^Benchmark(Row|Entry)Miss$' 20000x 1
+			bench "${side}tier" '^Benchmark(Row|Entry)Hit$' 5000000x 1
 			bench "${side}ccserve" '^BenchmarkServe(Dist|Path)$' 20000x 1
 			bench "${side}ccserve" '^BenchmarkServeBatch64$' 5000x 1
 		done
 	done
 	load base: "$tmp"/base-{minplus,tier,ccserve}.out
 	load "" "$tmp"/{minplus,tier,ccserve}.out
-	for b in MulTo1024 RowMiss RowHit ServeDist ServeBatch64 ServePath; do
+	for b in MulTo1024 RowMiss RowHit EntryMiss EntryHit ServeDist ServeBatch64 ServePath; do
 		if [[ -z ${med[base:$b]:-} ]]; then
 			echo "ok    $b: missing at base ${base:0:12}"
 			continue

@@ -13,6 +13,13 @@
 // for one disk read. The graph itself — needed only by Path queries —
 // decodes lazily from the edge block.
 //
+// The cache owns its rows, and at most its capacity of them are resident.
+// EntryCtx reads one entry under the cache lock, so a query never holds a
+// cached row: an evicted row is recycled, and a miss preads into a reused
+// scratch buffer and decodes into that recycled row, allocating nothing
+// that grows with n. Row hands a row out instead; the cache never reuses a
+// row it has handed out.
+//
 // The oracle package builds its cold serving tier on top: an evicted tenant
 // demotes to a Reader instead of dropping, and rehydration becomes cache
 // warming (see oracle.Manager and cmd/ccserve's -coldcache flag).
@@ -33,7 +40,8 @@ import (
 
 // Reader serves distance rows of one persisted snapshot directly from disk.
 // All methods are safe for concurrent use. Rows returned by Row are shared
-// with the cache and other callers: they are read-only.
+// with the cache and other callers: they are read-only, and stay valid
+// after eviction.
 type Reader struct {
 	f     *os.File
 	ix    store.RowIndex
@@ -79,7 +87,7 @@ func Open(snapPath string, cacheRows int) (*Reader, error) {
 		cacheRows = 1
 	}
 	r := &Reader{f: f, ix: *ix}
-	r.cache = newRowCache(cacheRows, r.loadRow)
+	r.cache = newRowCache(cacheRows, ix.N, int(ix.RowWidth), r.loadRow)
 	return r, nil
 }
 
@@ -97,7 +105,10 @@ func (r *Reader) Version() uint64 { return r.ix.Version }
 // source u, minplus.Inf marking unreachable. The row comes from the hot-row
 // cache when resident and from one pread otherwise; concurrent requests for
 // the same non-resident row share a single load. The returned slice is
-// shared: callers must not modify it.
+// shared with the cache and other callers, so callers must not modify it;
+// the cache never reuses a row it has handed out, so the slice stays valid
+// after the row is evicted. A caller that wants one entry should use
+// EntryCtx, which leaves the row with the cache.
 func (r *Reader) Row(u int) ([]int64, error) {
 	return r.RowCtx(context.Background(), u)
 }
@@ -114,22 +125,39 @@ func (r *Reader) RowCtx(ctx context.Context, u int) ([]int64, error) {
 	}
 	ctx, sp := trace.StartSpan(ctx, "tier.row")
 	sp.SetInt("row", int64(u))
-	row, err := r.cache.get(ctx, u)
+	row, err := r.cache.row(ctx, u)
 	sp.SetError(err)
 	sp.End()
 	return row, err
 }
 
-// loadRow preads and validates one row. It is only ever invoked by the
-// cache's single-flight leader for a non-resident row.
-func (r *Reader) loadRow(u int) ([]int64, error) {
-	buf := make([]byte, r.ix.RowWidth)
-	if _, err := r.f.ReadAt(buf, r.ix.RowOffset+int64(u)*r.ix.RowWidth); err != nil {
-		return nil, fmt.Errorf("tier: reading row %d of %s: %w", u, r.f.Name(), err)
+// EntryCtx returns entry (u, v) of the published estimate, minplus.Inf
+// marking unreachable. It resolves row u exactly as RowCtx does — the same
+// cache, single-flight, counters and trace spans — but reads the one entry
+// under the cache lock, so the row stays the cache's own and a miss decodes
+// into a recycled row instead of allocating one.
+func (r *Reader) EntryCtx(ctx context.Context, u, v int) (int64, error) {
+	if u < 0 || u >= r.ix.N || v < 0 || v >= r.ix.N {
+		return 0, fmt.Errorf("tier: entry (%d,%d) out of range for n=%d", u, v, r.ix.N)
 	}
-	row := make([]int64, r.ix.N)
+	ctx, sp := trace.StartSpan(ctx, "tier.row")
+	sp.SetInt("row", int64(u))
+	d, err := r.cache.entry(ctx, u, v)
+	sp.SetError(err)
+	sp.End()
+	return d, err
+}
+
+// loadRow preads row u into buf and decodes and validates it into row. It
+// is only ever invoked by the cache's single-flight leader for a
+// non-resident row, with buf of RowWidth bytes and row of n entries, both
+// owned by that load.
+func (r *Reader) loadRow(u int, buf []byte, row []int64) error {
+	if _, err := r.f.ReadAt(buf, r.ix.RowOffset+int64(u)*r.ix.RowWidth); err != nil {
+		return fmt.Errorf("tier: reading row %d of %s: %w", u, r.f.Name(), err)
+	}
 	if err := minplus.DecodeRowBytes(row, buf); err != nil {
-		return nil, err
+		return err
 	}
 	// Rows read straight off disk bypass the snapshot codec's checksum, so
 	// validate the one structural invariant distances have: every entry in
@@ -137,11 +165,11 @@ func (r *Reader) loadRow(u int) ([]int64, error) {
 	// flowing into an answer.
 	for i, d := range row {
 		if d < 0 || d > minplus.Inf {
-			return nil, fmt.Errorf("%w: row %d entry %d holds impossible distance %d",
+			return fmt.Errorf("%w: row %d entry %d holds impossible distance %d",
 				store.ErrCorrupt, u, i, d)
 		}
 	}
-	return row, nil
+	return nil
 }
 
 // Graph decodes and returns the snapshot's input graph. The decode runs at
@@ -178,12 +206,16 @@ func (r *Reader) GraphCtx(ctx context.Context) (*cliqueapsp.Graph, error) {
 
 // CacheStats is a point-in-time snapshot of the hot-row cache.
 type CacheStats struct {
-	// Hits counts Row calls served without a disk read — resident rows plus
-	// waiters that joined an in-flight load. Misses counts loads that went
-	// to disk. Evictions counts rows dropped to stay within Capacity.
+	// Hits counts Row and EntryCtx calls served without a disk read —
+	// resident rows plus waiters that joined an in-flight load, each once.
+	// Misses counts loads that went to disk, failed ones included.
+	// Evictions counts rows dropped to stay within Capacity.
 	Hits, Misses, Evictions uint64
 	// Resident is the number of rows currently cached; it never exceeds
-	// Capacity, so Resident×8n bounds the reader's row memory.
+	// Capacity. For reuse the cache also keeps up to Capacity evicted rows
+	// and as many 8n-byte pread buffers: one of each per load in flight at
+	// the busiest moment. Rows Row has handed out are not counted; they
+	// live as long as their callers hold them.
 	Resident int
 	Capacity int
 }

@@ -1,8 +1,11 @@
 package tier_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -56,10 +59,8 @@ func checkRows(t *testing.T, r *tier.Reader, snap *store.Snapshot) {
 		if len(row) != n {
 			t.Fatalf("Row(%d) has %d entries, want %d", u, len(row), n)
 		}
-		for v := 0; v < n; v++ {
-			if row[v] != snap.Distances.At(u, v) {
-				t.Fatalf("row %d entry %d = %d, want %d", u, v, row[v], snap.Distances.At(u, v))
-			}
+		if err := rowEquals(row, snap, u); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -100,20 +101,7 @@ func TestReaderTruncatedSnapshotFails(t *testing.T) {
 // that row while every other row keeps serving.
 func TestReaderCorruptRowSurfaces(t *testing.T) {
 	ts, snap, snapPath := persistSnapshot(t, cliqueapsp.RandomGraph(10, 15, 2), 1)
-	ix, err := store.IndexOf(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(snapPath, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All-ones bytes decode to -1: an impossible distance.
-	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-		ix.RowOffset+3*ix.RowWidth); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	corruptRow(t, snap, snapPath, 3)
 
 	r, err := ts.OpenCold("alpha", 1, 4)
 	if err != nil {
@@ -125,6 +113,67 @@ func TestReaderCorruptRowSurfaces(t *testing.T) {
 	}
 	if row, err := r.Row(4); err != nil || row[0] != snap.Distances.At(4, 0) {
 		t.Fatalf("healthy row after corrupt one: %v, %v", row, err)
+	}
+}
+
+// corruptRow overwrites the first entry of row u in the snapshot file with
+// all-ones bytes, which decode to -1: an impossible distance.
+func corruptRow(t *testing.T, snap *store.Snapshot, snapPath string, u int) {
+	t.Helper()
+	ix, err := store.IndexOf(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(snapPath, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+		ix.RowOffset+int64(u)*ix.RowWidth); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A corrupt row fails on every read and never enters the cache. The row
+// its failed load decoded into goes back to the free list, so the next miss
+// reuses it — allocating less than a row — and serves correct values.
+func TestReaderCorruptRowRecycled(t *testing.T) {
+	const n = 256 // a row is 2 KiB, well above a miss's fixed allocations
+	ts, snap, snapPath := persistSnapshot(t, cliqueapsp.RandomGraph(n, 20, 6), 1)
+	corruptRow(t, snap, snapPath, 3)
+	r, err := ts.OpenCold("alpha", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	for i := 1; i <= 3; i++ {
+		if _, err := r.EntryCtx(ctx, 3, 0); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("corrupt entry read %d: %v, want ErrCorrupt", i, err)
+		}
+		if st := r.Stats(); st.Misses != uint64(i) || st.Resident != 0 {
+			t.Fatalf("after corrupt read %d: %+v, want %d misses and nothing resident", i, st, i)
+		}
+	}
+	if _, err := r.Row(3); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("corrupt row read: %v, want ErrCorrupt", err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := r.EntryCtx(ctx, 4, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil || d != snap.Distances.At(4, 0) {
+		t.Fatalf("entry (4,0) after the corrupt row = %d, %v; want %d", d, err, snap.Distances.At(4, 0))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8*n/2 {
+		t.Fatalf("miss after the corrupt row allocated %d bytes: the failed load's row was not reused", grew)
+	}
+	for v := 0; v < n; v++ {
+		if d, err := r.EntryCtx(ctx, 4, v); err != nil || d != snap.Distances.At(4, v) {
+			t.Fatalf("entry (4,%d) = %d, %v; want %d", v, d, err, snap.Distances.At(4, v))
+		}
 	}
 }
 
@@ -217,9 +266,10 @@ func TestReaderCacheBoundsResident(t *testing.T) {
 	}
 }
 
-// TestReaderSingleFlight hammers a handful of rows from many goroutines:
-// with a cache big enough to hold them, each row must hit the disk exactly
-// once — concurrent requests for a loading row join its flight.
+// TestReaderSingleFlight hammers a handful of rows from many goroutines,
+// alternating Row and EntryCtx: with a cache big enough to hold them, each
+// row must hit the disk exactly once — concurrent requests for a loading
+// row join its flight, and each waiter counts once as a hit.
 func TestReaderSingleFlight(t *testing.T) {
 	ts, _, _ := persistSnapshot(t, cliqueapsp.RandomGraph(16, 24, 5), 1)
 	r, err := ts.OpenCold("alpha", 1, 8)
@@ -237,12 +287,22 @@ func TestReaderSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < loops; i++ {
 				u := (w + i) % rows
-				row, err := r.Row(u)
-				if err != nil {
-					errs <- err
-					return
+				var d int64
+				if i%2 == 0 {
+					row, err := r.Row(u)
+					if err != nil {
+						errs <- err
+						return
+					}
+					d = row[u]
+				} else {
+					var err error
+					if d, err = r.EntryCtx(context.Background(), u, u); err != nil {
+						errs <- err
+						return
+					}
 				}
-				if row[u] != 0 {
+				if d != 0 {
 					errs <- errors.New("row self-distance not 0")
 					return
 				}
@@ -260,6 +320,142 @@ func TestReaderSingleFlight(t *testing.T) {
 	}
 	if want := uint64(workers*loops - rows); st.Hits != want {
 		t.Fatalf("hits %d, want %d", st.Hits, want)
+	}
+}
+
+// TestReaderRecyclingConcurrent mixes EntryCtx and Row over 16 rows through
+// a 2-row cache from 8 goroutines, so rows are evicted, recycled and joined
+// mid-flight constantly. Every entry must equal the snapshot's, and every
+// row Row handed out must still equal it after the goroutine's later reads
+// have recycled other rows: a handed-out row or a row a waiter has yet to
+// read that went back to the free list shows up as a wrong value (and as a
+// data race under -race).
+func TestReaderRecyclingConcurrent(t *testing.T) {
+	const rows, workers, loops = 16, 8, 300
+	ts, snap, _ := persistSnapshot(t, cliqueapsp.RandomGraph(rows, 30, 9), 1)
+	r, err := ts.OpenCold("alpha", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ctx := context.Background()
+			var held [][]int64 // rows Row handed out, re-checked at the end
+			var heldU []int
+			for i := 0; i < loops; i++ {
+				u, v := (w*5+i*3)%rows, (w+i*7)%rows
+				if i%4 == 0 {
+					row, err := r.Row(u)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					held, heldU = append(held, row), append(heldU, u)
+					continue
+				}
+				d, err := r.EntryCtx(ctx, u, v)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := snap.Distances.At(u, v); d != want {
+					t.Errorf("worker %d: entry (%d,%d) = %d, want %d", w, u, v, d, want)
+					return
+				}
+			}
+			for k, row := range held {
+				if err := rowEquals(row, snap, heldU[k]); err != nil {
+					t.Errorf("worker %d: held %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := r.Stats(); st.Resident > 2 || st.Evictions == 0 {
+		t.Fatalf("cache %+v, want ≤ 2 resident and evictions", st)
+	}
+}
+
+// rowEquals reports whether row is row u of the snapshot's estimate.
+func rowEquals(row []int64, snap *store.Snapshot, u int) error {
+	for v, d := range row {
+		if want := snap.Distances.At(u, v); d != want {
+			return fmt.Errorf("row %d entry %d = %d, want %d", u, v, d, want)
+		}
+	}
+	return nil
+}
+
+// A row Row handed out is never recycled: after it is evicted and 100
+// further misses have loaded through EntryCtx (which decodes into recycled
+// rows), it is still byte-identical to the snapshot's row.
+func TestReaderHandedOutRowSurvivesEviction(t *testing.T) {
+	const n = 24
+	ts, snap, _ := persistSnapshot(t, cliqueapsp.RandomGraph(n, 40, 3), 1)
+	r, err := ts.OpenCold("alpha", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	row, err := r.Row(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hit it again too: a resident hit hands the row out as well.
+	hit, err := r.Row(0)
+	if err != nil || &hit[0] != &row[0] {
+		t.Fatalf("resident re-read: %v, %v", hit, err)
+	}
+	for i := 0; i < 100; i++ {
+		u := 1 + i%(n-1)
+		if _, err := r.EntryCtx(ctx, u, i%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := r.Stats(); st.Misses != 101 {
+		t.Fatalf("cache %+v, want 101 misses (every EntryCtx a miss)", st)
+	}
+	if err := rowEquals(row, snap, 0); err != nil {
+		t.Fatalf("handed-out row changed after eviction: %v", err)
+	}
+}
+
+// TestEntryMissAllocation pins what a cold entry miss costs at n=1024: once
+// the cache is full, a miss decodes into a recycled row through a recycled
+// pread scratch, so 1,000 misses raise TotalAlloc by less than 1 KiB each —
+// a freshly allocated row and scratch would be 16 KiB.
+func TestEntryMissAllocation(t *testing.T) {
+	r := benchReader(t)
+	ctx := context.Background()
+	n := r.N()
+	// Fill the 64-row cache and let evictions stock the free lists.
+	for u := 0; u < 128; u++ {
+		if _, err := r.EntryCtx(ctx, u, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const misses = 1000
+	st := r.Stats()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < misses; i++ {
+		if _, err := r.EntryCtx(ctx, (128+i)%n, i%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := r.Stats().Misses - st.Misses; got != misses {
+		t.Fatalf("%d misses, want %d (every read a miss)", got, misses)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / misses; per >= 1024 {
+		t.Fatalf("an entry miss allocated %d bytes, want < 1 KiB", per)
 	}
 }
 
@@ -338,7 +534,7 @@ func TestNextHopRowFromOverReader(t *testing.T) {
 // benchReader opens a reader with ccserve's default 64-row cache over a
 // persisted n=1024 snapshot, an 8 MiB matrix. The distances are filler: a
 // row read costs the same whatever the values.
-func benchReader(b *testing.B) *tier.Reader {
+func benchReader(b testing.TB) *tier.Reader {
 	const n = 1024
 	dist, err := cliqueapsp.DistancesFromRows(n, func(u int, dst []int64) error {
 		for v := range dst {
@@ -391,6 +587,44 @@ func BenchmarkRowHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := r.Row(i % cached); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := r.Stats(); st.Misses != cached {
+		b.Fatalf("%d row loads for %d distinct rows", st.Misses, cached)
+	}
+}
+
+// BenchmarkEntryMiss is one cold entry read: the rows are swept in order, so
+// with 64 of 1024 rows cached every read is a pread and a row decode into a
+// recycled row.
+func BenchmarkEntryMiss(b *testing.B) {
+	r := benchReader(b)
+	ctx := context.Background()
+	n := r.N()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.EntryCtx(ctx, i%n, (i*7)%n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEntryHit is one resident entry read: the lookups cycle over the
+// 64 rows a warm-up pass left resident.
+func BenchmarkEntryHit(b *testing.B) {
+	r := benchReader(b)
+	ctx := context.Background()
+	const cached = 64
+	for u := 0; u < cached; u++ {
+		if _, err := r.EntryCtx(ctx, u, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.EntryCtx(ctx, i%cached, i%r.N()); err != nil {
 			b.Fatal(err)
 		}
 	}
