@@ -256,9 +256,7 @@ func buildResult(alg Algorithm, seed int64, est core.Estimate, m cc.Metrics) *Re
 		Violations:  append([]string(nil), m.Violations...),
 	}
 	for _, p := range m.Phases {
-		res.Phases = append(res.Phases, PhaseStat{
-			Name: p.Name, Rounds: p.Rounds, Messages: p.Messages, Words: p.Words,
-		})
+		res.Phases = append(res.Phases, PhaseStat(p))
 	}
 	return res
 }

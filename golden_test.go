@@ -5,8 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
+	"sync"
 	"testing"
+
+	"github.com/congestedclique/cliqueapsp/internal/registry"
 )
 
 // goldenAlgorithms are the built-in registry entries, in registration order.
@@ -104,6 +108,35 @@ func modelCostDigest(res *Result) string {
 	return b.String()
 }
 
+// goldenRun is one golden case's run: its graph, its result, and the phase
+// names its Progress callback reported.
+type goldenRun struct {
+	g        *Graph
+	res      *Result
+	reported map[string]bool
+	err      error
+}
+
+var (
+	goldenOnce sync.Once
+	goldenRuns []goldenRun
+)
+
+// goldenSweep runs every golden case once per test binary; the tests that
+// read the sweep share the runs, so adding one costs no engine time.
+func goldenSweep() []goldenRun {
+	goldenOnce.Do(func() {
+		eng := New()
+		for _, c := range goldenModelCost {
+			r := goldenRun{g: RandomGraph(c.n, 100, c.seed), reported: map[string]bool{}}
+			r.res, r.err = eng.Run(context.Background(), r.g, WithAlgorithm(c.alg), WithSeed(c.seed),
+				WithProgress(func(phase string) { r.reported[phase] = true }))
+			goldenRuns = append(goldenRuns, r)
+		}
+	})
+	return goldenRuns
+}
+
 func TestGoldenModelCost(t *testing.T) {
 	if got := Algorithms(); len(got) < len(goldenAlgorithms) ||
 		fmt.Sprint(got[:len(goldenAlgorithms)]) != fmt.Sprint(goldenAlgorithms) {
@@ -118,16 +151,13 @@ func TestGoldenModelCost(t *testing.T) {
 			t.Fatalf("golden table has no case for %q", a)
 		}
 	}
-	eng := New()
-	for _, c := range goldenModelCost {
-		c := c
+	for i, c := range goldenModelCost {
+		r := goldenSweep()[i]
 		t.Run(fmt.Sprintf("%s/n=%d/seed=%d", c.alg, c.n, c.seed), func(t *testing.T) {
-			res, err := eng.Run(context.Background(), RandomGraph(c.n, 100, c.seed),
-				WithAlgorithm(c.alg), WithSeed(c.seed))
-			if err != nil {
-				t.Fatal(err)
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
-			if got := modelCostDigest(res); got != c.digest {
+			if got := modelCostDigest(r.res); got != c.digest {
 				t.Fatalf("model cost or distances changed\n got  %s\n want %s", got, c.digest)
 			}
 		})
@@ -135,10 +165,10 @@ func TestGoldenModelCost(t *testing.T) {
 }
 
 // TestPhasesAreProgressNames checks the one phase vocabulary on the golden
-// sweep plus a zero-weight run: the phase breakdown sums to the run's
-// totals, and every phase that costs anything carries a name the run's
-// Progress callback reported, so wall-clock and model-cost breakdowns line
-// up phase for phase.
+// sweep, every built-in on n ≤ 8 and a zero-weight run: the phase breakdown
+// sums to the run's totals, and every phase that costs anything carries a
+// name the run's Progress callback reported, so wall-clock and model-cost
+// breakdowns line up phase for phase.
 func TestPhasesAreProgressNames(t *testing.T) {
 	type run struct {
 		name string
@@ -147,9 +177,11 @@ func TestPhasesAreProgressNames(t *testing.T) {
 		seed int64
 	}
 	var runs []run
-	for _, c := range goldenModelCost {
-		runs = append(runs, run{fmt.Sprintf("%s/n=%d/seed=%d", c.alg, c.n, c.seed),
-			RandomGraph(c.n, 100, c.seed), c.alg, c.seed})
+	// Graphs small enough for a pipeline's up-front brute force.
+	for _, alg := range goldenAlgorithms {
+		for _, n := range []int{2, 4, 8} {
+			runs = append(runs, run{fmt.Sprintf("%s/n=%d/seed=1", alg, n), RandomGraph(n, 100, 1), alg, 1})
+		}
 	}
 	zc, err := Generate("zeroclusters", 64, 1, 30, 3)
 	if err != nil {
@@ -158,8 +190,33 @@ func TestPhasesAreProgressNames(t *testing.T) {
 	runs = append(runs, run{"constant/zeroclusters/n=64", zc, AlgConstant, 3})
 
 	eng := New()
+	check := func(t *testing.T, res *Result, reported map[string]bool) {
+		t.Helper()
+		var rounds, messages, words int64
+		for _, p := range res.Phases {
+			rounds += p.Rounds
+			messages += p.Messages
+			words += p.Words
+			if (p.Rounds != 0 || p.Messages != 0 || p.Words != 0) && !reported[p.Name] {
+				t.Errorf("phase %q costs %d/%d/%d but no progress event names it (reported %v)",
+					p.Name, p.Rounds, p.Messages, p.Words, reported)
+			}
+		}
+		if rounds != res.Rounds || messages != res.Messages || words != res.Words {
+			t.Fatalf("phases sum to %d/%d/%d, totals are %d/%d/%d",
+				rounds, messages, words, res.Rounds, res.Messages, res.Words)
+		}
+	}
+	for i, c := range goldenModelCost {
+		r := goldenSweep()[i]
+		t.Run(fmt.Sprintf("%s/n=%d/seed=%d", c.alg, c.n, c.seed), func(t *testing.T) {
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			check(t, r.res, r.reported)
+		})
+	}
 	for _, r := range runs {
-		r := r
 		t.Run(r.name, func(t *testing.T) {
 			reported := map[string]bool{}
 			res, err := eng.Run(context.Background(), r.g, WithAlgorithm(r.alg), WithSeed(r.seed),
@@ -167,20 +224,63 @@ func TestPhasesAreProgressNames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rounds, messages, words int64
-			for _, p := range res.Phases {
-				rounds += p.Rounds
-				messages += p.Messages
-				words += p.Words
-				if (p.Rounds != 0 || p.Messages != 0 || p.Words != 0) && !reported[p.Name] {
-					t.Errorf("phase %q costs %d/%d/%d but no progress event names it (reported %v)",
-						p.Name, p.Rounds, p.Messages, p.Words, reported)
-				}
-			}
-			if rounds != res.Rounds || messages != res.Messages || words != res.Words {
-				t.Fatalf("phases sum to %d/%d/%d, totals are %d/%d/%d",
-					rounds, messages, words, res.Rounds, res.Messages, res.Words)
-			}
+			check(t, res, reported)
 		})
 	}
+}
+
+// TestPhaseCapacity checks, phase by phase on the golden sweep, that the
+// simulator never charges a phase fewer rounds than the Congested Clique
+// needs to carry the phase's traffic. B is the per-pair bandwidth of the
+// algorithm's model (registry BandwidthFor: 1 word, or log⁴n words).
+//
+// In one round each of the n(n−1) ordered pairs carries at most B words,
+// and each node receives at most (n−1)·B ≤ n·B words. So a phase of R
+// rounds moves Words ≤ R·n(n−1)·B, and no node receives more than R·n·B
+// words in one operation of it (MaxRecv). The charges respect this:
+//   - Route under Lenzen (Lemma 2.1) charges ⌈s/nB⌉ + ⌈r/nB⌉ rounds for
+//     per-node maxima s, r, and under CFG+20 (Lemma 2.2) 1 + ⌈r/nB⌉. Both
+//     cover r; and Words ≤ n·min(s, r) ≤ n²B·⌈r/nB⌉, at most R·n(n−1)·B for
+//     Lenzen (R ≥ 2 ceilings) and for CFG+20 while R ≤ n.
+//   - Broadcast of T words charges 1 + 2⌈T/nB⌉ rounds for T·n words and a
+//     per-node load of T, both within the bounds for n ≥ 2.
+//   - A subclique of m nodes at bandwidth b lifts each child round into
+//     ⌈m·b/(nB)⌉ parent rounds (Lemma 2.1). A child round's m(m−1)·b words
+//     and m·b per-node words then fit the parent rounds, so the bounds
+//     survive lift even though it carries the loads unscaled.
+//   - Parallel lanes share B (lanes·laneBW ≤ B, else a violation) and the
+//     parent pays the slowest lane's rounds, so every lane's traffic fits.
+//
+// MaxSend is not bounded this way: Lemma 2.2 charges nothing for the send
+// side, because a sender whose messages follow from little local state
+// offloads the duplication to helper nodes. A node's logical send volume
+// may then exceed R·n·B, so MaxSend's share of capacity is logged beside
+// the others but not asserted.
+func TestPhaseCapacity(t *testing.T) {
+	var worstWords, worstRecv, worstSend float64 // each load over its capacity
+	for i, c := range goldenModelCost {
+		r := goldenSweep()[i]
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		spec, ok := registry.Lookup(string(c.alg))
+		if !ok {
+			t.Fatalf("%s not registered", c.alg)
+		}
+		n, b := int64(c.n), int64(spec.BandwidthFor(c.n, 0))
+		for _, p := range r.res.Phases {
+			if p.Words > p.Rounds*n*(n-1)*b || p.MaxRecv > p.Rounds*n*b {
+				t.Errorf("%s n=%d seed=%d phase %s: %d words, MaxRecv %d in %d rounds exceed the capacity of n=%d, B=%d",
+					c.alg, c.n, c.seed, p.Name, p.Words, p.MaxRecv, p.Rounds, n, b)
+			}
+			if p.Rounds > 0 {
+				perNode := float64(p.Rounds * n * b)
+				worstWords = math.Max(worstWords, float64(p.Words)/(perNode*float64(n-1)))
+				worstRecv = math.Max(worstRecv, float64(p.MaxRecv)/perNode)
+				worstSend = math.Max(worstSend, float64(p.MaxSend)/perNode)
+			}
+		}
+	}
+	t.Logf("largest share of capacity in any phase: words %.3f, MaxRecv %.3f, MaxSend %.3f",
+		worstWords, worstRecv, worstSend)
 }

@@ -43,6 +43,16 @@ func spannerApprox(clq *cc.Clique, g *graph.Graph, b int) (Estimate, error) {
 	return Estimate{D: d, Factor: float64(2*b - 1)}, nil
 }
 
+// checkpointedBruteForce is a pipeline's up-front BruteForce on a graph too
+// small for its stages, charged to a phase of its own rather than to
+// whatever phase (often "init") was current.
+func checkpointedBruteForce(clq *cc.Clique, g *graph.Graph, cfg Config, phase string) (Estimate, error) {
+	if err := cfg.Checkpoint(clq, phase); err != nil {
+		return Estimate{}, err
+	}
+	return BruteForce(clq, g), nil
+}
+
 // BruteForce broadcasts the whole graph (3 words per edge) and lets every
 // node compute exact APSP locally. It is the paper's "solve by brute force
 // in O(1) rounds" fallback for degenerate parameter regimes, and is exact.

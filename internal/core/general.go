@@ -28,7 +28,7 @@ func APSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
 	cfg = cfg.withDefaults()
 	n := g.N()
 	if n <= 8 {
-		return BruteForce(clq, g), nil
+		return checkpointedBruteForce(clq, g, cfg, "theorem11/bruteforce")
 	}
 	if err := cfg.Checkpoint(clq, "theorem11/knearest"); err != nil {
 		return Estimate{}, err

@@ -34,7 +34,7 @@ func LargeBandwidthAPSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, e
 	cfg = cfg.withDefaults()
 	n := g.N()
 	if n <= 4 {
-		return BruteForce(clq, g), nil
+		return checkpointedBruteForce(clq, g, cfg, "largebw/bruteforce")
 	}
 	if err := cfg.Checkpoint(clq, "largebw/bootstrap"); err != nil {
 		return Estimate{}, err

@@ -28,7 +28,7 @@ func SmallDiameterAPSP(clq *cc.Clique, g *graph.Graph, cfg Config, bigBandwidth 
 	cfg = cfg.withDefaults()
 	n := g.N()
 	if n <= 4 {
-		return BruteForce(clq, g), nil
+		return checkpointedBruteForce(clq, g, cfg, "smalldiam/bruteforce")
 	}
 
 	if err := cfg.Checkpoint(clq, "smalldiam/bootstrap"); err != nil {

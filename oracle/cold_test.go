@@ -2,7 +2,10 @@ package oracle_test
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -373,11 +376,11 @@ func TestManagerColdConcurrency(t *testing.T) {
 }
 
 // TestColdReadFault corrupts one distance row of a cold tenant's snapshot
-// file underneath it. Every query touching that row — directly, or through
-// a next-hop build that reads it — must fail with ErrColdRead, never with
-// ErrNoRoute or a wrong answer; once the bytes are restored the same
-// queries succeed, so neither the failed read nor the failed next-hop
-// build was memoized.
+// file underneath it. Every query touching that row — a Dist or Batch pair
+// from it, or any Path toward it (Path reads the destination's row) — must
+// fail with ErrColdRead, never with ErrNoRoute or a wrong answer; once the
+// bytes are restored the same queries succeed, so the failed read was not
+// cached.
 func TestColdReadFault(t *testing.T) {
 	dir := openStore(t)
 	g := pathGraph(t, 8, 3) // 0-1-…-7, every edge weight 3
@@ -413,7 +416,7 @@ func TestColdReadFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	const bad = 1 // node 0's only neighbor: Path(0, ·) reads it for its next hops
+	const bad = 5 // Path(·, 5) reads it for the answer and every hop
 	off := ix.RowOffset + bad*ix.RowWidth
 	orig := make([]byte, ix.RowWidth)
 	if _, err := f.ReadAt(orig, off); err != nil {
@@ -433,31 +436,88 @@ func TestColdReadFault(t *testing.T) {
 			t.Fatalf("%s over a corrupt row: %v, want ErrColdRead wrapping ErrCorrupt", what, err)
 		}
 	}
-	dr, err := tn.Dist(bad, 5)
+	dr, err := tn.Dist(bad, 1)
 	wantColdRead("Dist", err)
 	if dr.Reachable {
 		t.Fatalf("failed Dist still answered %+v", dr)
 	}
-	_, err = tn.Batch([]oracle.Pair{{U: 0, V: 5}, {U: bad, V: 5}})
+	_, err = tn.Batch([]oracle.Pair{{U: 0, V: 5}, {U: bad, V: 1}})
 	wantColdRead("Batch", err)
-	_, err = tn.Path(bad, 5)
-	wantColdRead("Path from the corrupt row", err)
-	// Row 0 reads fine, so this fails inside the next-hop build of node 0.
-	_, err = tn.Path(0, 5)
-	wantColdRead("Path through the corrupt row", err)
+	for u := 0; u < g.N(); u++ {
+		pr, err := tn.Path(u, bad)
+		wantColdRead(fmt.Sprintf("Path(%d, %d) toward the corrupt row", u, bad), err)
+		if pr.Reachable || pr.Path != nil {
+			t.Fatalf("failed Path(%d, %d) still answered %+v", u, bad, pr)
+		}
+	}
+	// Rows 0 and 1 read fine, and a Path toward them never reads row 5.
+	if pr, err := tn.Path(bad, 0); err != nil || pr.Cost != 15 {
+		t.Fatalf("Path(%d, 0) from the corrupt row = %+v, %v — want cost 15", bad, pr, err)
+	}
 
 	if _, err := f.WriteAt(orig, off); err != nil {
 		t.Fatal(err)
 	}
-	pr, err := tn.Path(0, 5)
+	pr, err := tn.Path(0, bad)
 	if err != nil || !pr.Reachable || pr.Cost != 15 || len(pr.Path) != 6 {
 		t.Fatalf("Path after repair = %+v, %v — want cost 15 over 5 hops", pr, err)
 	}
-	if dr, err := tn.Dist(bad, 5); err != nil || dr.Distance != 12 {
+	if dr, err := tn.Dist(bad, 1); err != nil || dr.Distance != 12 {
 		t.Fatalf("Dist after repair = %+v, %v — want 12", dr, err)
 	}
-	br, err := tn.Batch([]oracle.Pair{{U: 0, V: 5}, {U: bad, V: 5}})
+	br, err := tn.Batch([]oracle.Pair{{U: 0, V: 5}, {U: bad, V: 1}})
 	if err != nil || br.Answers[0].Distance != 15 || br.Answers[1].Distance != 12 {
 		t.Fatalf("Batch after repair = %+v, %v", br, err)
 	}
+}
+
+// TestColdPathHeapBounded: Path on a cold tenant keeps no routing state, so
+// its heap stays the row cache's whatever the traffic. 2,048 random paths
+// over n=512 through an 8-row cache may grow the live heap by at most
+// 4·ColdCacheRows·n·8 bytes (the cache holds at most its rows, as many
+// evicted rows and as many pread buffers); a next-hop row memoized per
+// source would hold up to n·n·8 bytes, 2 MiB here.
+func TestColdPathHeapBounded(t *testing.T) {
+	const n, cacheRows, paths = 512, 8, 2048
+	dir := openStore(t)
+	m1 := oracle.NewManager(oracle.ManagerConfig{Base: oracle.Config{Algorithm: "test-exact"}, Store: dir})
+	setAndWait(t, mustTenant(t, m1, "alpha", oracle.TenantConfig{}), cliqueapsp.RandomGraph(n, 50, 4))
+	m1.Close()
+
+	m := coldManager(dir, cacheRows, cacheRows)
+	defer m.Close()
+	tn, err := m.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier := tn.Stats().Tier; tier != "cold" {
+		t.Fatalf("alpha tier %q, want cold", tier)
+	}
+	rng := rand.New(rand.NewSource(1))
+	route := func() {
+		t.Helper()
+		if pr, err := tn.Path(rng.Intn(n), rng.Intn(n)); err != nil || !pr.Reachable {
+			t.Fatalf("cold Path = %+v, %v", pr, err)
+		}
+	}
+	// Warm up: the graph decodes and the cache fills its free lists.
+	for i := 0; i < 4*cacheRows; i++ {
+		route()
+	}
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	for i := 0; i < paths; i++ {
+		route()
+	}
+	grew := live() - before
+	t.Logf("%d cold paths grew the live heap by %d bytes", paths, grew)
+	if limit := int64(4 * cacheRows * n * 8); grew > limit {
+		t.Fatalf("%d cold paths grew the live heap by %d bytes, want at most %d", paths, grew, limit)
+	}
+	runtime.KeepAlive(tn)
 }

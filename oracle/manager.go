@@ -648,7 +648,7 @@ func (m *Manager) drainDemotes(demotes []demotion) {
 	for _, d := range demotes {
 		r, err := m.cfg.Cold.OpenCold(d.t.name, d.v, m.cacheRows())
 		if err == nil {
-			if derr := d.t.o.swapTier(newColdSnapshot(r, &d.t.o.cnt)); derr != nil {
+			if derr := d.t.o.swapTier(newColdSnapshot(r)); derr != nil {
 				r.Close()
 				err = derr
 			}
@@ -1132,7 +1132,7 @@ func (m *Manager) Promote(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := t.o.swapTier(newSnapshot(snap.Version, snap.Graph, resultFromSnapshot(snap), &t.o.cnt)); err != nil {
+	if err := t.o.swapTier(newSnapshot(snap.Version, snap.Graph, resultFromSnapshot(snap))); err != nil {
 		m.rollbackNodes(t, prev)
 		return err
 	}

@@ -13,10 +13,12 @@
 // previous snapshot keeps serving, and rapid SetGraph calls coalesce: only
 // the latest pending graph is built.
 //
-// Path queries route greedily over per-source next-hop rows
-// (cliqueapsp.NextHopRowFrom over the snapshot's row source) that are
-// memoized lazily per snapshot, so serving paths from a few hot sources
-// never pays the full n² NextHopTables build.
+// Path queries route greedily from the destination's distance row alone
+// (cliqueapsp.RouteToward): on a symmetric estimate the next hop from x
+// toward v minimizes w(x,w) + D(v,w), so one row read answers the whole
+// route, and a snapshot keeps no per-source routing state. Symmetry is a
+// checked precondition: a build or hot restore whose estimate is asymmetric
+// is refused.
 package oracle
 
 import (
@@ -73,7 +75,8 @@ type Config struct {
 	Engine *cliqueapsp.Engine
 	// Algorithm selects the estimate every rebuild computes ("" keeps the
 	// engine's default). Any registered algorithm works, including custom
-	// ones added with cliqueapsp.Register.
+	// ones added with cliqueapsp.Register, as long as its estimate is
+	// symmetric: a build of an asymmetric one fails.
 	Algorithm cliqueapsp.Algorithm
 	// Eps sets the accuracy slack of the scaling stages for every rebuild
 	// (0 = engine default). Prefer this over putting cliqueapsp.WithEps in
@@ -256,8 +259,9 @@ type Stats struct {
 	BatchQueries uint64 `json:"batch_queries"`
 	PathQueries  uint64 `json:"path_queries"`
 	Answers      uint64 `json:"answers"`
-	// RowsBuilt counts next-hop rows materialized (across all snapshots);
-	// RowHits counts row lookups served from an already-built row.
+	// RowsBuilt and RowHits always read 0: Path reads the destination's
+	// distance row and memoizes no next-hop rows. They stay for API
+	// compatibility until ROADMAP item 2 retires them.
 	RowsBuilt uint64 `json:"rows_built"`
 	RowHits   uint64 `json:"row_hits"`
 	// Rebuilds and RebuildErrors count completed build attempts;
@@ -296,12 +300,10 @@ type Stats struct {
 	RowCache *tier.CacheStats `json:"row_cache,omitempty"`
 }
 
-// counters are the oracle's monotonically increasing totals, shared with
-// every snapshot so lazily built rows are accounted wherever they happen.
+// counters are the oracle's monotonically increasing totals.
 type counters struct {
 	distQueries, batchQueries, pathQueries atomic.Uint64
 	answers                                atomic.Uint64
-	rowsBuilt, rowHits                     atomic.Uint64
 	rebuilds, rebuildErrors                atomic.Uint64
 	repairs, repairFallbacks               atomic.Uint64
 	coalescedDeltas                        atomic.Uint64
@@ -498,6 +500,30 @@ func copyGraph(g *cliqueapsp.Graph) *cliqueapsp.Graph {
 	return cp
 }
 
+// checkSymmetric refuses an estimate whose entries (u,v) and (v,u) differ,
+// counting every entry at or above Inf as the same. Path reads each hop off
+// the destination's row, which routes like the source's only on a
+// symmetric estimate: the built-in algorithms produce one, a registered
+// algorithm need not. One O(n²) pass over 64×64 blocks keeps both the rows
+// and the columns it compares in cache.
+func checkSymmetric(d *cliqueapsp.DistanceMatrix) error {
+	const block = 64
+	n := d.N()
+	for bi := 0; bi < n; bi += block {
+		for bj := bi; bj < n; bj += block {
+			for i := bi; i < min(bi+block, n); i++ {
+				row := d.Row(i)
+				for j := max(bj, i+1); j < min(bj+block, n); j++ {
+					if a, b := row[j], d.At(j, i); a != b && min(a, b) < cliqueapsp.Inf {
+						return fmt.Errorf("oracle: asymmetric estimate refused: d(%d,%d)=%d but d(%d,%d)=%d", i, j, a, j, i, b)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // buildLoop drains pending work until none remains, publishing a snapshot
 // per unit — through the engine for full rebuilds, through the repair path
 // for small deltas. At most one buildLoop runs at a time (o.building).
@@ -675,7 +701,10 @@ func (o *Oracle) build(g *cliqueapsp.Graph, version uint64) (*snapshot, []PhaseT
 	if err != nil {
 		return nil, phases, err
 	}
-	return newSnapshot(version, g, res, &o.cnt), phases, nil
+	if err := checkSymmetric(res.Distances); err != nil {
+		return nil, phases, err
+	}
+	return newSnapshot(version, g, res), phases, nil
 }
 
 // RestoreSnapshot publishes a previously computed (typically persisted and
@@ -692,7 +721,8 @@ func (o *Oracle) build(g *cliqueapsp.Graph, version uint64) (*snapshot, []PhaseT
 // not comparable with this oracle's: if a caller managed to register a
 // graph before the restore landed, that live intent must win, never be
 // shadowed by old disk state. Waiters blocked in Wait(ctx, v) with
-// v ≤ version are released.
+// v ≤ version are released. An asymmetric estimate is refused, as a build
+// of one is.
 func (o *Oracle) RestoreSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Result) error {
 	if version == 0 {
 		return fmt.Errorf("oracle: restore version must be ≥ 1")
@@ -703,20 +733,22 @@ func (o *Oracle) RestoreSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqu
 	if res.Distances.N() != g.N() {
 		return fmt.Errorf("oracle: %d×%d distances for %d nodes", res.Distances.N(), res.Distances.N(), g.N())
 	}
-	return o.publishRestore(newSnapshot(version, g, res, &o.cnt))
+	if err := checkSymmetric(res.Distances); err != nil {
+		return err
+	}
+	return o.publishRestore(newSnapshot(version, g, res))
 }
 
 // restoreCold publishes a disk-backed snapshot with RestoreSnapshot's
 // semantics at tier cost: opening r read only the snapshot header, never
 // the O(n²) row block. The oracle takes ownership of r.
 func (o *Oracle) restoreCold(r *tier.Reader) error {
-	return o.publishRestore(newColdSnapshot(r, &o.cnt))
+	return o.publishRestore(newColdSnapshot(r))
 }
 
-// publishRestore installs s, built over o's counters, as the first serving
-// snapshot of a pristine oracle and releases waiters on its version. Live
-// intent wins: a serving snapshot or an accepted SetGraph refuses the
-// restore with ErrSuperseded.
+// publishRestore installs s as the first serving snapshot of a pristine
+// oracle and releases waiters on its version. Live intent wins: a serving
+// snapshot or an accepted SetGraph refuses the restore with ErrSuperseded.
 func (o *Oracle) publishRestore(s *snapshot) error {
 	if s.version == 0 {
 		return fmt.Errorf("oracle: restore version must be ≥ 1")
@@ -739,12 +771,11 @@ func (o *Oracle) publishRestore(s *snapshot) error {
 	return nil
 }
 
-// swapTier replaces the serving snapshot with next, built over o's counters:
-// the same version read from the other tier. Demotion frees the resident
-// matrix and next-hop rows once in-flight queries finish; promotion brings
-// them back. ErrSuperseded means the serving snapshot is no longer that
-// version on the opposite tier (a build landed, or a concurrent swap won);
-// the caller still owns next's source then.
+// swapTier replaces the serving snapshot with next: the same version read
+// from the other tier. Demotion frees the resident matrix once in-flight
+// queries finish; promotion brings it back. ErrSuperseded means the serving
+// snapshot is no longer that version on the opposite tier (a build landed,
+// or a concurrent swap won); the caller still owns next's source then.
 func (o *Oracle) swapTier(next *snapshot) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -868,8 +899,8 @@ func (o *Oracle) DistCtx(ctx context.Context, u, v int) (DistResult, error) {
 
 // Batch answers every pair from one snapshot resolved once at entry, so the
 // result is internally consistent even while a rebuild swaps snapshots
-// mid-flight. No next-hop state is touched: a batch of distance lookups is
-// O(1) per pair against the snapshot's row storage.
+// mid-flight. A batch of distance lookups is O(1) per pair against the
+// snapshot's row storage.
 func (o *Oracle) Batch(pairs []Pair) (BatchResult, error) {
 	return o.BatchCtx(context.Background(), pairs)
 }
@@ -909,10 +940,11 @@ func (o *Oracle) BatchCtx(ctx context.Context, pairs []Pair) (BatchResult, error
 	return BatchResult{Version: s.version, Answers: answers}, nil
 }
 
-// Path answers one path query by greedy next-hop routing on the current
-// snapshot, memoizing each traversed source's next-hop row in the snapshot.
-// With approximate estimates greedy forwarding can dead-end or loop on rare
-// pairs; that is reported as an error rather than a wrong path.
+// Path answers one path query by greedy routing on the current snapshot,
+// reading every hop off the destination's distance row (one row read per
+// query, no state kept). With approximate estimates greedy forwarding can
+// dead-end or loop on rare pairs; that is reported as an error rather than
+// a wrong path.
 func (o *Oracle) Path(u, v int) (PathResult, error) {
 	return o.PathCtx(context.Background(), u, v)
 }
@@ -949,8 +981,6 @@ func (o *Oracle) Stats() Stats {
 		BatchQueries:    o.cnt.batchQueries.Load(),
 		PathQueries:     o.cnt.pathQueries.Load(),
 		Answers:         o.cnt.answers.Load(),
-		RowsBuilt:       o.cnt.rowsBuilt.Load(),
-		RowHits:         o.cnt.rowHits.Load(),
 		Rebuilds:        o.cnt.rebuilds.Load(),
 		RebuildErrors:   o.cnt.rebuildErrors.Load(),
 		Repairs:         o.cnt.repairs.Load(),

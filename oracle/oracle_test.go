@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +31,19 @@ func init() {
 			return cliqueapsp.AlgorithmOutput{Distances: cliqueapsp.Exact(g), Factor: 1}, nil
 		},
 	})
+	// test-lopsided: like test-exact, except that on graphs with an odd node
+	// count it overstates d(0, n-1), but not d(n-1, 0), by one — a sound but
+	// asymmetric estimate.
+	mustRegister("test-lopsided", cliqueapsp.AlgorithmSpec{
+		Summary:     "asymmetric backend for the symmetry check",
+		FactorBound: "2",
+		RoundClass:  "0",
+		Bandwidth:   "n/a",
+		Run: func(ctx context.Context, g *cliqueapsp.Graph, p cliqueapsp.RunParams) (cliqueapsp.AlgorithmOutput, error) {
+			d, err := lopsided(g)
+			return cliqueapsp.AlgorithmOutput{Distances: d, Factor: 2}, err
+		},
+	})
 	// test-slow: like test-exact but slow enough for SetGraph calls to pile
 	// up while a build is in flight.
 	mustRegister("test-slow", cliqueapsp.AlgorithmSpec{
@@ -47,6 +61,17 @@ func init() {
 			return cliqueapsp.AlgorithmOutput{Distances: cliqueapsp.Exact(g), Factor: 1}, nil
 		},
 	})
+}
+
+// lopsided is test-lopsided's estimate of g.
+func lopsided(g *cliqueapsp.Graph) (*cliqueapsp.DistanceMatrix, error) {
+	n := g.N()
+	if n%2 == 0 {
+		return cliqueapsp.Exact(g), nil
+	}
+	rows := cliqueapsp.Exact(g).ToSlices()
+	rows[0][n-1]++
+	return cliqueapsp.DistancesFromSlices(rows)
 }
 
 func mustRegister(name cliqueapsp.Algorithm, spec cliqueapsp.AlgorithmSpec) {
@@ -403,56 +428,52 @@ func TestOracleLargeBatchNoRowBuilds(t *testing.T) {
 		}
 	}
 	st := o.Stats()
-	if st.RowsBuilt != 0 {
-		t.Fatalf("batch built %d next-hop rows, want 0", st.RowsBuilt)
-	}
 	if st.Answers < 10000 {
 		t.Fatalf("answers counter %d", st.Answers)
 	}
 }
 
-func TestOraclePathRowsMemoizedPerSnapshot(t *testing.T) {
-	g := pathGraph(t, 32, 3)
-	o := oracle.New(oracle.Config{Algorithm: "test-exact"})
+// TestOracleRefusesAsymmetricBuild: Path reads each hop off the
+// destination's row, so an estimate must be symmetric. A registered
+// algorithm's asymmetric build is refused as a build error while the
+// previous snapshot keeps serving, and a hot restore of one is refused too.
+func TestOracleRefusesAsymmetricBuild(t *testing.T) {
+	o := oracle.New(oracle.Config{Algorithm: "test-lopsided"})
 	defer o.Close()
-	v, err := o.SetGraph(g)
+	v1, err := o.SetGraph(pathGraph(t, 4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitReady(t, o, v)
-
-	// Routing 0→31 touches rows 0..30; repeating the query must reuse them.
-	if _, err := o.Path(0, 31); err != nil {
+	waitReady(t, o, v1)
+	v2, err := o.SetGraph(pathGraph(t, 5, 2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	built := o.Stats().RowsBuilt
-	if built == 0 || built > 31 {
-		t.Fatalf("first path built %d rows", built)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := o.Path(0, 31); err != nil {
-			t.Fatal(err)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := o.Wait(ctx, v2); err == nil || !strings.Contains(err.Error(), "asymmetric") {
+		t.Fatalf("Wait(%d) on an asymmetric build: %v, want the asymmetry refused", v2, err)
 	}
 	st := o.Stats()
-	if st.RowsBuilt != built {
-		t.Fatalf("repeat paths built more rows: %d → %d", built, st.RowsBuilt)
+	if st.Version != v1 || st.RebuildErrors != 1 || st.GraphN != 4 {
+		t.Fatalf("after the refused build: %+v, want v%d on 4 nodes still serving and 1 rebuild error", st, v1)
 	}
-	if st.RowHits == 0 {
-		t.Fatal("no row cache hits recorded")
+	if pr, err := o.Path(0, 3); err != nil || pr.Version != v1 || pr.Cost != 6 {
+		t.Fatalf("Path(0,3) after the refused build = %+v, %v; want cost 6 at v%d", pr, err, v1)
 	}
 
-	// A new snapshot starts cold: its rows are built afresh.
-	v2, err := o.SetGraph(pathGraph(t, 32, 4))
+	g := pathGraph(t, 5, 2)
+	d, err := lopsided(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitReady(t, o, v2)
-	if _, err := o.Path(0, 31); err != nil {
-		t.Fatal(err)
+	r := oracle.New(oracle.Config{})
+	defer r.Close()
+	if err := r.RestoreSnapshot(1, g, &cliqueapsp.Result{Distances: d, FactorBound: 2}); err == nil || !strings.Contains(err.Error(), "asymmetric") {
+		t.Fatalf("restore of an asymmetric estimate: %v, want it refused", err)
 	}
-	if o.Stats().RowsBuilt <= built {
-		t.Fatal("new snapshot reused stale rows")
+	if r.Ready() {
+		t.Fatal("a refused restore is serving")
 	}
 }
 

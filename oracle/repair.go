@@ -171,8 +171,10 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 
 // repair executes a decided plan: copy the base matrix, rewrite the dirty
 // sources' rows and columns from exact Dijkstras on the new graph, close the
-// rest through the touched endpoints, and wrap the result as a snapshot that
-// carries over every next-hop row the patch provably left valid. It cannot
+// rest through the touched endpoints, and wrap the result as a snapshot. The
+// patch keeps the matrix symmetric: each dirty row is also written as its
+// column, and the combine step gives (u,v) and (v,u) the same candidates.
+// It cannot
 // fail: every input was validated when the plan was made (the impossible
 // errors below panic, like the other unreachable paths in this package).
 func (o *Oracle) repair(w *pendingWork, plan *repairPlan) (*snapshot, []PhaseTiming) {
@@ -188,23 +190,14 @@ func (o *Oracle) repair(w *pendingWork, plan *repairPlan) (*snapshot, []PhaseTim
 	if err != nil {
 		panic(fmt.Sprintf("oracle: repair matrix copy: %v", err))
 	}
-	// changedRow[u] records that row u's distances differ from the base —
-	// the input to next-hop carryover below. Writes to newD are safe without
-	// synchronization: the matrix is unpublished until the snapshot stores.
-	changedRow := make([]bool, n)
+	// Writes to newD are safe without synchronization: the matrix is
+	// unpublished until the snapshot stores.
 	for _, s := range plan.dirty {
 		row, err := cliqueapsp.SSSP(w.g, s)
 		if err != nil {
 			panic(fmt.Sprintf("oracle: repair sssp from %d: %v", s, err))
 		}
-		dst := newD.Row(s)
-		for v := 0; v < n; v++ {
-			if dst[v] != row[v] {
-				changedRow[s] = true
-				changedRow[v] = true // the symmetric entry (v,s) changes too
-			}
-		}
-		copy(dst, row)
+		copy(newD.Row(s), row)
 		for v := 0; v < n; v++ {
 			newD.Row(v)[s] = row[v]
 		}
@@ -240,8 +233,6 @@ func (o *Oracle) repair(w *pendingWork, plan *repairPlan) (*snapshot, []PhaseTim
 				for v := 0; v < n; v++ {
 					if tv := tr[v]; tv < cliqueapsp.Inf && dut+tv < du[v] {
 						du[v] = dut + tv
-						changedRow[u] = true
-						changedRow[v] = true
 					}
 				}
 			}
@@ -254,6 +245,5 @@ func (o *Oracle) repair(w *pendingWork, plan *repairPlan) (*snapshot, []PhaseTim
 	// repair arguments above guarantee the bound still holds.
 	res := *base.res
 	res.Distances = newD
-	reuse := cliqueapsp.ReusableNextHopSources(w.g, plan.touched, changedRow)
-	return newRepairedSnapshot(w.v, w.g, &res, &o.cnt, base, reuse), phases
+	return newSnapshot(w.v, w.g, &res), phases
 }

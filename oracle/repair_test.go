@@ -412,66 +412,6 @@ func TestOracleDeltaCoalescing(t *testing.T) {
 	expectExact(t, o, want)
 }
 
-// TestOracleRepairCarriesNextHopRows: a repair far away from the routed
-// component must carry the memoized next-hop rows into the new snapshot —
-// re-routing costs zero row builds — while rows the delta touched are rebuilt.
-func TestOracleRepairCarriesNextHopRows(t *testing.T) {
-	// Two disjoint paths: 0-1-2-3 and 4-5-6-7.
-	g := cliqueapsp.NewGraph(8)
-	for i := 0; i < 3; i++ {
-		if err := g.AddEdge(i, i+1, 5); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.AddEdge(4+i, 5+i, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	o := oracle.New(oracle.Config{Algorithm: "test-exact", RepairMaxDirtyFrac: 1})
-	defer o.Close()
-	v, err := o.SetGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, o, v)
-
-	if _, err := o.Path(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	built := o.Stats().RowsBuilt
-	if built == 0 {
-		t.Fatal("routing built no rows")
-	}
-
-	// Reweight inside the other component: rows 0..3 stay provably valid.
-	v2, err := o.ApplyDelta(cliqueapsp.GraphDelta{Edges: []cliqueapsp.EdgeDelta{
-		{Op: cliqueapsp.DeltaReweight, U: 4, V: 5, W: 9},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitReady(t, o, v2)
-	if st := o.Stats(); st.Repairs != 1 {
-		t.Fatalf("repairs=%d, want 1", st.Repairs)
-	}
-	if _, err := o.Path(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Stats().RowsBuilt; got != built {
-		t.Fatalf("re-routing after repair built %d new rows, want carryover", got-built)
-	}
-	// The touched component's rows were NOT carried: routing there builds.
-	pr, err := o.Path(4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Cost != 9+5+5 {
-		t.Fatalf("path cost in repaired component %d, want 19", pr.Cost)
-	}
-	if got := o.Stats().RowsBuilt; got == built {
-		t.Fatal("routing through repaired rows built nothing")
-	}
-}
-
 // TestOracleConcurrentDeltasAndQueries hammers Dist/Batch/Path while deltas
 // publish underneath (run under -race). Version v serves a path graph whose
 // edge {0,1} weighs 100+v, so every answer is checkable against the version

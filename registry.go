@@ -100,7 +100,9 @@ type RunParams struct {
 // [Now21] and CKK+19).
 type AlgorithmOutput struct {
 	// Distances is the estimate; every entry must dominate the true
-	// distance. Required, with N matching the input graph.
+	// distance. Required, with N matching the input graph. The engine
+	// accepts an asymmetric estimate, but the oracle package serves only
+	// symmetric ones: its paths read each hop off the destination's row.
 	Distances *DistanceMatrix
 	// Factor is the proven approximation factor (≥ 1).
 	Factor float64

@@ -104,12 +104,17 @@ func (m *DistanceMatrix) ToSlices() [][]int64 {
 // routing) without copying.
 func (m *DistanceMatrix) dense() *minplus.Dense { return m.d }
 
-// PhaseStat is the per-phase accounting of a run.
+// PhaseStat is the per-phase accounting of a run. MaxSend and MaxRecv are
+// the largest number of words any one node sent or received in a single
+// operation of the phase (for a nested pipeline, in one of its own
+// operations, unscaled by the rounds simulating it took).
 type PhaseStat struct {
 	Name     string
 	Rounds   int64
 	Messages int64
 	Words    int64
+	MaxSend  int64
+	MaxRecv  int64
 }
 
 // Result reports a run's output and its simulated cost. A Result is

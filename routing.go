@@ -6,10 +6,10 @@ import (
 )
 
 // NextHopRow computes node src's next-hop row from a distance estimate:
-// row[v] is the neighbor x of src minimizing w(src,x) + δ(x,v), src itself
-// for v == src, and -1 when v is unreachable from src's viewpoint. It is the
-// per-source building block of NextHopTables, exposed so callers that only
-// route from a few sources (the oracle package memoizes rows per snapshot)
+// row[v] is the neighbor x of src minimizing w(src,x) + δ(x,v), ties to the
+// smallest neighbor index, src itself for v == src, and -1 when v is
+// unreachable from src's viewpoint. It is the per-source building block of
+// NextHopTables, exposed so callers that only route from a few sources
 // don't pay the full n² table build.
 //
 // The distances may come from any Run result (or Exact); with exact
@@ -18,48 +18,20 @@ func NextHopRow(g *Graph, distances *DistanceMatrix, src int) ([]int, error) {
 	if err := checkDistances(g, distances); err != nil {
 		return nil, err
 	}
-	return NextHopRowFrom(g, src, residentRows(distances))
-}
-
-// residentRows is the row provider over a resident estimate; it never fails.
-func residentRows(distances *DistanceMatrix) func(x int) ([]int64, error) {
-	return func(x int) ([]int64, error) { return distances.Row(x), nil }
-}
-
-// NextHopRowFrom computes node src's next-hop row like NextHopRow, but
-// resolves distance rows through row instead of a resident DistanceMatrix —
-// the building block for estimates that live on disk (the tier package's
-// snapshot readers). row(x) must return node x's full distance vector
-// (length n, treated read-only); it is called once per neighbor of src, so a
-// caching provider pays at most deg(src) row loads. Ties break toward the
-// smallest neighbor index, so rows are deterministic per estimate and hot
-// and cold serving produce identical routes.
-func NextHopRowFrom(g *Graph, src int, row func(x int) ([]int64, error)) ([]int, error) {
 	n := g.N()
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("cliqueapsp: source %d out of range for n=%d", src, n)
-	}
-	if row == nil {
-		return nil, fmt.Errorf("cliqueapsp: nil row provider")
 	}
 	best := make([]int, n)
 	bestCost := make([]int64, n)
 	for v := range best {
 		best[v] = -1
 	}
-	for _, a := range arcsOf(g, src) {
-		if a.w >= Inf {
+	for _, a := range g.inner.Out(src) {
+		if a.W >= Inf {
 			continue
 		}
-		r, err := row(a.to)
-		if err != nil {
-			return nil, fmt.Errorf("cliqueapsp: next-hop row %d: distance row %d: %w", src, a.to, err)
-		}
-		if len(r) != n {
-			return nil, fmt.Errorf("cliqueapsp: next-hop row %d: distance row %d has %d entries, want %d", src, a.to, len(r), n)
-		}
-		for v := 0; v < n; v++ {
-			d := r[v]
+		for v, d := range distances.Row(a.To) {
 			// Saturating addition, mirroring minplus.SatAdd: a candidate whose
 			// cost lands at or above Inf is just as unreachable as one with an
 			// infinite estimate and must not be elected. With both operands
@@ -68,12 +40,12 @@ func NextHopRowFrom(g *Graph, src int, row func(x int) ([]int64, error)) ([]int,
 			if d >= Inf {
 				continue
 			}
-			cost := a.w + d
+			cost := a.W + d
 			if cost >= Inf {
 				continue
 			}
-			if best[v] == -1 || cost < bestCost[v] || (cost == bestCost[v] && a.to < best[v]) {
-				best[v], bestCost[v] = a.to, cost
+			if best[v] == -1 || cost < bestCost[v] || (cost == bestCost[v] && a.To < best[v]) {
+				best[v], bestCost[v] = a.To, cost
 			}
 		}
 	}
@@ -86,13 +58,9 @@ func NextHopRowFrom(g *Graph, src int, row func(x int) ([]int64, error)) ([]int,
 // classic application of (approximate) APSP to network routing that
 // motivates the problem (paper §1).
 func NextHopTables(g *Graph, distances *DistanceMatrix) ([][]int, error) {
-	if err := checkDistances(g, distances); err != nil {
-		return nil, err
-	}
-	rows := residentRows(distances)
 	table := make([][]int, g.N())
 	for u := range table {
-		row, err := NextHopRowFrom(g, u, rows)
+		row, err := NextHopRow(g, distances, u)
 		if err != nil {
 			return nil, err
 		}
@@ -166,8 +134,7 @@ var ErrNoRoute = errors.New("cliqueapsp: greedy forwarding found no route")
 
 // GreedyRouter walks greedy next-hop routes over per-source rows. The rows
 // callback supplies each visited node's next-hop row (a NextHopTables row,
-// a memoized NextHopRow, …); the router adds the edge-weight bookkeeping and
-// the loop guard shared by SimulateForwarding and the oracle package.
+// say); the router adds the edge-weight bookkeeping and the loop guard.
 type GreedyRouter struct {
 	n       int
 	weights []map[int]int64 // per-node neighbor → edge weight
@@ -179,10 +146,15 @@ type GreedyRouter struct {
 func NewGreedyRouter(g *Graph, rows func(src int) []int) *GreedyRouter {
 	n := g.N()
 	weights := make([]map[int]int64, n)
-	for u, arcs := range adjacency(g) {
-		weights[u] = make(map[int]int64, len(arcs))
-		for _, a := range arcs {
-			weights[u][a.to] = a.w
+	for u := range weights {
+		out := g.inner.Out(u)
+		weights[u] = make(map[int]int64, len(out))
+		for _, a := range out {
+			// Of parallel edges, a packet takes the lightest, as the
+			// next-hop election assumes.
+			if w, ok := weights[u][a.To]; !ok || a.W < w {
+				weights[u][a.To] = a.W
+			}
 		}
 	}
 	return &GreedyRouter{n: n, weights: weights, rows: rows}
@@ -195,16 +167,6 @@ func NewGreedyRouter(g *Graph, rows func(src int) []int) *GreedyRouter {
 // so a walk that revisits a node would repeat itself forever: the first
 // revisit is reported as the loop, after at most n row lookups.
 func (r *GreedyRouter) Route(u, v int) ([]int, int64, error) {
-	return r.RouteVia(u, v, r.rows)
-}
-
-// RouteVia forwards one packet like Route, but resolves next-hop rows
-// through the given callback instead of the router's own. It exists for row
-// providers whose lookups can fail per call (a disk-backed snapshot, say):
-// the caller wraps its fallible provider in a closure that records the error
-// and returns a dead row, shares the router's O(m) weight tables across
-// calls, and keeps each call's error slot private.
-func (r *GreedyRouter) RouteVia(u, v int, rows func(src int) []int) ([]int, int64, error) {
 	if u < 0 || u >= r.n || v < 0 || v >= r.n {
 		return nil, 0, fmt.Errorf("cliqueapsp: route (%d,%d) out of range for n=%d", u, v, r.n)
 	}
@@ -213,7 +175,7 @@ func (r *GreedyRouter) RouteVia(u, v int, rows func(src int) []int) ([]int, int6
 	visited[u/64] |= 1 << (u % 64)
 	cur, cost := u, int64(0)
 	for cur != v {
-		nh := rows(cur)[v]
+		nh := r.rows(cur)[v]
 		if nh < 0 || nh == cur {
 			return nil, 0, fmt.Errorf("%w: dead end at %d routing %d to %d", ErrNoRoute, cur, u, v)
 		}
@@ -226,6 +188,65 @@ func (r *GreedyRouter) RouteVia(u, v int, rows func(src int) []int) ([]int, int6
 		}
 		visited[nh/64] |= 1 << (nh % 64)
 		cost += w
+		path = append(path, nh)
+		cur = nh
+	}
+	return path, cost, nil
+}
+
+// RouteToward forwards one packet greedily from u to v, reading every hop
+// off rowV, the estimate's distance row of the destination. At each node x
+// it takes the neighbor w minimizing w(x,w) + rowV[w], ties to the smallest
+// index; costs at or above Inf elect no hop. On a symmetric estimate rowV[w]
+// is δ(w,v), so the walk follows exactly the hops NextHopTables would give,
+// without building a next-hop row: one row serves every node on the route,
+// and the walk scans only the route's adjacency.
+//
+// It returns the hop sequence (u..v inclusive) and the summed weights of
+// the edges taken. A dead end and a loop (caught at the first revisit: a
+// hop depends only on the node and v, so a revisit repeats forever) return
+// ErrNoRoute, the expected outcome for unreachable pairs. Apart from the
+// returned path it allocates nothing for n ≤ 4096.
+func RouteToward(g *Graph, u, v int, rowV []int64) ([]int, int64, error) {
+	n := g.N()
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return nil, 0, fmt.Errorf("cliqueapsp: route (%d,%d) out of range for n=%d", u, v, n)
+	}
+	if len(rowV) != n {
+		return nil, 0, fmt.Errorf("cliqueapsp: distance row has %d entries, want %d", len(rowV), n)
+	}
+	var small [64]uint64 // one bit per node on the path
+	visited := small[:]
+	if words := (n + 63) / 64; words > len(small) {
+		visited = make([]uint64, words)
+	}
+	visited[u/64] |= 1 << (u % 64)
+	path := append(make([]int, 0, 8), u)
+	cur, cost := u, int64(0)
+	for cur != v {
+		nh, nw, best := -1, int64(0), int64(0)
+		for _, a := range g.inner.Out(cur) {
+			// Saturating, as in NextHopRow: a cost at or above Inf elects
+			// nothing.
+			if a.W >= Inf || rowV[a.To] >= Inf {
+				continue
+			}
+			c := a.W + rowV[a.To]
+			if c >= Inf {
+				continue
+			}
+			if nh == -1 || c < best || (c == best && a.To < nh) {
+				nh, nw, best = a.To, a.W, c
+			}
+		}
+		if nh < 0 {
+			return nil, 0, fmt.Errorf("%w: dead end at %d routing %d to %d", ErrNoRoute, cur, u, v)
+		}
+		if visited[nh/64]&(1<<(nh%64)) != 0 {
+			return nil, 0, fmt.Errorf("%w: loop routing %d to %d", ErrNoRoute, u, v)
+		}
+		visited[nh/64] |= 1 << (nh % 64)
+		cost += nw
 		path = append(path, nh)
 		cur = nh
 	}
@@ -299,55 +320,4 @@ func SimulateForwarding(g *Graph, table [][]int) (ForwardingStats, error) {
 		stats.MeanStretch = sum / float64(finite)
 	}
 	return stats, nil
-}
-
-type wArc struct {
-	to int
-	w  int64
-}
-
-func adjacency(g *Graph) [][]wArc {
-	adj := make([][]wArc, g.N())
-	for u := range adj {
-		adj[u] = arcsOf(g, u)
-	}
-	return adj
-}
-
-// ReusableNextHopSources reports, per source, whether a next-hop row
-// memoized against a pre-repair snapshot is still byte-identical after an
-// edge-delta repair of the distance matrix. A source's next-hop row depends
-// only on its own adjacency and its neighbours' distance rows (see
-// NextHopRowFrom), so the row survives exactly when the source is not an
-// endpoint of any changed edge (touched) and no out-neighbour's distance
-// row changed (changedRow). g is the post-delta graph; for an untouched
-// source its adjacency there equals the pre-delta one.
-func ReusableNextHopSources(g *Graph, touched map[int]bool, changedRow []bool) []bool {
-	n := g.N()
-	ok := make([]bool, n)
-	for u := 0; u < n; u++ {
-		if touched[u] {
-			continue
-		}
-		keep := true
-		for _, a := range g.inner.Out(u) {
-			if a.To < len(changedRow) && changedRow[a.To] {
-				keep = false
-				break
-			}
-		}
-		ok[u] = keep
-	}
-	return ok
-}
-
-// arcsOf returns node u's incident arcs without materializing the full edge
-// list (the graph stores both directions of every undirected edge).
-func arcsOf(g *Graph, u int) []wArc {
-	out := g.inner.Out(u)
-	arcs := make([]wArc, len(out))
-	for i, a := range out {
-		arcs[i] = wArc{to: a.To, w: a.W}
-	}
-	return arcs
 }

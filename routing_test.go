@@ -425,7 +425,7 @@ func mustAdd(t *testing.T, g *Graph, u, v int, w int64) {
 	}
 }
 
-// routeTTLReference is the TTL-guarded walk RouteVia replaced, kept verbatim
+// routeTTLReference is the TTL-guarded walk Route's first-revisit guard replaced, kept verbatim
 // as the differential reference: it follows a loop for 4n hops before it
 // reports it.
 func routeTTLReference(r *GreedyRouter, u, v int, rows func(src int) []int) ([]int, int64, error) {
@@ -453,11 +453,11 @@ func routeTTLReference(r *GreedyRouter, u, v int, rows func(src int) []int) ([]i
 	return path, cost, nil
 }
 
-// TestRouteViaMatchesTTLReference routes every pair of random next-hop
+// TestRouteMatchesTTLReference routes every pair of random next-hop
 // tables that mix true next hops with random neighbors (loops), dead ends
 // and non-edge hops, and requires the path, cost and error of the
 // first-revisit walk to match the TTL walk's exactly.
-func TestRouteViaMatchesTTLReference(t *testing.T) {
+func TestRouteMatchesTTLReference(t *testing.T) {
 	var delivered, loops, deadEnds, nonEdges int
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -467,7 +467,6 @@ func TestRouteViaMatchesTTLReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		adj := adjacency(g)
 		table := make([][]int, n)
 		for x := range table {
 			table[x] = make([]int, n)
@@ -475,8 +474,8 @@ func TestRouteViaMatchesTTLReference(t *testing.T) {
 				switch k := rng.Intn(10); {
 				case k < 4:
 					table[x][v] = exact[x][v]
-				case k < 8 && len(adj[x]) > 0:
-					table[x][v] = adj[x][rng.Intn(len(adj[x]))].to
+				case k < 8 && len(g.inner.Out(x)) > 0:
+					table[x][v] = g.inner.Out(x)[rng.Intn(len(g.inner.Out(x)))].To
 				case k == 8:
 					table[x][v] = rng.Intn(n + 2) // may be a non-edge or out of range
 				default:
@@ -513,10 +512,10 @@ func TestRouteViaMatchesTTLReference(t *testing.T) {
 	}
 }
 
-// TestRouteViaLoopCostsAtMostNRows routes over a table that cycles through
+// TestRouteLoopCostsAtMostNRows routes over a table that cycles through
 // every node but the destination: the loop must be reported after at most n
 // row lookups, not after a 4n-hop walk.
-func TestRouteViaLoopCostsAtMostNRows(t *testing.T) {
+func TestRouteLoopCostsAtMostNRows(t *testing.T) {
 	const n = 64
 	g := NewGraph(n)
 	for x := 0; x < n-1; x++ {
@@ -529,15 +528,57 @@ func TestRouteViaLoopCostsAtMostNRows(t *testing.T) {
 		table[x][n-1] = (x + 1) % (n - 1) // around the ring, never to n-1
 	}
 	calls := 0
-	router := NewGreedyRouter(g, nil)
-	path, _, err := router.RouteVia(0, n-1, func(src int) []int {
+	router := NewGreedyRouter(g, func(src int) []int {
 		calls++
 		return table[src]
 	})
+	path, _, err := router.Route(0, n-1)
 	if !errors.Is(err, ErrNoRoute) || !strings.Contains(err.Error(), "loop") || path != nil {
-		t.Fatalf("RouteVia = %v, %v; want a nil path and an ErrNoRoute loop", path, err)
+		t.Fatalf("Route = %v, %v; want a nil path and an ErrNoRoute loop", path, err)
 	}
 	if calls > n {
 		t.Fatalf("rows called %d times on a loop, want at most n=%d", calls, n)
+	}
+}
+
+// TestRouteParallelEdgeCostsLightest: of parallel edges, the next hop is
+// elected over the lightest, so the route must be charged that edge's weight
+// too, whichever order the edges were added in. Greedy forwarding over exact
+// tables then realizes stretch 1.
+func TestRouteParallelEdgeCostsLightest(t *testing.T) {
+	g := NewGraph(3)
+	mustAdd(t, g, 0, 1, 1)
+	mustAdd(t, g, 0, 1, 5) // heavier, added last
+	mustAdd(t, g, 1, 2, 2)
+	exact := Exact(g)
+	table, err := NextHopTables(g, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, cost, err := NewGreedyRouter(g, func(src int) []int { return table[src] }).Route(0, 2); err != nil || cost != 3 {
+		t.Fatalf("Route(0,2) cost %d, %v; want 3 over the weight-1 edge", cost, err)
+	}
+	if _, cost, err := RouteToward(g, 0, 2, exact.Row(2)); err != nil || cost != 3 {
+		t.Fatalf("RouteToward(0,2) cost %d, %v; want 3", cost, err)
+	}
+	st, err := SimulateForwarding(g, table)
+	if err != nil || st.WorstStretch != 1 {
+		t.Fatalf("SimulateForwarding = %+v, %v; want worst stretch 1", st, err)
+	}
+}
+
+func TestRouteTowardValidation(t *testing.T) {
+	g := RandomGraph(8, 5, 1)
+	row := Exact(g).Row(3)
+	for _, p := range [][2]int{{-1, 3}, {8, 3}, {0, -1}, {0, 8}} {
+		if _, _, err := RouteToward(g, p[0], p[1], row); err == nil || errors.Is(err, ErrNoRoute) {
+			t.Fatalf("RouteToward%v = %v, want an out-of-range error", p, err)
+		}
+	}
+	if _, _, err := RouteToward(g, 0, 3, row[:7]); err == nil || errors.Is(err, ErrNoRoute) {
+		t.Fatalf("RouteToward over a 7-entry row: %v, want a length error", err)
+	}
+	if path, cost, err := RouteToward(g, 3, 3, row); err != nil || len(path) != 1 || cost != 0 {
+		t.Fatalf("RouteToward(3,3) = %v, %d, %v; want [3] at cost 0", path, cost, err)
 	}
 }

@@ -20,9 +20,10 @@ import (
 // each load preads into a byte scratch taken from a second free list, one
 // per load in flight. A row handed out by row is flagged shared and is
 // never recycled: its holder may keep it forever. entry reads one value
-// under the lock instead, so the row it reads stays with the cache. A row a
-// flight's waiters have yet to read is pinned: evicting it defers the
-// recycle to the last waiter.
+// under the lock instead, and visit lends the row to a callback, so the
+// rows they read stay with the cache. A row a visitor or a flight's
+// waiter has yet to finish with is pinned: evicting it defers the recycle
+// to the last of them.
 type rowCache struct {
 	load  func(u int, buf []byte, row []int64) error
 	n     int // entries per row
@@ -44,7 +45,7 @@ type rowEntry struct {
 	u       int
 	row     []int64
 	shared  bool // handed out by row: never recycled
-	pins    int  // readers still due to read row: loader plus flight waiters
+	pins    int  // readers still due to read row: loader, flight waiters, visitors
 	evicted bool
 }
 
@@ -70,61 +71,85 @@ func newRowCache(cap, n, width int, load func(u int, buf []byte, row []int64) er
 	}
 }
 
-// row resolves row u and hands it out: the row is flagged shared, so it
-// stays valid after eviction. ctx's active trace span (if any) records which
-// of the three paths answered: resident hit, single-flight join, or leader
-// miss (which additionally records the pread as its own span). The events
-// fire after the cache lock drops; on an unsampled context every trace call
-// is a nil no-op.
-func (c *rowCache) row(ctx context.Context, u int) ([]int64, error) {
+// pin resolves row u and pins its entry for the caller, who reads it and
+// then unpins it: a resident hit, or a fetch that joins a flight or leads a
+// load. On success it returns with c.mu held and reports whether the row
+// was resident; on failure the lock is dropped.
+func (c *rowCache) pin(ctx context.Context, u int) (e *rowEntry, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.rows[u]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		e := el.Value.(*rowEntry)
-		e.shared = true
-		c.mu.Unlock()
-		trace.FromContext(ctx).Event("row_cache.hit")
-		return e.row, nil
+		e = el.Value.(*rowEntry)
+		e.pins++
+		return e, true, nil
 	}
-	e, err := c.fetch(ctx, u)
-	if err != nil {
+	if e, err = c.fetch(ctx, u); err != nil {
 		c.mu.Unlock()
+	}
+	return e, false, err
+}
+
+// hitEvent records a resident hit on ctx's active trace span, after the
+// cache lock drops. A miss or a flight join recorded its own event in fetch.
+func hitEvent(ctx context.Context, hit bool) {
+	if hit {
+		trace.FromContext(ctx).Event("row_cache.hit")
+	}
+}
+
+// row resolves row u and hands it out: the row is flagged shared, so it
+// stays valid after eviction. ctx's active trace span (if any) records which
+// of the three paths answered: resident hit, single-flight join, or leader
+// miss (which additionally records the pread as its own span). On an
+// unsampled context every trace call is a nil no-op.
+func (c *rowCache) row(ctx context.Context, u int) ([]int64, error) {
+	e, hit, err := c.pin(ctx, u)
+	if err != nil {
 		return nil, err
 	}
 	e.shared = true
 	c.unpin(e)
 	c.mu.Unlock()
+	hitEvent(ctx, hit)
 	return e.row, nil
 }
 
 // entry resolves entry v of row u under the cache lock, so no caller ever
 // holds a row the cache may recycle. Its trace events are row's.
 func (c *rowCache) entry(ctx context.Context, u, v int) (int64, error) {
-	c.mu.Lock()
-	if el, ok := c.rows[u]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		d := el.Value.(*rowEntry).row[v]
-		c.mu.Unlock()
-		trace.FromContext(ctx).Event("row_cache.hit")
-		return d, nil
-	}
-	e, err := c.fetch(ctx, u)
+	e, hit, err := c.pin(ctx, u)
 	if err != nil {
-		c.mu.Unlock()
 		return 0, err
 	}
 	d := e.row[v]
 	c.unpin(e)
 	c.mu.Unlock()
+	hitEvent(ctx, hit)
 	return d, nil
+}
+
+// visit resolves row u and runs fn over it outside the lock. The row stays
+// pinned while fn runs, so an eviction meanwhile defers its recycle to the
+// unpin, and it is never flagged shared: the cache keeps ownership. Its
+// trace events are row's.
+func (c *rowCache) visit(ctx context.Context, u int, fn func(row []int64)) error {
+	e, hit, err := c.pin(ctx, u)
+	if err != nil {
+		return err
+	}
+	c.mu.Unlock()
+	hitEvent(ctx, hit)
+	fn(e.row)
+	c.mu.Lock()
+	c.unpin(e)
+	c.mu.Unlock()
+	return nil
 }
 
 // fetch resolves a non-resident row u by joining its flight or leading a
 // new one. It is called and returns with c.mu held, dropping the lock while
-// it waits or loads. On success the entry comes back pinned for the caller,
-// who reads it and then unpins it before unlocking.
+// it waits or loads. On success the entry comes back pinned for the caller.
 func (c *rowCache) fetch(ctx context.Context, u int) (*rowEntry, error) {
 	sp := trace.FromContext(ctx)
 	if fl, ok := c.inflight[u]; ok {

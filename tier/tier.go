@@ -14,11 +14,12 @@
 // decodes lazily from the edge block.
 //
 // The cache owns its rows, and at most its capacity of them are resident.
-// EntryCtx reads one entry under the cache lock, so a query never holds a
-// cached row: an evicted row is recycled, and a miss preads into a reused
-// scratch buffer and decodes into that recycled row, allocating nothing
-// that grows with n. Row hands a row out instead; the cache never reuses a
-// row it has handed out.
+// EntryCtx reads one entry under the cache lock and VisitRowCtx lends a
+// pinned row to a callback, so a query never keeps a cached row: an
+// evicted row is recycled, and a miss preads into a reused scratch buffer
+// and decodes into that recycled row, allocating nothing that grows with n.
+// Row hands a row out instead; the cache never reuses a row it has handed
+// out.
 //
 // The oracle package builds its cold serving tier on top: an evicted tenant
 // demotes to a Reader instead of dropping, and rehydration becomes cache
@@ -148,6 +149,25 @@ func (r *Reader) EntryCtx(ctx context.Context, u, v int) (int64, error) {
 	return d, err
 }
 
+// VisitRowCtx resolves row u exactly as RowCtx does — the same cache,
+// single-flight, counters and trace spans — and runs fn over it. The row
+// stays the cache's own: it is pinned while fn runs, so an eviction
+// meanwhile cannot recycle it under fn, and a miss decodes into a recycled
+// row instead of allocating one. fn must not keep the slice or modify it,
+// and runs without the cache lock held. A read error returns before fn is
+// called.
+func (r *Reader) VisitRowCtx(ctx context.Context, u int, fn func(row []int64)) error {
+	if u < 0 || u >= r.ix.N {
+		return fmt.Errorf("tier: row %d out of range for n=%d", u, r.ix.N)
+	}
+	ctx, sp := trace.StartSpan(ctx, "tier.row")
+	sp.SetInt("row", int64(u))
+	err := r.cache.visit(ctx, u, fn)
+	sp.SetError(err)
+	sp.End()
+	return err
+}
+
 // loadRow preads row u into buf and decodes and validates it into row. It
 // is only ever invoked by the cache's single-flight leader for a
 // non-resident row, with buf of RowWidth bytes and row of n entries, both
@@ -206,8 +226,9 @@ func (r *Reader) GraphCtx(ctx context.Context) (*cliqueapsp.Graph, error) {
 
 // CacheStats is a point-in-time snapshot of the hot-row cache.
 type CacheStats struct {
-	// Hits counts Row and EntryCtx calls served without a disk read —
-	// resident rows plus waiters that joined an in-flight load, each once.
+	// Hits counts Row, EntryCtx and VisitRowCtx calls served without a
+	// disk read — resident rows plus waiters that joined an in-flight load,
+	// each once.
 	// Misses counts loads that went to disk, failed ones included.
 	// Evictions counts rows dropped to stay within Capacity.
 	Hits, Misses, Evictions uint64

@@ -323,11 +323,12 @@ func TestReaderSingleFlight(t *testing.T) {
 	}
 }
 
-// TestReaderRecyclingConcurrent mixes EntryCtx and Row over 16 rows through
-// a 2-row cache from 8 goroutines, so rows are evicted, recycled and joined
-// mid-flight constantly. Every entry must equal the snapshot's, and every
-// row Row handed out must still equal it after the goroutine's later reads
-// have recycled other rows: a handed-out row or a row a waiter has yet to
+// TestReaderRecyclingConcurrent mixes EntryCtx, VisitRowCtx and Row over 16
+// rows through a 2-row cache from 8 goroutines, so rows are evicted,
+// recycled and joined mid-flight constantly. Every entry and every visited
+// row must equal the snapshot's, and every row Row handed out must still
+// equal it after the goroutine's later reads have recycled other rows: a
+// handed-out row, a row a visitor is reading or a row a waiter has yet to
 // read that went back to the free list shows up as a wrong value (and as a
 // data race under -race).
 func TestReaderRecyclingConcurrent(t *testing.T) {
@@ -356,6 +357,14 @@ func TestReaderRecyclingConcurrent(t *testing.T) {
 						return
 					}
 					held, heldU = append(held, row), append(heldU, u)
+					continue
+				}
+				if i%4 == 1 {
+					var bad error
+					if err := r.VisitRowCtx(ctx, u, func(row []int64) { bad = rowEquals(row, snap, u) }); err != nil || bad != nil {
+						t.Errorf("worker %d: visit of row %d: %v, %v", w, u, err, bad)
+						return
+					}
 					continue
 				}
 				d, err := r.EntryCtx(ctx, u, v)
@@ -502,32 +511,46 @@ func sameMatrix(a, b *cliqueapsp.DistanceMatrix) bool {
 	return true
 }
 
-// TestNextHopRowFromOverReader ties the routing building block to the disk
-// tier: next-hop rows computed through Reader.Row must equal the ones
-// computed from the resident matrix, so hot and cold Path answers agree.
-func TestNextHopRowFromOverReader(t *testing.T) {
-	g := cliqueapsp.RandomGraph(14, 30, 8)
-	ts, snap, _ := persistSnapshot(t, g, 1)
-	r, err := ts.OpenCold("alpha", 1, 4)
+// TestVisitedRowPinnedAcrossEviction lends row 0 to a visitor that misses
+// on four more rows through a 2-row cache. Row 0 is evicted by the second
+// of them and its neighbours are recycled meanwhile, but the visitor's view
+// must stay row 0 until it returns; only then does the row go back to the
+// free list, and the next miss decodes into it.
+func TestVisitedRowPinnedAcrossEviction(t *testing.T) {
+	const n = 24
+	ts, snap, _ := persistSnapshot(t, cliqueapsp.RandomGraph(n, 40, 3), 1)
+	r, err := ts.OpenCold("alpha", 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-
-	for src := 0; src < g.N(); src++ {
-		want, err := cliqueapsp.NextHopRow(g, snap.Distances, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cliqueapsp.NextHopRowFrom(g, src, r.Row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("next hop (%d,%d): cold %d, hot %d", src, v, got[v], want[v])
+	ctx := context.Background()
+	var seen []int64
+	err = r.VisitRowCtx(ctx, 0, func(row []int64) {
+		seen = row // kept past the visit only to watch the recycle below
+		for u := 1; u <= 4; u++ {
+			if _, err := r.EntryCtx(ctx, u, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := rowEquals(row, snap, 0); err != nil {
+				t.Fatalf("visited row after the miss on row %d: %v", u, err)
 			}
 		}
+		if st := r.Stats(); st.Evictions != 3 || st.Resident != 2 {
+			t.Fatalf("cache %+v inside the visit, want 3 evictions and 2 resident", st)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.EntryCtx(ctx, 5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := rowEquals(seen, snap, 5); err != nil {
+		t.Fatalf("row 0's storage was not recycled into the next miss: %v", err)
+	}
+	if err := r.VisitRowCtx(ctx, n, func([]int64) { t.Fatal("visited an out-of-range row") }); err == nil {
+		t.Fatalf("VisitRowCtx(%d) accepted for n=%d", n, n)
 	}
 }
 
