@@ -82,13 +82,13 @@ func main() {
 		defer cancel()
 	}
 
-	eng := cliqueapsp.New(cliqueapsp.WithDeterministic(*det))
 	runOpts := []cliqueapsp.RunOption{
 		cliqueapsp.WithAlgorithm(cliqueapsp.Algorithm(*alg)),
 		cliqueapsp.WithSeed(*seed),
 		cliqueapsp.WithT(*t),
 		cliqueapsp.WithEps(*eps),
 		cliqueapsp.WithBandwidth(*bw),
+		cliqueapsp.WithDeterministicRun(*det),
 	}
 	if *progress {
 		start := time.Now()
@@ -96,7 +96,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ccapsp: [%8.3fs] phase %s\n", time.Since(start).Seconds(), phase)
 		}))
 	}
-	res, err := eng.Run(ctx, g, runOpts...)
+	res, err := cliqueapsp.New().Run(ctx, g, runOpts...)
 	if err != nil {
 		fatal(err)
 	}

@@ -986,7 +986,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // whose next query serves from disk either way).
 type tenantSummary struct {
 	Name      string `json:"name"`
-	Pinned    bool   `json:"pinned"`
 	Ready     bool   `json:"ready"`
 	Evicted   bool   `json:"evicted,omitempty"`
 	Tier      string `json:"tier,omitempty"`
@@ -999,7 +998,6 @@ type tenantSummary struct {
 func summarize(ts oracle.TenantStats) tenantSummary {
 	return tenantSummary{
 		Name:      ts.Name,
-		Pinned:    ts.Pinned,
 		Ready:     ts.Oracle.Version > 0,
 		Tier:      ts.Tier,
 		Version:   ts.Oracle.Version,

@@ -25,60 +25,19 @@ import (
 //	res, err := eng.Run(ctx, g, cliqueapsp.WithAlgorithm(cliqueapsp.AlgConstant))
 type Engine struct {
 	defaults runConfig
-	baseSeed int64
 	seedSeq  atomic.Uint64
 }
 
-// Option configures an Engine's per-run defaults at construction time.
-type Option func(*Engine)
-
-// WithDefaultAlgorithm sets the algorithm used when a Run does not select
-// one (the Engine's default is AlgConstant).
-func WithDefaultAlgorithm(a Algorithm) Option {
-	return func(e *Engine) { e.defaults.alg = a }
-}
-
-// WithDefaultEps sets the default accuracy slack of the scaling stages.
-func WithDefaultEps(eps float64) Option {
-	return func(e *Engine) { e.defaults.eps = eps }
-}
-
-// WithDefaultBandwidth sets a default bandwidth override in words per
-// ordered pair per round (0 keeps each algorithm's natural model).
-func WithDefaultBandwidth(words int) Option {
-	return func(e *Engine) { e.defaults.bandwidth = words }
-}
-
-// WithDeterministic makes runs fully deterministic by default (greedy
-// hitting sets instead of randomized ones; see Options.Deterministic).
-func WithDeterministic(det bool) Option {
-	return func(e *Engine) { e.defaults.deterministic = det }
-}
-
-// WithParallelism caps the number of shared-pool workers the engine's
-// kernels may use per run (the default for every Run). n ≤ 0 or above the
-// pool size means the whole pool; 1 forces serial kernels. The cap budgets
-// draw from the process-wide pool — it never spawns extra goroutines.
-func WithParallelism(n int) Option {
-	return func(e *Engine) { e.defaults.par = n }
-}
-
-// WithBaseSeed sets the base of the engine's per-run seed derivation.
-// Runs that do not pin a seed with WithSeed draw distinct, reproducible
-// seeds derived from this base and a per-engine counter.
-func WithBaseSeed(seed int64) Option {
-	return func(e *Engine) { e.baseSeed = seed }
-}
-
-// New returns an Engine with the given defaults applied over the package
-// defaults (AlgConstant, eps 0.1, randomized mode, base seed 1).
-func New(opts ...Option) *Engine {
-	e := &Engine{
-		defaults: runConfig{alg: AlgConstant, eps: 0.1, t: 1},
-		baseSeed: 1,
-	}
+// New returns an Engine whose runs start from the package defaults
+// (AlgConstant, eps 0.1, t 1, randomized mode, the whole shared pool) with
+// opts applied over them: an option given here is the default for every
+// Run, and a Run's own options are applied after it. A seed given here pins
+// every run that does not pin its own; otherwise each run draws a distinct,
+// reproducible seed from a per-engine counter.
+func New(opts ...RunOption) *Engine {
+	e := &Engine{defaults: runConfig{alg: AlgConstant, eps: 0.1, t: 1}}
 	for _, opt := range opts {
-		opt(e)
+		opt(&e.defaults)
 	}
 	return e
 }
@@ -95,10 +54,11 @@ type runConfig struct {
 	par           int
 }
 
-// RunOption configures a single Engine.Run call.
+// RunOption sets one run parameter, for a single Engine.Run call or, given
+// to New, as the Engine's default for every run.
 type RunOption func(*runConfig)
 
-// WithAlgorithm selects the algorithm for this run by registry name.
+// WithAlgorithm selects the run's algorithm by registry name.
 func WithAlgorithm(a Algorithm) RunOption {
 	return func(c *runConfig) { c.alg = a }
 }
@@ -114,25 +74,28 @@ func WithT(t int) RunOption {
 	return func(c *runConfig) { c.t = t }
 }
 
-// WithEps sets the accuracy slack of the scaling stages for this run.
+// WithEps sets the accuracy slack of the scaling stages.
 func WithEps(eps float64) RunOption {
 	return func(c *runConfig) { c.eps = eps }
 }
 
 // WithBandwidth overrides the model bandwidth in words per ordered pair per
-// round for this run (0 = the algorithm's natural model).
+// round (0 = the algorithm's natural model).
 func WithBandwidth(words int) RunOption {
 	return func(c *runConfig) { c.bandwidth = words }
 }
 
-// WithDeterministicRun toggles fully deterministic mode for this run.
+// WithDeterministicRun toggles fully deterministic mode: greedy hitting
+// sets instead of randomized ones.
 func WithDeterministicRun(det bool) RunOption {
 	return func(c *runConfig) { c.deterministic = det }
 }
 
-// WithParallelismRun overrides the engine's kernel-parallelism cap for this
-// run only (see WithParallelism).
-func WithParallelismRun(n int) RunOption {
+// WithParallelism caps the number of shared-pool workers the run's kernels
+// may use. n ≤ 0 or above the pool size means the whole pool; 1 forces
+// serial kernels. The cap budgets draw from the process-wide pool — it
+// never spawns extra goroutines.
+func WithParallelism(n int) RunOption {
 	return func(c *runConfig) { c.par = n }
 }
 
@@ -142,17 +105,17 @@ func WithParallelismRun(n int) RunOption {
 // itself runs with.
 type ProgressFunc func(phase string)
 
-// WithProgress installs a per-phase progress callback for this run.
+// WithProgress installs a per-phase progress callback.
 func WithProgress(fn ProgressFunc) RunOption {
 	return func(c *runConfig) { c.progress = fn }
 }
 
 // deriveSeed produces the run seed when none is pinned: a splitmix64 hash
-// of the base seed and a per-engine atomic counter, so concurrent runs draw
+// of base 1 and a per-engine atomic counter, so concurrent runs draw
 // distinct but reproducible-per-value seeds.
 func (e *Engine) deriveSeed() int64 {
 	seq := e.seedSeq.Add(1)
-	z := uint64(e.baseSeed) + seq*0x9e3779b97f4a7c15
+	z := 1 + seq*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))

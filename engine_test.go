@@ -3,6 +3,8 @@ package cliqueapsp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -63,7 +65,7 @@ func TestEngineConcurrentRunsReproducible(t *testing.T) {
 // reproducible: re-running with WithSeed(res.Seed) must replay the run.
 func TestEngineDerivedSeedsDistinctAndReplayable(t *testing.T) {
 	g := RandomGraph(48, 20, 3)
-	eng := New(WithBaseSeed(17))
+	eng := New()
 	ctx := context.Background()
 
 	const runs = 6
@@ -174,10 +176,26 @@ func TestEngineRunProgressEvents(t *testing.T) {
 	}
 }
 
+// A fresh Engine's unpinned runs draw seeds derived from base 1. These are
+// its first three, so any change to the derivation shows up here.
+func TestEngineDerivedSeedsFromBaseOne(t *testing.T) {
+	g := RandomGraph(8, 10, 1)
+	eng := New()
+	for i, want := range []int64{-7995527694508729151, -4689498862643123097, -534904783426661026} {
+		res, err := eng.Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Seed != want {
+			t.Fatalf("run %d: derived seed %d, want %d", i, res.Seed, want)
+		}
+	}
+}
+
 // Engine defaults apply and per-run options override them.
 func TestEngineDefaultsAndOverrides(t *testing.T) {
 	g := RandomGraph(40, 20, 4)
-	eng := New(WithDefaultAlgorithm(AlgLogApprox), WithDefaultEps(0.5))
+	eng := New(WithAlgorithm(AlgLogApprox), WithEps(0.5))
 	res, err := eng.Run(context.Background(), g, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +431,7 @@ func TestEngineParallelismEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	serialRun, err := New().Run(ctx, g,
-		WithAlgorithm(AlgExact), WithSeed(7), WithParallelismRun(1))
+		WithAlgorithm(AlgExact), WithSeed(7), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,9 +455,112 @@ func TestEngineParallelismEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, err := New().Run(ctx, g,
-		WithAlgorithm(AlgConstant), WithSeed(11), WithParallelismRun(1))
+		WithAlgorithm(AlgConstant), WithSeed(11), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameDistances(t, w2.Distances, s2.Distances)
+}
+
+// runDiff names the first way two results differ ("" if they agree): the
+// distances, the model cost, the phases, the algorithm, the factor bound and
+// the seed.
+func runDiff(a, b *Result) string {
+	switch {
+	case a.Algorithm != b.Algorithm:
+		return fmt.Sprintf("algorithm %q vs %q", a.Algorithm, b.Algorithm)
+	case a.Seed != b.Seed:
+		return fmt.Sprintf("seed %d vs %d", a.Seed, b.Seed)
+	case a.FactorBound != b.FactorBound:
+		return fmt.Sprintf("factor bound %v vs %v", a.FactorBound, b.FactorBound)
+	case a.Rounds != b.Rounds || a.Messages != b.Messages || a.Words != b.Words:
+		return fmt.Sprintf("cost %d/%d/%d vs %d/%d/%d",
+			a.Rounds, a.Messages, a.Words, b.Rounds, b.Messages, b.Words)
+	case !reflect.DeepEqual(a.Violations, b.Violations):
+		return fmt.Sprintf("violations %q vs %q", a.Violations, b.Violations)
+	case !reflect.DeepEqual(a.Phases, b.Phases):
+		return fmt.Sprintf("phases %+v vs %+v", a.Phases, b.Phases)
+	}
+	n := a.Distances.N()
+	if n != b.Distances.N() {
+		return fmt.Sprintf("n %d vs %d", n, b.Distances.N())
+	}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if x, y := a.Distances.At(u, v), b.Distances.At(u, v); x != y {
+				return fmt.Sprintf("D(%d,%d) %d vs %d", u, v, x, y)
+			}
+		}
+	}
+	return ""
+}
+
+// An option given to New is the default of every Run: New(opt).Run(g)
+// equals New().Run(g, opt), and the same option given to Run wins over it.
+func TestNewOptionsAreRunDefaults(t *testing.T) {
+	g := RandomGraph(40, 3, 4)
+	ctx := context.Background()
+	pin := WithSeed(3)
+	run := func(t *testing.T, eng *Engine, opts ...RunOption) *Result {
+		t.Helper()
+		res, err := eng.Run(ctx, g, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	cases := []struct {
+		name       string
+		common     []RunOption // given to every Run
+		opt, other RunOption
+		visible    bool // opt changes the result, and other changes it again
+	}{
+		{"algorithm", []RunOption{pin}, WithAlgorithm(AlgLogApprox), WithAlgorithm(AlgExact), true},
+		{"seed", nil, WithSeed(5), WithSeed(9), true},
+		{"t", []RunOption{pin, WithAlgorithm(AlgTradeoff)}, WithT(2), WithT(3), true},
+		{"eps", []RunOption{pin, WithAlgorithm(AlgLargeBandwidth)}, WithEps(2), WithEps(0.5), true},
+		{"bandwidth", []RunOption{pin}, WithBandwidth(4), WithBandwidth(2), true},
+		{"deterministic", []RunOption{pin}, WithDeterministicRun(true), WithDeterministicRun(false), true},
+		{"parallelism", []RunOption{pin}, WithParallelism(1), WithParallelism(2), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			with := func(opts ...RunOption) []RunOption {
+				return append(append([]RunOption(nil), tc.common...), opts...)
+			}
+			viaNew := run(t, New(tc.opt), with()...)
+			if d := runDiff(viaNew, run(t, New(), with(tc.opt)...)); d != "" {
+				t.Fatalf("New(opt).Run differs from New().Run(opt): %s", d)
+			}
+			if d := runDiff(viaNew, run(t, New(), with()...)); tc.visible && d == "" {
+				t.Fatal("option given to New had no effect")
+			}
+			over := run(t, New(tc.opt), with(tc.other)...)
+			if d := runDiff(over, run(t, New(), with(tc.other)...)); d != "" {
+				t.Fatalf("Run's option did not override New's: %s", d)
+			}
+			if d := runDiff(over, viaNew); tc.visible && d == "" {
+				t.Fatal("option given to Run had no effect over New's")
+			}
+		})
+	}
+
+	t.Run("progress", func(t *testing.T) {
+		record := func(dst *[]string) RunOption {
+			return WithProgress(func(p string) { *dst = append(*dst, p) })
+		}
+		var viaNew, viaRun, shadowed, overridden []string
+		a := run(t, New(record(&viaNew)), pin)
+		b := run(t, New(), pin, record(&viaRun))
+		if d := runDiff(a, b); d != "" {
+			t.Fatalf("New(WithProgress).Run differs from New().Run(WithProgress): %s", d)
+		}
+		if len(viaNew) == 0 || !reflect.DeepEqual(viaNew, viaRun) {
+			t.Fatalf("phases seen via New %v, via Run %v", viaNew, viaRun)
+		}
+		run(t, New(record(&shadowed)), pin, record(&overridden))
+		if len(shadowed) != 0 || !reflect.DeepEqual(overridden, viaRun) {
+			t.Fatalf("Run's progress did not override New's: New's saw %v, Run's saw %v", shadowed, overridden)
+		}
+	})
 }

@@ -21,7 +21,7 @@ func main() {
 	fmt.Println("    t  rounds  proven bound  measured max  measured mean")
 
 	ctx := context.Background()
-	eng := cliqueapsp.New(cliqueapsp.WithDefaultAlgorithm(cliqueapsp.AlgTradeoff))
+	eng := cliqueapsp.New(cliqueapsp.WithAlgorithm(cliqueapsp.AlgTradeoff))
 	for t := 1; t <= 4; t++ {
 		res, err := eng.Run(ctx, g,
 			cliqueapsp.WithT(t),

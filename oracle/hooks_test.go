@@ -61,11 +61,12 @@ func applyAndWait(t *testing.T, tn *oracle.Tenant, u, v int, w int64) uint64 {
 	return ver
 }
 
-// hookManager returns a Manager whose OnRebuild and OnRepair calls feed the
-// returned channel, and checks at cleanup that no hook event went unread.
-func hookManager(t *testing.T) (*oracle.Manager, chan hookEvent) {
+// hookManager returns a Manager, bounding each build by buildTimeout (0 =
+// no limit), whose OnRebuild and OnRepair calls feed the returned channel,
+// and checks at cleanup that no hook event went unread.
+func hookManager(t *testing.T, buildTimeout time.Duration) (*oracle.Manager, chan hookEvent) {
 	t.Helper()
-	cfg := oracle.ManagerConfig{Base: oracle.Config{Algorithm: "test-exact", RepairMaxDirtyFrac: 1}}
+	cfg := oracle.ManagerConfig{Base: oracle.Config{Algorithm: "test-exact", RepairMaxDirtyFrac: 1, BuildTimeout: buildTimeout}}
 	events := recordBuildHooks(&cfg)
 	m := oracle.NewManager(cfg)
 	t.Cleanup(func() {
@@ -87,7 +88,7 @@ func hookManager(t *testing.T) (*oracle.Manager, chan hookEvent) {
 func TestManagerHooksRunBeforeWaitReturns(t *testing.T) {
 	t.Run("build", func(t *testing.T) {
 		// A successful engine build reports through OnRebuild.
-		m, events := hookManager(t)
+		m, events := hookManager(t, 0)
 		exact := mustTenant(t, m, "exact", oracle.TenantConfig{})
 		v := setAndWait(t, exact, pathGraph(t, 4, 2))
 		expectRan(t, events, hookEvent{"rebuild", "exact", v, false})
@@ -96,7 +97,7 @@ func TestManagerHooksRunBeforeWaitReturns(t *testing.T) {
 	t.Run("repair", func(t *testing.T) {
 		// A small delta on an exact snapshot repairs, reporting through
 		// OnRepair and not OnRebuild.
-		m, events := hookManager(t)
+		m, events := hookManager(t, 0)
 		exact := mustTenant(t, m, "exact", oracle.TenantConfig{})
 		v := setAndWait(t, exact, pathGraph(t, 4, 2))
 		expectRan(t, events, hookEvent{"rebuild", "exact", v, false})
@@ -110,7 +111,7 @@ func TestManagerHooksRunBeforeWaitReturns(t *testing.T) {
 	t.Run("repair-fallback", func(t *testing.T) {
 		// A weight increase on an approximate snapshot cannot be repaired:
 		// the fallback is a full engine build and reports through OnRebuild.
-		m, events := hookManager(t)
+		m, events := hookManager(t, 0)
 		approx := mustTenant(t, m, "approx", oracle.TenantConfig{Algorithm: "test-approx"})
 		v := setAndWait(t, approx, pathGraph(t, 4, 2))
 		expectRan(t, events, hookEvent{"rebuild", "approx", v, false})
@@ -124,11 +125,8 @@ func TestManagerHooksRunBeforeWaitReturns(t *testing.T) {
 	t.Run("failed-build", func(t *testing.T) {
 		// A timed-out build reports its error through OnRebuild before Wait
 		// returns that error.
-		m, events := hookManager(t)
-		slow := mustTenant(t, m, "slow", oracle.TenantConfig{
-			Algorithm:    "test-slow",
-			BuildTimeout: 5 * time.Millisecond, // well under test-slow's 30ms sleep
-		})
+		m, events := hookManager(t, 5*time.Millisecond) // well under test-slow's 30ms sleep
+		slow := mustTenant(t, m, "slow", oracle.TenantConfig{Algorithm: "test-slow"})
 		v, err := slow.SetGraph(pathGraph(t, 4, 1))
 		if err != nil {
 			t.Fatal(err)

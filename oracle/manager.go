@@ -36,12 +36,12 @@ var (
 // number of tenants over a shared private engine.
 type ManagerConfig struct {
 	// MaxGraphs caps the number of hosted tenants (0 = unlimited). Creating
-	// one more evicts the least-recently-used idle, unpinned tenant.
+	// one more evicts the least-recently-used idle tenant.
 	MaxGraphs int
 	// MaxTotalNodes bounds the summed node counts of all registered graphs
 	// (0 = unlimited) — the serving state is Θ(n²) per tenant, so node
 	// admission is the memory knob. Registering a graph that would exceed
-	// the budget evicts idle, unpinned tenants in LRU order until it fits.
+	// the budget evicts idle tenants in LRU order until it fits.
 	MaxTotalNodes int
 	// Base is the Config template every tenant starts from; TenantConfig
 	// overrides are applied on top. A nil Base.Engine is replaced by one
@@ -137,21 +137,13 @@ type TenantConfig struct {
 	Eps float64
 	// Seed pins the rebuild seed when != 0 (appended as WithSeed).
 	Seed int64
-	// RunOptions are appended after Base.RunOptions and the Eps/Seed
-	// overrides, so they win ties.
-	RunOptions []cliqueapsp.RunOption
-	// BuildTimeout overrides Base.BuildTimeout when > 0.
-	BuildTimeout time.Duration
 	// Quota bounds the tenant's query traffic (zero = unlimited), enforced
 	// in Tenant.Dist/Batch/Path: a rejected call returns a *QuotaError
 	// (matching ErrQuotaExceeded) carrying the retry delay. Like the rest
 	// of the config it is remembered across eviction, so a rehydrated
 	// tenant comes back throttled exactly as it left. Replaceable at
-	// runtime with Tenant.SetQuota.
+	// runtime with Manager.SetQuota.
 	Quota Quota
-	// Pinned exempts the tenant from eviction (it still counts against the
-	// budgets).
-	Pinned bool
 	// MaxNodes, when > 0, caps the node count of every graph the tenant
 	// accepts (SetGraph fails above it). Like Quota it is remembered across
 	// eviction, but not across a restart: snapshots do not record it.
@@ -195,9 +187,9 @@ type Manager struct {
 	deleted    uint64
 	evictions  uint64
 	closed     bool
-	// evictedCfg remembers evicted tenants' full configs (RunOptions,
-	// BuildTimeout, Pinned, MaxNodes — state a snapshot cannot carry), so a
-	// same-process rehydration brings the tenant back behaving identically.
+	// evictedCfg remembers evicted tenants' configs for the Quota and
+	// MaxNodes a snapshot cannot carry, so a same-process rehydration brings
+	// the tenant back behaving identically.
 	// Entries are dropped when the name is re-created, rehydrated, or
 	// deleted. Cross-restart rehydrations fall back to the persisted
 	// provenance (algorithm/eps/pinned seed).
@@ -216,7 +208,7 @@ type Tenant struct {
 	lastUsed  atomic.Uint64           // manager clock tick of the last touch
 	nodes     atomic.Int64            // admitted node budget of the registered graph
 	evicted   atomic.Bool             // removed by eviction (vs. Delete/Close)
-	lim       atomic.Pointer[limiter] // nil = unlimited; swapped whole by SetQuota
+	lim       atomic.Pointer[limiter] // nil = unlimited; swapped whole by Manager.SetQuota
 	throttled atomic.Uint64           // queries this tenant had rejected by quota
 	setMu     sync.Mutex              // serializes admission + SetGraph per tenant
 }
@@ -238,7 +230,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 }
 
 // Create adds a tenant under name. When MaxGraphs is reached the
-// least-recently-used idle, unpinned tenant is evicted to make room;
+// least-recently-used idle tenant is evicted to make room;
 // ErrOverCapacity is returned if none is evictable. On a store-backed
 // Manager, creating a tenant REPLACES any previous persisted incarnation of
 // the name: its snapshot files are removed, so stale data can never
@@ -306,13 +298,10 @@ func (m *Manager) newTenant(name string, tc TenantConfig) *Tenant {
 	if tc.Eps > 0 {
 		cfg.Eps = tc.Eps
 	}
-	opts := append([]cliqueapsp.RunOption(nil), cfg.RunOptions...)
 	if tc.Seed != 0 {
-		opts = append(opts, cliqueapsp.WithSeed(tc.Seed))
-	}
-	cfg.RunOptions = append(opts, tc.RunOptions...)
-	if tc.BuildTimeout > 0 {
-		cfg.BuildTimeout = tc.BuildTimeout
+		// A fresh slice, so tenants never append into Base's backing array.
+		opts := append([]cliqueapsp.RunOption(nil), cfg.RunOptions...)
+		cfg.RunOptions = append(opts, cliqueapsp.WithSeed(tc.Seed))
 	}
 	if m.cfg.Store != nil {
 		eps := cfg.Eps // the single effective value every rebuild runs with
@@ -516,10 +505,10 @@ type demotion struct {
 }
 
 // evictLocked reclaims count tenant slots and freeNodes of node budget from
-// LRU victims, skipping pinned tenants, tenants with a rebuild in flight
-// (not idle), and keep. With tiered serving configured, node pressure
-// prefers DEMOTING a hot victim — it stays hosted and keeps answering, now
-// from disk at a min(ColdCacheRows, n) charge — over removing it; slot
+// LRU victims, skipping tenants with a rebuild in flight (not idle) and
+// keep. With tiered serving configured, node pressure prefers DEMOTING a
+// hot victim — it stays hosted and keeps answering, now from disk at a
+// min(ColdCacheRows, n) charge — over removing it; slot
 // pressure always removes (a demotion frees no slot), and if demotions
 // alone cannot reach the goal the plan escalates to removals before giving
 // up. The plan is computed first: if the goal is unattainable nothing is
@@ -530,7 +519,7 @@ type demotion struct {
 func (m *Manager) evictLocked(count, freeNodes int, keep *Tenant) ([]*Tenant, []demotion) {
 	candidates := make([]*Tenant, 0, len(m.tenants))
 	for _, t := range m.tenants {
-		if t == keep || t.cfg.Pinned {
+		if t == keep {
 			continue
 		}
 		if t.o != nil && t.o.Stats().Pending {
@@ -880,9 +869,8 @@ func (m *Manager) lockHydration(name string) func() {
 
 // rehydrate brings a tenant that is not hosted — typically evicted — back
 // from its newest persisted snapshot, with the config the evicted
-// incarnation was created with (it carries RunOptions, BuildTimeout, Pinned
-// and MaxNodes, which a snapshot cannot) or, after a process restart, the
-// persisted provenance.
+// incarnation last had (it carries the Quota and MaxNodes a snapshot
+// cannot) or, after a process restart, the persisted provenance.
 func (m *Manager) rehydrate(name string) (*Tenant, error) {
 	release := m.lockHydration(name)
 	defer release()
@@ -1140,29 +1128,29 @@ func (m *Manager) Promote(name string) error {
 	return nil
 }
 
-// SetQuota ensures q is the quota enforced for name, whether the tenant is
-// currently hosted or evicted-awaiting-rehydration (the remembered config a
-// rehydration restores is updated too, so a quota change cannot be lost to
-// an eviction window). Unlike Tenant.SetQuota it is idempotent: a hosted
-// tenant already enforcing q keeps its bucket state, so periodic
-// reconciliation (e.g. a daemon's config reload) does not hand every
-// tenant a fresh burst. An unknown name is a no-op — the quota simply has
-// nothing to attach to.
+// SetQuota ensures q is the quota enforced for name (a zero q removes it),
+// whether the tenant is currently hosted or evicted-awaiting-rehydration:
+// the remembered config a rehydration restores is updated too, so a quota
+// change cannot be lost to an eviction window. A changed quota starts with
+// full buckets; a hosted tenant already enforcing q keeps its bucket state,
+// so periodic reconciliation (e.g. a daemon's config reload) does not hand
+// every tenant a fresh burst. An unknown name is a no-op — the quota simply
+// has nothing to attach to.
 func (m *Manager) SetQuota(name string, q Quota) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	// Update the remembered eviction config first: if a rehydration is
-	// racing this call, it re-creates the tenant from this entry under the
-	// hydration flight and picks the new quota up.
+	// One critical section for both places a quota lives: an eviction
+	// copies t.cfg into evictedCfg under m.mu, so neither can miss q.
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if tc, ok := m.evictedCfg[name]; ok {
 		tc.Quota = q
 		m.evictedCfg[name] = tc
 	}
-	m.mu.Unlock()
-	if t, err := m.Peek(name); err == nil && t.Quota() != q {
-		return t.SetQuota(q)
+	if t, ok := m.tenants[name]; ok && t.Quota() != q {
+		t.cfg.Quota = q
+		t.lim.Store(newLimiter(q, nil))
 	}
 	return nil
 }
@@ -1233,10 +1221,9 @@ type ManagerStats struct {
 
 // TenantStats is one tenant's Stats tagged with its identity.
 type TenantStats struct {
-	Name   string        `json:"name"`
-	Pinned bool          `json:"pinned"`
-	Nodes  int           `json:"nodes"`
-	Age    time.Duration `json:"age_ns"`
+	Name  string        `json:"name"`
+	Nodes int           `json:"nodes"`
+	Age   time.Duration `json:"age_ns"`
 	// Tier mirrors the oracle's serving tier ("hot", "cold", or "" before
 	// the first snapshot). A cold tenant's Nodes is its cache charge
 	// (min(ColdCacheRows, n)), not its graph size.
@@ -1328,9 +1315,6 @@ func (t *Tenant) touch() { t.lastUsed.Store(t.m.tick.Add(1)) }
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
 
-// Pinned reports whether the tenant is exempt from eviction.
-func (t *Tenant) Pinned() bool { return t.cfg.Pinned }
-
 // MaxNodes reports the tenant's own node cap (0 = none; see
 // TenantConfig.MaxNodes).
 func (t *Tenant) MaxNodes() int { return t.cfg.MaxNodes }
@@ -1394,22 +1378,6 @@ func (t *Tenant) allow(answers int) error {
 	t.throttled.Add(1)
 	t.m.throttled.Add(1)
 	return &QuotaError{Tenant: t.name, Resource: resource, RetryAfter: wait}
-}
-
-// SetQuota replaces the tenant's quota at runtime (a zero q removes it).
-// The new buckets start full, and the change is remembered across eviction
-// like a creation-time Quota.
-func (t *Tenant) SetQuota(q Quota) error {
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	// cfg.Quota is copied under m.mu when the tenant is evicted, so the
-	// remembered config always reflects the latest SetQuota.
-	t.m.mu.Lock()
-	t.cfg.Quota = q
-	t.m.mu.Unlock()
-	t.lim.Store(newLimiter(q, nil))
-	return nil
 }
 
 // Quota returns the quota currently enforced (zero = unlimited).
@@ -1479,7 +1447,8 @@ func (t *Tenant) BatchCtx(ctx context.Context, pairs []Pair) (BatchResult, error
 	return res, err
 }
 
-// Path answers one greedy-routing query (see Oracle.Path).
+// Path answers one greedy-routing query (see Oracle.Path, including how
+// often greedy forwarding fails with ErrNoRoute on reachable pairs).
 func (t *Tenant) Path(u, v int) (PathResult, error) {
 	return t.PathCtx(context.Background(), u, v)
 }
@@ -1502,7 +1471,6 @@ func (t *Tenant) PathCtx(ctx context.Context, u, v int) (PathResult, error) {
 func (t *Tenant) Stats() TenantStats {
 	ts := TenantStats{
 		Name:      t.name,
-		Pinned:    t.cfg.Pinned,
 		Nodes:     int(t.nodes.Load()),
 		Age:       time.Since(t.created),
 		Throttled: t.throttled.Load(),

@@ -293,25 +293,6 @@ func TestManagerNodeBudgetAdmission(t *testing.T) {
 	}
 }
 
-func TestManagerPinnedTenantsAreNotEvicted(t *testing.T) {
-	m := oracle.NewManager(oracle.ManagerConfig{
-		MaxGraphs: 1,
-		Base:      oracle.Config{Algorithm: "test-exact"},
-	})
-	defer m.Close()
-
-	p := mustTenant(t, m, "pinned", oracle.TenantConfig{Pinned: true})
-	if !p.Pinned() {
-		t.Fatal("pinned flag lost")
-	}
-	if _, err := m.Create("other", oracle.TenantConfig{}); !errors.Is(err, oracle.ErrOverCapacity) {
-		t.Fatalf("Create over a pinned-full manager: %v", err)
-	}
-	if _, err := m.Get("pinned"); err != nil {
-		t.Fatalf("pinned tenant gone: %v", err)
-	}
-}
-
 // TestManagerBuildingTenantIsNotIdle pins the "idle" part of LRU eviction:
 // a tenant with a rebuild in flight is skipped even when it is the LRU.
 func TestManagerBuildingTenantIsNotIdle(t *testing.T) {
@@ -354,7 +335,7 @@ func TestManagerBuildingTenantIsNotIdle(t *testing.T) {
 // answer from the last snapshot or fail cleanly — never crash or race.
 func TestManagerEvictionWhileQuerying(t *testing.T) {
 	m := oracle.NewManager(oracle.ManagerConfig{
-		MaxGraphs: 2,
+		MaxGraphs: 1,
 		Base:      oracle.Config{Algorithm: "test-exact"},
 	})
 	defer m.Close()
@@ -362,10 +343,7 @@ func TestManagerEvictionWhileQuerying(t *testing.T) {
 	victim := mustTenant(t, m, "victim", oracle.TenantConfig{})
 	setAndWait(t, victim, pathGraph(t, 16, 3))
 	// The hammering below keeps refreshing victim's LRU recency, so recency
-	// alone cannot make it the victim; pinning keeper leaves it the only
-	// eviction candidate.
-	keeper := mustTenant(t, m, "keeper", oracle.TenantConfig{Pinned: true})
-	setAndWait(t, keeper, pathGraph(t, 4, 1))
+	// cannot make it the victim; with one slot it is the only candidate.
 
 	stop := make(chan struct{})
 	errc := make(chan error, 8)
@@ -397,12 +375,9 @@ func TestManagerEvictionWhileQuerying(t *testing.T) {
 		}()
 	}
 
-	// Touch keeper so victim is LRU, then evict it by creating a third
-	// tenant while the hammering continues.
-	if _, err := keeper.Dist(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Create("third", oracle.TenantConfig{}); err != nil {
+	// Evict victim by creating a second tenant while the hammering
+	// continues.
+	if _, err := m.Create("second", oracle.TenantConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let queries overlap the closed oracle

@@ -942,9 +942,11 @@ func (o *Oracle) BatchCtx(ctx context.Context, pairs []Pair) (BatchResult, error
 
 // Path answers one path query by greedy routing on the current snapshot,
 // reading every hop off the destination's distance row (one row read per
-// query, no state kept). With approximate estimates greedy forwarding can
-// dead-end or loop on rare pairs; that is reported as an error rather than
-// a wrong path.
+// query, no state kept). With approximate estimates greedy forwarding
+// often dead-ends or loops on reachable pairs: on RandomGraph(n, 100, 1)
+// under AlgConstant at seed 1 it fails on about 12–14% of sampled reachable
+// pairs at n=256 and about 24% at n=1024. Such a pair is reported as
+// cliqueapsp.ErrNoRoute rather than as a wrong path.
 func (o *Oracle) Path(u, v int) (PathResult, error) {
 	return o.PathCtx(context.Background(), u, v)
 }

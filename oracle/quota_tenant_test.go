@@ -121,7 +121,7 @@ func TestTenantSetQuota(t *testing.T) {
 		}
 	}
 	q := oracle.Quota{RequestsPerSec: 0.001, RequestBurst: 1}
-	if err := tn.SetQuota(q); err != nil {
+	if err := m.SetQuota("a", q); err != nil {
 		t.Fatal(err)
 	}
 	if got := tn.Quota(); got != q {
@@ -134,7 +134,7 @@ func TestTenantSetQuota(t *testing.T) {
 		t.Fatalf("Dist past burst err = %v", err)
 	}
 	// Clearing the quota reopens the tenant.
-	if err := tn.SetQuota(oracle.Quota{}); err != nil {
+	if err := m.SetQuota("a", oracle.Quota{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -142,7 +142,7 @@ func TestTenantSetQuota(t *testing.T) {
 			t.Fatalf("Dist after clearing quota: %v", err)
 		}
 	}
-	if err := tn.SetQuota(oracle.Quota{RequestsPerSec: -1}); err == nil {
+	if err := m.SetQuota("a", oracle.Quota{RequestsPerSec: -1}); err == nil {
 		t.Fatal("negative quota accepted")
 	}
 	if _, err := m.Create("bad", oracle.TenantConfig{Quota: oracle.Quota{AnswersPerSec: -1}}); err == nil {
@@ -262,7 +262,7 @@ func TestTenantQuotaSurvivesEvictionAndRehydration(t *testing.T) {
 	// Tighten at runtime so the survival test covers SetQuota too, not just
 	// the creation-time config.
 	updated := oracle.Quota{RequestsPerSec: 0.001, RequestBurst: 2, AnswersPerSec: 0.001, AnswerBurst: 2}
-	if err := a.SetQuota(updated); err != nil {
+	if err := m.SetQuota("a", updated); err != nil {
 		t.Fatal(err)
 	}
 

@@ -157,9 +157,6 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 			return fallback()
 		}
 	}
-	if float64(len(dirtySet)) > maxDirty {
-		return fallback()
-	}
 
 	dirty := make([]int, 0, len(dirtySet))
 	for u := range dirtySet {
