@@ -72,7 +72,7 @@ func benchServe(b *testing.B, s *server, req *http.Request, body []byte) {
 			b.Fatalf("%s %s: status %d", req.Method, req.URL, w.status)
 		}
 	}
-	serve() // warm the next-hop memo and the metric series
+	serve() // warm the metric series and the pooled scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -255,4 +258,62 @@ func TestAnswerEncodersMatchJSONEncoder(t *testing.T) {
 	for _, v := range paths {
 		check("PathResult", appendPathResult(nil, v), v)
 	}
+}
+
+// queryCases are raw query strings on which queryUV must agree with
+// url.ParseQuery: escaped, repeated, empty, ';'-bearing and malformed.
+var queryCases = []string{
+	"", "u=3&v=250", "v=250&u=3", "u=3", "v=4", "&&u=1&&v=2&",
+	// escapes and '+'
+	"u=%33&v=2%35", "%75=7&%76=8", "u=+4&v=5+", "u=%2B4&v=-%31", "u%3D1=2&v=3",
+	// repeated keys: the first well-formed value wins
+	"u=1&u=2&v=3&v=4", "u=%zz&u=5&v=6", "u&u=9&v=1", "u=&u=2&v=3",
+	// empty values and keys
+	"u=&v=", "=1&u=2&v=3", "u==1&v=2", "u=1=2&v=3",
+	// ';' makes ParseQuery skip the pair
+	"u=1;v=2", "u=1;x&u=4&v=5", "x=1;u=2&u=3&v=4", ";&u=6&v=7",
+	// malformed escapes in other keys, values and the keys themselves
+	"%zz=1&u=2&v=3", "a=%&u=3&v=4", "u%=1&u=2&v=3", "u=%4&v=5", "u=1&v=%",
+	"u=%E2%82%AC&v=1", "u=0x10&v=1e3", "U=1&V=2", "u=1&v=2#frag",
+}
+
+// checkQueryUV compares queryUV with url.ParseQuery and Get, and queryPair
+// with the same parse's integers and error text.
+func checkQueryUV(t *testing.T, raw string) {
+	t.Helper()
+	q := (&url.URL{RawQuery: raw}).Query()
+	if u, v := queryUV(raw); u != q.Get("u") || v != q.Get("v") {
+		t.Errorf("queryUV(%q) = %q, %q; ParseQuery gives %q, %q", raw, u, v, q.Get("u"), q.Get("v"))
+	}
+	u, v, err := queryPair(&http.Request{URL: &url.URL{RawQuery: raw}})
+	wu, wv, werr := refQueryPair(q)
+	if u != wu || v != wv || fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Errorf("queryPair(%q) = %d, %d, %v; want %d, %d, %v", raw, u, v, err, wu, wv, werr)
+	}
+}
+
+func TestQueryUVMatchesParseQuery(t *testing.T) {
+	for _, raw := range queryCases {
+		checkQueryUV(t, raw)
+	}
+}
+
+func FuzzQueryUV(f *testing.F) {
+	for _, raw := range queryCases {
+		f.Add(raw)
+	}
+	f.Fuzz(checkQueryUV)
+}
+
+// refQueryPair is queryPair as it read before the hand parse.
+func refQueryPair(q url.Values) (int, int, error) {
+	u, err := strconv.Atoi(q.Get("u"))
+	if err != nil {
+		return 0, 0, fmt.Errorf("query parameter u: want an integer node index")
+	}
+	v, err := strconv.Atoi(q.Get("v"))
+	if err != nil {
+		return 0, 0, fmt.Errorf("query parameter v: want an integer node index")
+	}
+	return u, v, nil
 }

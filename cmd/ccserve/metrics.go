@@ -8,7 +8,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/congestedclique/cliqueapsp/internal/sched"
@@ -27,6 +29,65 @@ type serverMetrics struct {
 	phaseDur  *obs.HistogramVec // ccserve_build_phase_duration_seconds{phase}
 	rebuilds  *obs.CounterVec   // ccserve_rebuilds_total{result}
 	repairs   *obs.CounterVec   // ccserve_repairs_total{result}
+
+	// The per-request series, each resolved through With once and reused:
+	// a With call joins its labels into a fresh key on every request.
+	reqSeries    handles[reqKey, reqSeries]
+	tenantSeries handles[[2]string, obs.Counter] // {tenant, outcome}
+}
+
+// reqKey names one request's series: its route template, method and status.
+type reqKey struct {
+	route, method string
+	status        int
+}
+
+// reqSeries is one reqKey's request counter and latency histogram.
+type reqSeries struct {
+	requests obs.Counter
+	latency  obs.Histogram
+}
+
+// request returns the series a finished request updates.
+func (m *serverMetrics) request(route, method string, status int) reqSeries {
+	return m.reqSeries.get(reqKey{route, method, status}, func(k reqKey) reqSeries {
+		code := strconv.Itoa(k.status)
+		return reqSeries{m.requests.With(k.route, k.method, code), m.latency.With(k.route, code)}
+	})
+}
+
+// tenantRequest returns the per-tenant counter for one outcome.
+func (m *serverMetrics) tenantRequest(tenant, outcome string) obs.Counter {
+	return m.tenantSeries.get([2]string{tenant, outcome}, func(k [2]string) obs.Counter {
+		return m.tenantReq.With(k[0], k[1])
+	})
+}
+
+// handles memoizes metric handles by label key. The families never drop a
+// series, so a handle stays valid for the process's life.
+type handles[K comparable, H any] struct {
+	mu sync.RWMutex
+	m  map[K]H
+}
+
+// get returns k's handle, resolving it on first use.
+func (h *handles[K, H]) get(k K, resolve func(K) H) H {
+	h.mu.RLock()
+	v, ok := h.m[k]
+	h.mu.RUnlock()
+	if ok {
+		return v
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if v, ok = h.m[k]; !ok {
+		if h.m == nil {
+			h.m = make(map[K]H)
+		}
+		v = resolve(k)
+		h.m[k] = v
+	}
+	return v
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {

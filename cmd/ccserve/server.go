@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
@@ -244,13 +245,13 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sw.status = http.StatusOK // handler never wrote; net/http sends 200
 	}
 	dur := time.Since(start)
-	status := strconv.Itoa(sw.status)
-	s.met.requests.With(route, r.Method, status).Inc()
-	s.met.latency.With(route, status).Observe(dur.Seconds())
+	series := s.met.request(route, r.Method, sw.status)
+	series.requests.Inc()
+	series.latency.Observe(dur.Seconds())
 	tenant, scoped := tenantRoute(r)
 	if scoped {
 		if outcome := requestOutcome(sw.status); outcome != "" {
-			s.met.tenantReq.With(tenant, outcome).Inc()
+			s.met.tenantRequest(tenant, outcome).Inc()
 		}
 	}
 	slow := s.slow > 0 && dur >= s.slow
@@ -503,16 +504,45 @@ func (s *server) requireMethod(w http.ResponseWriter, r *http.Request, methods .
 
 // queryPair parses the u/v query parameters.
 func queryPair(r *http.Request) (int, int, error) {
-	q := r.URL.Query()
-	u, err := strconv.Atoi(q.Get("u"))
+	us, vs := queryUV(r.URL.RawQuery)
+	u, err := strconv.Atoi(us)
 	if err != nil {
 		return 0, 0, fmt.Errorf("query parameter u: want an integer node index")
 	}
-	v, err := strconv.Atoi(q.Get("v"))
+	v, err := strconv.Atoi(vs)
 	if err != nil {
 		return 0, 0, fmt.Errorf("query parameter v: want an integer node index")
 	}
 	return u, v, nil
+}
+
+// queryUV returns what url.ParseQuery(raw) followed by Get("u") and
+// Get("v") would, without building the map: the first value of each key,
+// with %XX and '+' unescaped, skipping every pair ParseQuery skips (one
+// holding ';', or a key or value that fails to unescape).
+func queryUV(raw string) (u, v string) {
+	var haveU, haveV bool
+	for raw != "" && !(haveU && haveV) {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		key, err := url.QueryUnescape(key)
+		if err != nil || !(key == "u" && !haveU || key == "v" && !haveV) {
+			continue
+		}
+		if val, err = url.QueryUnescape(val); err != nil {
+			continue
+		}
+		if key == "u" {
+			u, haveU = val, true
+		} else {
+			v, haveV = val, true
+		}
+	}
+	return u, v
 }
 
 // decodeStrict decodes exactly one JSON value from r into v and requires

@@ -18,7 +18,8 @@ import (
 
 // DefaultColdCacheRows is the per-tenant hot-row cache bound used when
 // ManagerConfig.ColdCacheRows is zero: 64 rows of 8·n bytes each — half a
-// megabyte at n=1024, next to the 8 MB a hot tenant of that size holds.
+// megabyte at n=1024, next to the 4 MB a hot tenant of that size holds (its
+// packed triangle, 4·n(n+1) bytes).
 const DefaultColdCacheRows = 64
 
 var (
@@ -39,9 +40,11 @@ type ManagerConfig struct {
 	// one more evicts the least-recently-used idle tenant.
 	MaxGraphs int
 	// MaxTotalNodes bounds the summed node counts of all registered graphs
-	// (0 = unlimited) — the serving state is Θ(n²) per tenant, so node
-	// admission is the memory knob. Registering a graph that would exceed
-	// the budget evicts idle tenants in LRU order until it fits.
+	// (0 = unlimited) — the serving state is Θ(n²) per tenant (a hot
+	// tenant holds n rows averaging 4·(n+1) bytes: the packed triangle of
+	// its symmetric estimate), so node admission is the memory knob.
+	// Registering a graph that would exceed the budget evicts idle tenants
+	// in LRU order until it fits.
 	MaxTotalNodes int
 	// Base is the Config template every tenant starts from; TenantConfig
 	// overrides are applied on top. A nil Base.Engine is replaced by one
@@ -618,8 +621,9 @@ func (m *Manager) cacheRows() int {
 
 // coldCharge is the node budget a cold n-node tenant is charged: one unit
 // per potentially resident cache row, capped at the graph size. A hot
-// tenant holds n rows of 8·n bytes; a cold one holds at most cacheRows of
-// them, so the same per-row unit keeps the budget meaning "resident rows".
+// tenant holds n packed rows averaging 4·(n+1) bytes; a cold one holds at
+// most cacheRows rows of 8·n bytes, so the same per-row unit keeps the
+// budget meaning "resident rows" (a cold row weighs about two hot ones).
 func (m *Manager) coldCharge(n int) int {
 	if r := m.cacheRows(); r < n {
 		return r
@@ -809,7 +813,7 @@ func (m *Manager) persist(name string, eps float64, seedPinned bool, p published
 		BaseVersion: p.baseVersion,
 		DeltaCount:  p.deltaCount,
 		Graph:       p.graph,
-		Distances:   p.res.Distances,
+		Distances:   p.dist,
 	})
 	if err != nil {
 		m.persistErrors.Add(1)
@@ -1114,13 +1118,19 @@ func (m *Manager) Promote(name string) error {
 		return fmt.Errorf("%w: newest persisted snapshot of %q is v%d, serving v%d",
 			ErrSuperseded, name, snap.Version, r.Version())
 	}
+	// Pack before admitting: a refused (asymmetric) file costs no one
+	// their memory.
+	hot, err := newSnapshot(snap.Version, snap.Graph, resultFromSnapshot(snap))
+	if err != nil {
+		return fmt.Errorf("oracle: promoting %q: %w", name, err)
+	}
 	t.setMu.Lock()
 	defer t.setMu.Unlock()
 	prev, err := m.admitNodes(t, snap.Graph.N())
 	if err != nil {
 		return err
 	}
-	if err := t.o.swapTier(newSnapshot(snap.Version, snap.Graph, resultFromSnapshot(snap))); err != nil {
+	if err := t.o.swapTier(hot); err != nil {
 		m.rollbackNodes(t, prev)
 		return err
 	}

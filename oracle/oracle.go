@@ -133,14 +133,17 @@ type Config struct {
 }
 
 // published is one snapshot about to be published, handed to
-// Config.persist. All fields are read-only. baseVersion and deltaCount are
-// the incremental-repair provenance: a repaired snapshot names the snapshot
-// its distances were patched from and how many edge deltas were folded in,
+// Config.persist. All fields are read-only. res is the provenance (its
+// Distances nil); dist is the full estimate the snapshot packed, which lives
+// only until persist returns. baseVersion and deltaCount are the
+// incremental-repair provenance: a repaired snapshot names the snapshot its
+// distances were patched from and how many edge deltas were folded in,
 // while a from-scratch engine build carries (0, 0).
 type published struct {
 	version     uint64
 	graph       *cliqueapsp.Graph
 	res         *cliqueapsp.Result
+	dist        *cliqueapsp.DistanceMatrix
 	baseVersion uint64
 	deltaCount  int
 }
@@ -500,30 +503,6 @@ func copyGraph(g *cliqueapsp.Graph) *cliqueapsp.Graph {
 	return cp
 }
 
-// checkSymmetric refuses an estimate whose entries (u,v) and (v,u) differ,
-// counting every entry at or above Inf as the same. Path reads each hop off
-// the destination's row, which routes like the source's only on a
-// symmetric estimate: the built-in algorithms produce one, a registered
-// algorithm need not. One O(n²) pass over 64×64 blocks keeps both the rows
-// and the columns it compares in cache.
-func checkSymmetric(d *cliqueapsp.DistanceMatrix) error {
-	const block = 64
-	n := d.N()
-	for bi := 0; bi < n; bi += block {
-		for bj := bi; bj < n; bj += block {
-			for i := bi; i < min(bi+block, n); i++ {
-				row := d.Row(i)
-				for j := max(bj, i+1); j < min(bj+block, n); j++ {
-					if a, b := row[j], d.At(j, i); a != b && min(a, b) < cliqueapsp.Inf {
-						return fmt.Errorf("oracle: asymmetric estimate refused: d(%d,%d)=%d but d(%d,%d)=%d", i, j, a, j, i, b)
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // buildLoop drains pending work until none remains, publishing a snapshot
 // per unit — through the engine for full rebuilds, through the repair path
 // for small deltas. At most one buildLoop runs at a time (o.building).
@@ -597,14 +576,15 @@ func (o *Oracle) buildLoop() {
 		start := time.Now()
 		var (
 			snap   *snapshot
+			full   *cliqueapsp.DistanceMatrix // the estimate snap packed; persist's to read
 			phases []PhaseTiming
 			err    error
 		)
 		repaired := plan != nil
 		if repaired {
-			snap, phases = o.repair(w, plan)
+			snap, full, phases = o.repair(w, plan)
 		} else {
-			snap, phases, err = o.build(w.g, w.v)
+			snap, full, phases, err = o.build(w.g, w.v)
 		}
 		o.cfg.gate.Release()
 		elapsed := time.Since(start)
@@ -623,9 +603,11 @@ func (o *Oracle) buildLoop() {
 			// query or waiter can observe the version until it is durable.
 			// The previous snapshot keeps serving meanwhile. Repaired
 			// snapshots persist like built ones — with their provenance —
-			// so restore, tiering and GC treat them identically.
+			// so restore, tiering and GC treat them identically. The full
+			// matrix goes no further than persist: the snapshot serves
+			// from its packed triangle.
 			if o.cfg.persist != nil {
-				p := published{version: w.v, graph: w.g, res: snap.res}
+				p := published{version: w.v, graph: w.g, res: snap.res, dist: full}
 				if repaired {
 					p.baseVersion, p.deltaCount = w.baseV, len(w.deltas)
 				}
@@ -675,9 +657,10 @@ func (o *Oracle) buildLoop() {
 	}
 }
 
-// build runs the engine once and wraps the result as a snapshot, returning
-// the per-phase timing of the run whether or not it succeeded.
-func (o *Oracle) build(g *cliqueapsp.Graph, version uint64) (*snapshot, []PhaseTiming, error) {
+// build runs the engine once and packs the result as a snapshot, returning
+// the full estimate for persist and the per-phase timing of the run whether
+// or not it succeeded.
+func (o *Oracle) build(g *cliqueapsp.Graph, version uint64) (*snapshot, *cliqueapsp.DistanceMatrix, []PhaseTiming, error) {
 	ctx := o.ctx
 	if o.cfg.BuildTimeout > 0 {
 		var cancel context.CancelFunc
@@ -699,19 +682,22 @@ func (o *Oracle) build(g *cliqueapsp.Graph, version uint64) (*snapshot, []PhaseT
 	res, err := o.eng.Run(ctx, g, opts...)
 	phases := rec.finish()
 	if err != nil {
-		return nil, phases, err
+		return nil, nil, phases, err
 	}
-	if err := checkSymmetric(res.Distances); err != nil {
-		return nil, phases, err
+	snap, err := newSnapshot(version, g, res)
+	if err != nil {
+		return nil, nil, phases, err
 	}
-	return newSnapshot(version, g, res), phases, nil
+	return snap, res.Distances, phases, nil
 }
 
 // RestoreSnapshot publishes a previously computed (typically persisted and
 // decoded) build as the serving snapshot without running the Engine: the
-// restore path of the store subsystem. The oracle takes ownership of g and
-// res — the caller must not mutate either afterwards (a decoded snapshot is
-// exactly that: freshly owned, so no defensive copy is made). The snapshot
+// restore path of the store subsystem. The oracle takes ownership of g —
+// the caller must not mutate it afterwards (a decoded snapshot is exactly
+// that: freshly owned, so no defensive copy is made). It packs res's
+// estimate into a triangle of its own and keeps neither res nor its matrix,
+// so a hot restore holds each pair once, as a build does. The snapshot
 // serves under version, and future SetGraph calls are assigned strictly
 // larger versions so a later upload always supersedes the restore.
 //
@@ -733,10 +719,11 @@ func (o *Oracle) RestoreSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqu
 	if res.Distances.N() != g.N() {
 		return fmt.Errorf("oracle: %d×%d distances for %d nodes", res.Distances.N(), res.Distances.N(), g.N())
 	}
-	if err := checkSymmetric(res.Distances); err != nil {
+	snap, err := newSnapshot(version, g, res)
+	if err != nil {
 		return err
 	}
-	return o.publishRestore(newSnapshot(version, g, res))
+	return o.publishRestore(snap)
 }
 
 // restoreCold publishes a disk-backed snapshot with RestoreSnapshot's

@@ -36,12 +36,12 @@ import (
 // way to tell for which pairs).
 
 // repairPlan is a decided incremental repair: the hot base snapshot the
-// distances patch (and its resident rows), the distinct endpoints of all
-// net-effective changes, and the full Dijkstra source set (touched ∪
-// increase-dirty sources).
+// distances patch, its estimate widened to the full matrix the repair
+// rewrites in place, the distinct endpoints of all net-effective changes,
+// and the full Dijkstra source set (touched ∪ increase-dirty sources).
 type repairPlan struct {
 	base    *snapshot
-	hot     *resident
+	d       *cliqueapsp.DistanceMatrix // unpublished: repair's to write
 	touched map[int]bool
 	dirty   []int // sorted; superset of touched
 }
@@ -66,7 +66,7 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 		return fallback()
 	}
 	base := o.cur.Load()
-	// Repair patches the serving matrix in place (copied), so it needs a
+	// Repair patches a widened copy of the serving estimate, so it needs a
 	// hot, resident base that is exactly the version the deltas extend.
 	if base == nil || base.version != w.baseV {
 		return fallback()
@@ -117,6 +117,9 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 		return fallback()
 	}
 
+	// Past the cheap fallbacks, widen the packed base once: the increase
+	// test reads it, and the repair patches it.
+	D := hot.widen()
 	dirtySet := make(map[int]bool, len(touched))
 	for t := range touched {
 		dirtySet[t] = true
@@ -126,7 +129,6 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 	// weight — then row u may be too small after the change and must be
 	// recomputed from scratch. The test is exact-matrix arithmetic, which
 	// the approximate guard above already ensured.
-	D := hot.d
 	for _, ch := range increases {
 		rowX, rowY := D.Row(ch.u), D.Row(ch.v)
 		for u := 0; u < n; u++ {
@@ -163,32 +165,26 @@ func (o *Oracle) planRepair(w *pendingWork) *repairPlan {
 		dirty = append(dirty, u)
 	}
 	sort.Ints(dirty)
-	return &repairPlan{base: base, hot: hot, touched: touched, dirty: dirty}
+	return &repairPlan{base: base, d: D, touched: touched, dirty: dirty}
 }
 
-// repair executes a decided plan: copy the base matrix, rewrite the dirty
-// sources' rows and columns from exact Dijkstras on the new graph, close the
-// rest through the touched endpoints, and wrap the result as a snapshot. The
-// patch keeps the matrix symmetric: each dirty row is also written as its
-// column, and the combine step gives (u,v) and (v,u) the same candidates.
-// It cannot
-// fail: every input was validated when the plan was made (the impossible
-// errors below panic, like the other unreachable paths in this package).
-func (o *Oracle) repair(w *pendingWork, plan *repairPlan) (*snapshot, []PhaseTiming) {
+// repair executes a decided plan: rewrite the dirty sources' rows and
+// columns of the plan's widened base from exact Dijkstras on the new graph,
+// close the rest through the touched endpoints, and pack the result as a
+// snapshot, returning the full matrix for persist. The patch keeps the
+// matrix symmetric: each dirty row is also written as its column, and the
+// combine step gives (u,v) and (v,u) the same candidates. It cannot fail:
+// every input was validated when the plan was made (the impossible errors
+// below panic, like the other unreachable paths in this package).
+func (o *Oracle) repair(w *pendingWork, plan *repairPlan) (*snapshot, *cliqueapsp.DistanceMatrix, []PhaseTiming) {
 	base := plan.base
 	n := base.n
 	var phases []PhaseTiming
 
 	ssspStart := time.Now()
-	newD, err := cliqueapsp.DistancesFromRows(n, func(u int, dst []int64) error {
-		copy(dst, plan.hot.d.Row(u))
-		return nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("oracle: repair matrix copy: %v", err))
-	}
 	// Writes to newD are safe without synchronization: the matrix is
 	// unpublished until the snapshot stores.
+	newD := plan.d
 	for _, s := range plan.dirty {
 		row, err := cliqueapsp.SSSP(w.g, s)
 		if err != nil {
@@ -242,5 +238,9 @@ func (o *Oracle) repair(w *pendingWork, plan *repairPlan) (*snapshot, []PhaseTim
 	// repair arguments above guarantee the bound still holds.
 	res := *base.res
 	res.Distances = newD
-	return newSnapshot(w.v, w.g, &res), phases
+	snap, err := newSnapshot(w.v, w.g, &res)
+	if err != nil {
+		panic(fmt.Sprintf("oracle: packing the repaired estimate: %v", err))
+	}
+	return snap, newD, phases
 }

@@ -11,9 +11,10 @@
 # BenchmarkSpanSampled; BenchmarkPublishRepair256 faster than
 # BenchmarkPublishRebuild256.
 # Given a base ref, it also builds BenchmarkMulTo1024, the disk-tier reads
-# (BenchmarkRowMiss, BenchmarkRowHit, BenchmarkEntryMiss, BenchmarkEntryHit)
-# and the ccserve read handlers (BenchmarkServeDist, BenchmarkServeBatch64,
-# BenchmarkServePath) from a temporary git worktree of that ref, runs base
+# (BenchmarkRowMiss, BenchmarkRowHit, BenchmarkEntryMiss, BenchmarkEntryHit),
+# the ccserve read handlers (BenchmarkServeDist, BenchmarkServeBatch64,
+# BenchmarkServePath) and the oracle publishes (BenchmarkPublishRebuild256,
+# BenchmarkPublishRepair256) from a temporary git worktree of that ref, runs base
 # and working tree in 5 alternating rounds, and fails if a working-tree
 # median ns/op exceeds the base's divided by (1 - bound), where bound is the
 # ops_per_s bound in BENCHMARK.json. A benchmark missing at the base passes.
@@ -100,6 +101,7 @@ if [[ -n ${1:-} ]]; then
 	compile "$tmp/base" base-minplus internal/minplus
 	compile "$tmp/base" base-tier tier
 	compile "$tmp/base" base-ccserve cmd/ccserve
+	compile "$tmp/base" base-oracle oracle
 	compile . ccserve cmd/ccserve
 	rm -f "$tmp"/*.out
 	for _ in 1 2 3 4 5; do
@@ -109,11 +111,13 @@ if [[ -n ${1:-} ]]; then
 			bench "${side}tier" '^Benchmark(Row|Entry)Hit$' 5000000x 1
 			bench "${side}ccserve" '^BenchmarkServe(Dist|Path)$' 20000x 1
 			bench "${side}ccserve" '^BenchmarkServeBatch64$' 5000x 1
+			bench "${side}oracle" '^BenchmarkPublish(Rebuild|Repair)256$' 10x 1
 		done
 	done
-	load base: "$tmp"/base-{minplus,tier,ccserve}.out
-	load "" "$tmp"/{minplus,tier,ccserve}.out
-	for b in MulTo1024 RowMiss RowHit EntryMiss EntryHit ServeDist ServeBatch64 ServePath; do
+	load base: "$tmp"/base-{minplus,tier,ccserve,oracle}.out
+	load "" "$tmp"/{minplus,tier,ccserve,oracle}.out
+	for b in MulTo1024 RowMiss RowHit EntryMiss EntryHit ServeDist ServeBatch64 ServePath \
+		PublishRebuild256 PublishRepair256; do
 		if [[ -z ${med[base:$b]:-} ]]; then
 			echo "ok    $b: missing at base ${base:0:12}"
 			continue
