@@ -180,6 +180,30 @@ type RouteOpts struct {
 	SendBudget int64
 	// Note identifies the operation in violation messages.
 	Note string
+	// Into, if non-nil, holds the memory Route builds the inboxes in, so a
+	// caller that routes repeatedly allocates them about once. The inboxes
+	// of the last Route given the same Into are overwritten. Nil means
+	// fresh memory.
+	Into *Mailboxes
+}
+
+// Mailboxes is reusable memory for Route's inboxes and its counting
+// scratch. The zero value is ready to use; it serves one Route at a time.
+type Mailboxes struct {
+	inbox   [][]Message
+	backing []Message
+	order   []int32
+	loads   []int64 // send loads, then receive loads
+	counts  []int   // receive counts, then sender offsets
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Route delivers the messages and returns each node's inbox (indexed by
@@ -192,8 +216,13 @@ type RouteOpts struct {
 // These are the information-theoretic terms that the cited algorithms match
 // up to constant factors; with O(n)-word loads both formulas give O(1).
 func (c *Clique) Route(msgs []Message, opts RouteOpts) [][]Message {
-	sendLoad := make([]int64, c.n)
-	recvLoad := make([]int64, c.n)
+	mb := opts.Into
+	if mb == nil {
+		mb = new(Mailboxes)
+	}
+	mb.loads = resize(mb.loads, 2*c.n)
+	sendLoad, recvLoad := mb.loads[:c.n], mb.loads[c.n:]
+	clear(mb.loads)
 	var totalWords, networkMsgs int64
 	for _, m := range msgs {
 		if m.From < 0 || m.From >= c.n || m.To < 0 || m.To >= c.n {
@@ -212,16 +241,20 @@ func (c *Clique) Route(msgs []Message, opts RouteOpts) [][]Message {
 
 	// Inboxes share one backing array, each sized by a counting pass, and
 	// are filled in stable sender order: a counting sort by From.
-	counts := make([]int, c.n)
-	senders := make([]int, c.n+1) // counts by From, then offsets into order
+	mb.counts = resize(mb.counts, 2*c.n+1)
+	clear(mb.counts)
+	counts := mb.counts[:c.n]
+	senders := mb.counts[c.n:] // counts by From, then offsets into order
 	for _, m := range msgs {
 		counts[m.To]++
 		senders[m.From+1]++
 	}
-	backing := make([]Message, len(msgs))
-	inbox := make([][]Message, c.n)
+	backing := resize(mb.backing, len(msgs))
+	inbox := resize(mb.inbox, c.n)
+	mb.backing, mb.inbox = backing, inbox
 	off := 0
 	for v, cnt := range counts {
+		inbox[v] = nil
 		if cnt > 0 {
 			inbox[v] = backing[off : off : off+cnt]
 			off += cnt
@@ -230,7 +263,8 @@ func (c *Clique) Route(msgs []Message, opts RouteOpts) [][]Message {
 	for v := 1; v <= c.n; v++ {
 		senders[v] += senders[v-1]
 	}
-	order := make([]int32, len(msgs))
+	order := resize(mb.order, len(msgs))
+	mb.order = order
 	for i, m := range msgs {
 		order[senders[m.From]] = int32(i)
 		senders[m.From]++

@@ -308,9 +308,12 @@ func TestRoutePanicsOnBadEndpoint(t *testing.T) {
 // Route's counting sort by sender must build exactly the inboxes a stable
 // sort of each destination's messages by sender builds: same messages, same
 // order, same payload slices. The lists mix self-messages, repeated
-// (From, To) pairs and empty payloads, some already in sender order.
+// (From, To) pairs and empty payloads, some already in sender order. Each
+// list is routed into fresh memory and into Mailboxes that every trial
+// reuses, whose stale inboxes are longer or shorter than the trial needs.
 func TestRouteInboxesMatchStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var reused Mailboxes
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(12)
 		msgs := make([]Message, rng.Intn(60))
@@ -337,16 +340,21 @@ func TestRouteInboxesMatchStableSort(t *testing.T) {
 		for _, in := range want {
 			slices.SortStableFunc(in, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
 		}
-		got := New(n, 1).Route(msgs, RouteOpts{})
-		for v := 0; v < n; v++ {
-			if len(got[v]) != len(want[v]) {
-				t.Fatalf("trial %d node %d: %d messages, want %d", trial, v, len(got[v]), len(want[v]))
+		for _, into := range []*Mailboxes{nil, &reused} {
+			got := New(n, 1).Route(msgs, RouteOpts{Into: into})
+			if len(got) != n {
+				t.Fatalf("trial %d: %d inboxes, want %d", trial, len(got), n)
 			}
-			for i, m := range want[v] {
-				g := got[v][i]
-				if g.From != m.From || g.To != m.To || len(g.Payload) != len(m.Payload) ||
-					unsafe.SliceData(g.Payload) != unsafe.SliceData(m.Payload) {
-					t.Fatalf("trial %d node %d message %d: got %+v, want %+v", trial, v, i, g, m)
+			for v := 0; v < n; v++ {
+				if len(got[v]) != len(want[v]) {
+					t.Fatalf("trial %d node %d: %d messages, want %d", trial, v, len(got[v]), len(want[v]))
+				}
+				for i, m := range want[v] {
+					g := got[v][i]
+					if g.From != m.From || g.To != m.To || len(g.Payload) != len(m.Payload) ||
+						unsafe.SliceData(g.Payload) != unsafe.SliceData(m.Payload) {
+						t.Fatalf("trial %d node %d message %d: got %+v, want %+v", trial, v, i, g, m)
+					}
 				}
 			}
 		}

@@ -33,6 +33,7 @@ import (
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
+	"github.com/congestedclique/cliqueapsp/internal/knearest"
 	"github.com/congestedclique/cliqueapsp/internal/minplus"
 	"github.com/congestedclique/cliqueapsp/internal/sched"
 )
@@ -76,6 +77,13 @@ type Config struct {
 	// mid-phase instead of at the next phase boundary. Nil falls back to
 	// the shared pool at full width.
 	Par *sched.Group
+
+	// knearest is the run's k-nearest workspace: every knearest.Compute of
+	// the run reuses its buffers. withDefaults makes it, so it lives as long
+	// as the run's Config and is dropped with it. The pipelines of a run
+	// call Compute one at a time (cc.Parallel runs its lanes in sequence),
+	// so two goroutines never use it at once outside Compute's own fan-out.
+	knearest *knearest.Workspace
 }
 
 // Checkpoint marks a phase boundary: it switches clq's accounting to phase,
@@ -100,6 +108,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Rng == nil {
 		c.Rng = rand.New(rand.NewSource(1))
+	}
+	if c.knearest == nil {
+		c.knearest = new(knearest.Workspace)
 	}
 	return c
 }

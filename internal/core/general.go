@@ -5,7 +5,6 @@ import (
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
-	"github.com/congestedclique/cliqueapsp/internal/knearest"
 	"github.com/congestedclique/cliqueapsp/internal/skeleton"
 )
 
@@ -42,7 +41,7 @@ func APSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
 	for pow := hPar; pow < k; pow *= hPar {
 		iPar++
 	}
-	res, err := knearest.Compute(cfg.Par, clq, g.AsDirected(), k, hPar, iPar)
+	res, err := cfg.knearest.Compute(cfg.Par, clq, g.AsDirected(), k, hPar, iPar)
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
 	"github.com/congestedclique/cliqueapsp/internal/hopset"
-	"github.com/congestedclique/cliqueapsp/internal/knearest"
 	"github.com/congestedclique/cliqueapsp/internal/skeleton"
 )
 
@@ -57,7 +56,7 @@ func ReduceApprox(clq *cc.Clique, g *graph.Graph, est Estimate, cfg Config) (Est
 
 	// Step 2: exact distances to the k-nearest nodes (Lemma 3.3), with
 	// h^iters ≥ β so the hopset's low-hop paths are within reach.
-	res, err := knearest.Compute(cfg.Par, clq, gh, p.k, p.h, p.iters)
+	res, err := cfg.knearest.Compute(cfg.Par, clq, gh, p.k, p.h, p.iters)
 	if err != nil {
 		return Estimate{}, fmt.Errorf("reduce: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
 	"github.com/congestedclique/cliqueapsp/internal/hopset"
-	"github.com/congestedclique/cliqueapsp/internal/knearest"
 	"github.com/congestedclique/cliqueapsp/internal/skeleton"
 )
 
@@ -78,7 +77,7 @@ func SmallDiameterAPSP(clq *cc.Clique, g *graph.Graph, cfg Config, bigBandwidth 
 	for pow := 2; pow < beta; pow *= 2 {
 		i++
 	}
-	res, err := knearest.Compute(cfg.Par, clq, gh, k, 2, i)
+	res, err := cfg.knearest.Compute(cfg.Par, clq, gh, k, 2, i)
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -22,12 +22,19 @@
 // Correctness leans on Lemma 5.5 (filtering preserves the optimal paths to
 // k-nearest targets: Ā^h = A^h on those entries), which the tests verify
 // empirically against unfiltered references.
+//
+// The buffers each iteration needs live in a Workspace that lasts one run:
+// a pipeline run carries one through all of its Compute calls, so a build
+// allocates them about once rather than once per iteration. A run's Compute
+// calls follow one another, so no two goroutines use a Workspace at once
+// except through the searchers that Compute's own fan-out hands out.
 package knearest
 
 import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"github.com/congestedclique/cliqueapsp/internal/cc"
 	"github.com/congestedclique/cliqueapsp/internal/graph"
@@ -45,12 +52,95 @@ type Result struct {
 	Hops int
 }
 
+// Compute runs Lemma 5.2 on a fresh Workspace; see Workspace.Compute.
+func Compute(par *sched.Group, clq *cc.Clique, g *graph.Graph, k, h, iters int) (*Result, error) {
+	return new(Workspace).Compute(par, clq, g, k, h, iters)
+}
+
+// Workspace holds the buffers that Lemma 5.1's iterations rebuild: the
+// filtered rows, their wire form, the messages of the three routes, the
+// response arena and the combo nodes' searchers. Every Compute call made
+// through one Workspace reuses them, so a run that calls Compute many times
+// allocates them about once. The zero value is ready to use.
+//
+// A Workspace lives for one run and serves one Compute call at a time: a
+// run's pipelines call Compute one after another (cc.Parallel runs its
+// lanes in sequence), and inside a call only the fan-out over par takes
+// searchers concurrently, through the hand-out under mu. Reused buffers are
+// not zeroed; an iteration writes every slot it reads.
+type Workspace struct {
+	// rows double-buffers the filtered rows: an iteration reads one buffer
+	// and writes the other.
+	rows  [2]rowBuf
+	words []cc.Word   // the rows as (col, w) word pairs
+	segs  [][]cc.Word // segs[u] is u's row within words
+	// collect, queries and responses are the messages of the three routes,
+	// and inboxes holds what each route delivers; arena backs the
+	// responses' payloads, 2k words per answer.
+	collect, queries, responses []cc.Message
+	inboxes                     [3]cc.Mailboxes
+	arena                       []cc.Word
+
+	mu   sync.Mutex
+	idle []*searcher
+}
+
+// rowBuf holds up to n rows of at most k entries each in one backing array.
+type rowBuf struct {
+	rows    [][]minplus.Entry
+	backing []minplus.Entry
+}
+
+// reset returns n empty rows of capacity k, carved from b's backing.
+func (b *rowBuf) reset(n, k int) [][]minplus.Entry {
+	b.rows = resize(b.rows, n)
+	b.backing = resize(b.backing, n*k)
+	for u := range b.rows {
+		b.rows[u] = b.backing[u*k : u*k : (u+1)*k]
+	}
+	return b.rows
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are stale: the caller writes every element it reads.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// searcher hands out an idle searcher over n nodes, making one if none is
+// idle. It is safe for concurrent use.
+func (ws *Workspace) searcher(n int) *searcher {
+	ws.mu.Lock()
+	var s *searcher
+	if last := len(ws.idle) - 1; last >= 0 {
+		s, ws.idle = ws.idle[last], ws.idle[:last]
+	}
+	ws.mu.Unlock()
+	if s == nil || cap(s.dist) < n {
+		return newSearcher(n)
+	}
+	s.resize(n)
+	return s
+}
+
+// release returns s to the idle searchers. It unloads s first, so an idle
+// searcher holds no segment of a finished iteration's rows.
+func (ws *Workspace) release(s *searcher) {
+	s.load(nil)
+	ws.mu.Lock()
+	ws.idle = append(ws.idle, s)
+	ws.mu.Unlock()
+}
+
 // Compute runs Lemma 5.2: iters applications of the Lemma 5.1 algorithm on
 // the directed (possibly capped) graph g. It requires k ≥ 1, h ≥ 1,
 // iters ≥ 1; k is clamped to n. The combo nodes' local work fans out over
 // par, which also carries the run's context; nil means the shared pool at
-// full width.
-func Compute(par *sched.Group, clq *cc.Clique, g *graph.Graph, k, h, iters int) (*Result, error) {
+// full width. The lists returned do not alias ws.
+func (ws *Workspace) Compute(par *sched.Group, clq *cc.Clique, g *graph.Graph, k, h, iters int) (*Result, error) {
 	n := g.N()
 	if k < 1 {
 		return nil, fmt.Errorf("knearest: invalid k %d", k)
@@ -65,23 +155,28 @@ func Compute(par *sched.Group, clq *cc.Clique, g *graph.Graph, k, h, iters int) 
 		par = sched.Background()
 	}
 
-	rows := initialRows(g, k)
+	rows := initialRows(ws.rows[0].reset(n, k), g, k)
 	hops := 1
 	for it := 0; it < iters; it++ {
-		var err error
-		rows, err = iterate(par, clq, n, k, h, rows)
-		if err != nil {
+		next := ws.rows[(it+1)%2].reset(n, k)
+		if err := ws.iterate(par, clq, n, k, h, rows, next); err != nil {
 			return nil, err
 		}
+		rows = next
 		if hops < n { // avoid overflow; hop depths beyond n are all equal
 			hops *= h
 		}
 	}
 	// Rows leave iterate sorted by (W, Col), which is the (Dist, Node)
 	// order the lists promise.
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	flat := make([]graph.NodeDist, total)
 	lists := make([][]graph.NodeDist, n)
 	for u, row := range rows {
-		lists[u] = make([]graph.NodeDist, len(row))
+		lists[u], flat = flat[:len(row):len(row)], flat[len(row):]
 		for i, e := range row {
 			lists[u][i] = graph.NodeDist{Node: e.Col, Dist: e.W}
 		}
@@ -89,32 +184,30 @@ func Compute(par *sched.Group, clq *cc.Clique, g *graph.Graph, k, h, iters int) 
 	return &Result{Lists: lists, K: k, Hops: hops}, nil
 }
 
-// initialRows builds the filtered adjacency rows M(u): the k smallest
-// entries of u's row in the weighted adjacency matrix (diagonal 0 included,
-// cap arcs materialized as needed). Rows are stored sorted by (W, Col).
-func initialRows(g *graph.Graph, k int) [][]minplus.Entry {
-	n := g.N()
-	rows := make([][]minplus.Entry, n)
-	for u := 0; u < n; u++ {
-		row := make([]minplus.Entry, 0, k)
-		row = append(row, minplus.Entry{Col: u, W: 0})
+// initialRows fills rows, n empty rows of capacity k, with the filtered
+// adjacency rows M(u): the k smallest entries of u's row in the weighted
+// adjacency matrix (diagonal 0 included, cap arcs materialized as needed).
+// Rows are stored sorted by (W, Col).
+func initialRows(rows [][]minplus.Entry, g *graph.Graph, k int) [][]minplus.Entry {
+	for u := range rows {
+		rows[u] = append(rows[u], minplus.Entry{Col: u, W: 0})
 		for _, a := range g.LightestOut(u, k-1) {
-			row = append(row, minplus.Entry{Col: a.To, W: a.W})
+			rows[u] = append(rows[u], minplus.Entry{Col: a.To, W: a.W})
 		}
-		rows[u] = row
 	}
 	return rows
 }
 
 // rowWords flattens each row into (col, w) word pairs, the wire form of a
-// list segment. Rows hold at most k entries.
-func rowWords(rows [][]minplus.Entry) [][]cc.Word {
+// list segment, in ws's words buffer. Rows hold at most k entries.
+func (ws *Workspace) rowWords(rows [][]minplus.Entry) [][]cc.Word {
 	total := 0
 	for _, row := range rows {
 		total += 2 * len(row)
 	}
-	words := make([]cc.Word, total)
-	out := make([][]cc.Word, len(rows))
+	words := resize(ws.words, total)
+	out := resize(ws.segs, len(rows))
+	ws.words, ws.segs = words, out
 	off := 0
 	for u, row := range rows {
 		start := off
@@ -128,16 +221,17 @@ func rowWords(rows [][]minplus.Entry) [][]cc.Word {
 }
 
 // iterate performs one application of the Lemma 5.1 algorithm: from rows
-// representing a filtered matrix Ā, it returns the rows of the k smallest
-// entries per row of Ā^h.
-func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) ([][]minplus.Entry, error) {
+// representing a filtered matrix Ā, it fills next, n empty rows of capacity
+// k, with the k smallest entries per row of Ā^h.
+func (ws *Workspace) iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows, next [][]minplus.Entry) error {
 	p := int(math.Floor(math.Pow(float64(n), 1.0/float64(h)) * float64(h) / 4.0))
 	binSize := 0
 	if p >= 1 {
 		binSize = (n*k + p - 1) / p
 	}
 	if p < h || binSize <= k {
-		return fallbackBroadcast(clq, n, k, h, rows), nil
+		ws.fallbackBroadcast(clq, n, k, h, rows, next)
+		return nil
 	}
 
 	combos := enumerateCombos(p, h)
@@ -147,11 +241,13 @@ func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Ent
 		// correctness (bins merely get larger).
 		p--
 		if p < h {
-			return fallbackBroadcast(clq, n, k, h, rows), nil
+			ws.fallbackBroadcast(clq, n, k, h, rows, next)
+			return nil
 		}
 		binSize = (n*k + p - 1) / p
 		if binSize <= k {
-			return fallbackBroadcast(clq, n, k, h, rows), nil
+			ws.fallbackBroadcast(clq, n, k, h, rows, next)
+			return nil
 		}
 		combos = enumerateCombos(p, h)
 	}
@@ -160,43 +256,44 @@ func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Ent
 	// shorter than k are padded with sentinels that are never sent, so a
 	// node's real entries are its first len(row) positions. Bin b covers
 	// positions [b·binSize, (b+1)·binSize).
-	words := rowWords(rows)
+	words := ws.rowWords(rows)
 
 	// Step 3: each combo node collects the edges of its bins. Senders
 	// duplicate across combos, which is the Lemma 2.2 regime. A bin spans
 	// at most binSize/k + 2 rows.
-	collect := make([]cc.Message, 0, len(combos)*h*(binSize/k+2))
+	collect := slices.Grow(ws.collect[:0], len(combos)*h*(binSize/k+2))
 	for comboID, cb := range combos {
-		collect = appendBinSegments(collect, comboID, cb.bins(), words, k, binSize)
+		collect = appendBinSegments(collect, comboID, cb, words, k, binSize)
 	}
+	ws.collect = collect
 	binBudget := int64(2*h*binSize + n)
 	collected := clq.Route(collect, cc.RouteOpts{
 		Duplicable: true,
 		RecvBudget: binBudget,
 		Note:       "knearest bin collection",
+		Into:       &ws.inboxes[0],
 	})
 
 	// Step 4a: sources query the combo nodes whose first bin intersects
 	// their list segment (positions are global knowledge, so the query is a
-	// single word).
-	firstBinOf := make([][]int, p) // bin → combo IDs with that first bin
-	for id, cb := range combos {
-		firstBinOf[cb.first] = append(firstBinOf[cb.first], id)
-	}
+	// single word). Combos are enumerated first bin ascending, so those with
+	// first bin b are the perBin IDs from b·perBin on.
 	// A list segment meets at most two bins, since binSize > k.
-	queries := make([]cc.Message, 0, 2*n*(len(combos)/p))
+	perBin := len(combos) / p
+	queries := slices.Grow(ws.queries[:0], 2*n*perBin)
 	for u := 0; u < n; u++ {
-		for _, b := range binsOfRange(u*k, (u+1)*k, binSize, p) {
-			for _, comboID := range firstBinOf[b] {
-				queries = append(queries, cc.Message{From: u, To: comboID})
-			}
+		lo, hi := binsOfRange(u*k, (u+1)*k, binSize, p)
+		for id := lo * perBin; id < (hi+1)*perBin; id++ {
+			queries = append(queries, cc.Message{From: u, To: id})
 		}
 	}
+	ws.queries = queries
 	queryBudget := int64(2*binSize + n)
 	queryInbox := clq.Route(queries, cc.RouteOpts{
-		SendBudget: int64(2 * (len(combos)/p + 1)),
+		SendBudget: int64(2 * (perBin + 1)),
 		RecvBudget: queryBudget,
 		Note:       "knearest queries",
+		Into:       &ws.inboxes[1],
 	})
 
 	// Step 4b: each combo node answers every querying source with the k
@@ -209,10 +306,12 @@ func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Ent
 	for comboID := range combos {
 		first[comboID+1] = first[comboID] + len(queryInbox[comboID])
 	}
-	responses := make([]cc.Message, first[len(combos)])
-	arena := make([]cc.Word, 2*k*len(responses))
+	responses := resize(ws.responses, first[len(combos)])
+	arena := resize(ws.arena, 2*k*len(responses))
+	ws.responses, ws.arena = responses, arena
 	err := par.ForN(len(combos), chunkFor(par, len(combos)), func(lo, hi int) {
-		s := newSearcher(n)
+		s := ws.searcher(n)
+		defer ws.release(s)
 		for comboID := lo; comboID < hi; comboID++ {
 			s.load(collected[comboID])
 			for i, q := range queryInbox[comboID] {
@@ -224,28 +323,25 @@ func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Ent
 		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	respBudget := int64(2*k*(2*(len(combos)/p+1)) + n)
+	respBudget := int64(2*k*(2*(perBin+1)) + n)
 	respInbox := clq.Route(responses, cc.RouteOpts{
 		Duplicable: true,
 		RecvBudget: respBudget,
 		Note:       "knearest responses",
+		Into:       &ws.inboxes[2],
 	})
 
 	// Union-min over responses, then keep the k smallest (Lemma 5.4). Each
-	// node merges into a dense best-distance vector, reset through the list
-	// of nodes it touched. Answers arrive unsorted; this selection sorts,
-	// and the rows must leave sorted because they define the next
-	// iteration's bins.
-	next := make([][]minplus.Entry, n)
-	backing := make([]minplus.Entry, n*k)
-	err = par.ForN(n, chunkFor(par, n), func(lo, hi int) {
-		best := make([]int64, n)
-		for i := range best {
-			best[i] = minplus.Inf
-		}
-		var cand []minplus.Entry
+	// node merges into a dense best-distance vector, a searcher's dist,
+	// reset through the list of nodes it touched. Answers arrive unsorted;
+	// this selection sorts, and the rows must leave sorted because they
+	// define the next iteration's bins.
+	return par.ForN(n, chunkFor(par, n), func(lo, hi int) {
+		s := ws.searcher(n)
+		defer ws.release(s)
+		best, cand := s.dist, s.cand
 		for u := lo; u < hi; u++ {
 			best[u] = 0
 			cand = append(cand[:0], minplus.Entry{Col: u})
@@ -264,14 +360,10 @@ func iterate(par *sched.Group, clq *cc.Clique, n, k, h int, rows [][]minplus.Ent
 				cand[i].W = best[cand[i].Col]
 				best[cand[i].Col] = minplus.Inf
 			}
-			row := backing[u*k : u*k : (u+1)*k]
-			next[u] = append(row, minplus.SmallestK(cand, k)...)
+			next[u] = append(next[u], minplus.SmallestK(cand, k)...)
 		}
+		s.cand = cand
 	})
-	if err != nil {
-		return nil, err
-	}
-	return next, nil
 }
 
 // chunkFor splits n independent nodes into about four chunks per worker of
@@ -283,60 +375,50 @@ func chunkFor(par *sched.Group, n int) int {
 }
 
 // fallbackBroadcast handles the degenerate parameter regimes of §5.2: all
-// lists are broadcast (n·k entries total) and every node finishes locally.
-func fallbackBroadcast(clq *cc.Clique, n, k, h int, rows [][]minplus.Entry) [][]minplus.Entry {
+// lists are broadcast (n·k entries total) and every node finishes locally,
+// filling next as iterate does.
+func (ws *Workspace) fallbackBroadcast(clq *cc.Clique, n, k, h int, rows, next [][]minplus.Entry) {
 	var total int64
 	for _, row := range rows {
 		total += int64(2 * len(row))
 	}
 	clq.Broadcast(total, "knearest fallback list broadcast")
 	// Every node now knows all rows; compute h-hop k-nearest locally.
-	all := make([]cc.Message, n)
-	for u, w := range rowWords(rows) {
-		all[u] = cc.Message{From: u, Payload: w}
+	all := ws.collect[:0]
+	for u, w := range ws.rowWords(rows) {
+		all = append(all, cc.Message{From: u, Payload: w})
 	}
-	s := newSearcher(n)
+	ws.collect = all
+	s := ws.searcher(n)
+	defer ws.release(s)
 	s.load(all)
-	next := make([][]minplus.Entry, n)
-	var ans []cc.Word
+	ans := ws.arena[:0]
 	for u := 0; u < n; u++ {
 		ans = s.query(u, k, h, ans[:0])
-		row := make([]minplus.Entry, len(ans)/2)
-		for i := range row {
-			row[i] = minplus.Entry{Col: int(ans[2*i]), W: ans[2*i+1]}
+		for i := 0; i+1 < len(ans); i += 2 {
+			next[u] = append(next[u], minplus.Entry{Col: int(ans[i]), W: ans[i+1]})
 		}
 		// Answers are unsorted, and these rows are the next iteration's
 		// input or Compute's lists: both need (W, Col) order.
-		slices.SortFunc(row, minplus.Entry.Compare)
-		next[u] = row
+		slices.SortFunc(next[u], minplus.Entry.Compare)
 	}
-	return next
+	ws.arena = ans
 }
 
-// combo is one h-combination: a distinguished first bin and h−1 further
-// distinct bins (paper §5.2, Step 2).
-type combo struct {
-	first int
-	rest  []int
-}
-
-func (c combo) bins() []int {
-	out := make([]int, 0, 1+len(c.rest))
-	out = append(out, c.first)
-	out = append(out, c.rest...)
-	return out
-}
+// combo is one h-combination: its bins, a distinguished first bin and then
+// h−1 further distinct bins ascending (paper §5.2, Step 2).
+type combo []int
 
 // enumerateCombos lists all h·C(p,h) h-combinations deterministically:
 // first bin ascending, then the (h−1)-subsets of the remaining bins in
-// lexicographic order.
+// lexicographic order. The combos share one backing array.
 func enumerateCombos(p, h int) []combo {
-	var out []combo
+	var flat []int
 	subset := make([]int, 0, h-1)
 	var rec func(start int, first int)
 	rec = func(start, first int) {
 		if len(subset) == h-1 {
-			out = append(out, combo{first: first, rest: append([]int(nil), subset...)})
+			flat = append(append(flat, first), subset...)
 			return
 		}
 		for b := start; b < p; b++ {
@@ -351,21 +433,17 @@ func enumerateCombos(p, h int) []combo {
 	for first := 0; first < p; first++ {
 		rec(0, first)
 	}
+	out := make([]combo, len(flat)/h)
+	for i := range out {
+		out[i] = flat[i*h : (i+1)*h : (i+1)*h]
+	}
 	return out
 }
 
-// binsOfRange returns the bins overlapping global positions [lo, hi).
-func binsOfRange(lo, hi, binSize, p int) []int {
-	first := lo / binSize
-	last := (hi - 1) / binSize
-	if last >= p {
-		last = p - 1
-	}
-	out := make([]int, 0, last-first+1)
-	for b := first; b <= last; b++ {
-		out = append(out, b)
-	}
-	return out
+// binsOfRange returns the first and last of the bins overlapping global
+// positions [lo, hi).
+func binsOfRange(lo, hi, binSize, p int) (first, last int) {
+	return lo / binSize, min((hi-1)/binSize, p-1)
 }
 
 // appendBinSegments appends to msgs the edges that node `to` collects from
@@ -412,6 +490,9 @@ type searcher struct {
 	at   []int32
 	// frontier holds (node, distance at the start of the step) pairs.
 	frontier, nextFrontier []nodeDist
+	// cand is iterate's merge scratch, which borrows dist as its dense
+	// best-distance vector.
+	cand []minplus.Entry
 }
 
 type nodeDist struct {
@@ -436,6 +517,14 @@ func newSearcher(n int) *searcher {
 		s.at[v] = -1
 	}
 	return s
+}
+
+// resize makes s serve n nodes; cap(s.dist) must be at least n. Beyond
+// the first n nodes the dense buffers keep their between-query state (dist
+// Inf, at -1, segs empty once unloaded), and stamps stay below the next
+// step, so growing back within capacity needs no reset either.
+func (s *searcher) resize(n int) {
+	s.segs, s.dist, s.stamp, s.at = s.segs[:n], s.dist[:n], s.stamp[:n], s.at[:n]
 }
 
 // load replaces the segments with those of msgs: message m carries a

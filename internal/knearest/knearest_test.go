@@ -250,19 +250,19 @@ func TestEnumerateCombos(t *testing.T) {
 		}
 		seen := make(map[string]bool)
 		for _, cb := range combos {
-			if len(cb.rest) != tc.h-1 {
+			if len(cb) != tc.h {
 				t.Fatalf("combo %v has wrong rest size", cb)
 			}
 			key := ""
-			for _, b := range cb.bins() {
+			for _, b := range cb {
 				key += string(rune('a' + b))
 			}
 			if seen[key] {
 				t.Fatalf("duplicate combo %v", cb)
 			}
 			seen[key] = true
-			for _, b := range cb.rest {
-				if b == cb.first {
+			for _, b := range cb[1:] {
+				if b == cb[0] {
 					t.Fatalf("first bin repeated in rest: %v", cb)
 				}
 			}
@@ -271,13 +271,14 @@ func TestEnumerateCombos(t *testing.T) {
 }
 
 func TestBinsOfRange(t *testing.T) {
-	got := binsOfRange(10, 20, 8, 5)
-	want := []int{1, 2}
-	if len(got) != len(want) || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("binsOfRange = %v, want %v", got, want)
+	if first, last := binsOfRange(10, 20, 8, 5); first != 1 || last != 2 {
+		t.Fatalf("binsOfRange = %d..%d, want 1..2", first, last)
 	}
-	if got := binsOfRange(0, 8, 8, 5); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("binsOfRange = %v, want [0]", got)
+	if first, last := binsOfRange(0, 8, 8, 5); first != 0 || last != 0 {
+		t.Fatalf("binsOfRange = %d..%d, want 0..0", first, last)
+	}
+	if first, last := binsOfRange(30, 40, 8, 4); first != 3 || last != 3 {
+		t.Fatalf("binsOfRange = %d..%d, want 3..3 (clamped to the last bin)", first, last)
 	}
 }
 

@@ -172,7 +172,7 @@ func TestSearcherMatchesCSRReference(t *testing.T) {
 			}
 			g.AddArc(u, v, w)
 		}
-		words := rowWords(initialRows(g, k))
+		words := new(Workspace).rowWords(initialRows(new(rowBuf).reset(n, k), g, k))
 
 		// A random combo of up to h distinct bins, first bin included, in
 		// the order a combo lists them: first, then the rest ascending.

@@ -34,7 +34,7 @@ func ComputeViaSquaring(clq *cc.Clique, g *graph.Graph, k, iters int) (*Result, 
 	}
 
 	cur := minplus.NewRowSparse(n)
-	for u, row := range initialRows(g, k) {
+	for u, row := range initialRows(new(rowBuf).reset(n, k), g, k) {
 		cur.SetRow(u, row)
 	}
 	hops := 1
