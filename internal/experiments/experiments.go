@@ -447,7 +447,7 @@ func T7Spanners(s Suite) Table {
 	}
 	for _, k := range ks {
 		bs := spanner.BaswanaSen(g, k, s.rng(int64(k)))
-		gr := spanner.Greedy(g, k)
+		gr, _ := spanner.Greedy(g, k)
 		nf := float64(n)
 		bsBound := 4 * float64(k) * math.Pow(nf, 1+1.0/float64(k))
 		grBound := math.Pow(nf, 1+1.0/float64(k)) + nf

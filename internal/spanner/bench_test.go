@@ -25,3 +25,15 @@ func BenchmarkGreedy(b *testing.B) {
 		Greedy(g, 3)
 	}
 }
+
+// BenchmarkGreedySkeleton builds the 3-spanner of a graph shaped like the
+// skeleton graph G_S of an n=1024 constant build: complete on 108 nodes.
+func BenchmarkGreedySkeleton(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	g := graph.Complete(108, graph.WeightRange{Min: 1, Max: 100}, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Greedy(g, 2)
+	}
+}

@@ -7,10 +7,14 @@ import (
 	"testing"
 
 	"github.com/congestedclique/cliqueapsp/internal/graph"
+	"github.com/congestedclique/cliqueapsp/internal/minplus"
 )
 
-// greedyReference is the map-based greedy spanner Greedy replaced, kept
-// verbatim as the differential reference.
+// greedyReference is the map-based greedy spanner of one bounded search per
+// edge, kept as the differential reference. It differs from the original
+// only in saturating its arithmetic: the keep/reject limit w·(2k−1) stops at
+// the largest finite distance Inf−1 instead of wrapping, and a path that
+// reaches Inf counts as no path, as in the semiring.
 func greedyReference(g *graph.Graph, k int) *graph.Graph {
 	if g.Directed() {
 		panic("spanner: Greedy requires an undirected graph")
@@ -24,7 +28,10 @@ func greedyReference(g *graph.Graph, k int) *graph.Graph {
 	stretch := int64(2*k - 1)
 	for i := range edges {
 		e := &edges[i]
-		limit := e.w * stretch
+		limit := minplus.Inf - 1
+		if e.w <= limit/stretch {
+			limit = e.w * stretch
+		}
 		if boundedDistanceAtMostReference(span, e.u, e.v, limit) {
 			continue
 		}
@@ -48,7 +55,7 @@ func boundedDistanceAtMostReference(s *graph.Graph, src, dst int, limit int64) b
 			continue
 		}
 		for _, a := range s.Out(cur.node) {
-			nd := cur.d + a.W
+			nd := minplus.SatAdd(cur.d, a.W)
 			if nd > limit {
 				continue
 			}
@@ -152,54 +159,103 @@ func TestGreedyMatchesReference(t *testing.T) {
 	for name, g := range differentialGraphs(t) {
 		for _, k := range []int{2, 3, 5, 9} {
 			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
-				got, want := Greedy(g, k), greedyReference(g, k)
-				if got.NumEdges() != want.NumEdges() {
-					t.Fatalf("%d edges, reference has %d", got.NumEdges(), want.NumEdges())
-				}
-				for u := 0; u < g.N(); u++ {
-					if !slices.Equal(got.Out(u), want.Out(u)) {
-						t.Fatalf("node %d: arcs %v, reference %v", u, got.Out(u), want.Out(u))
-					}
-				}
+				got, _ := Greedy(g, k)
+				assertSameArcs(t, got, greedyReference(g, k))
 			})
 		}
 	}
 }
 
-// Once its dist, stamp and heap storage has grown, the per-edge search of
-// Greedy must not allocate.
-func TestGreedySearchWarmAllocatesNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	g := graph.RandomConnected(200, 8, graph.WeightRange{Min: 1, Max: 50}, rng)
-	span := Greedy(g, 3)
-	edges := collectEdges(g)
-	s := newBoundedSearch(g.N())
-	searchAll := func() {
-		for _, e := range edges {
-			s.distanceAtMost(span, e.u, e.v, 5*e.w)
-		}
+func assertSameArcs(t *testing.T, got, want *graph.Graph) {
+	t.Helper()
+	if got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%d edges, reference has %d", got.NumEdges(), want.NumEdges())
 	}
-	searchAll() // warm up
-	if allocs := testing.AllocsPerRun(5, searchAll); allocs != 0 {
-		t.Fatalf("warm search allocated %v times per pass over %d edges", allocs, len(edges))
+	for u := 0; u < got.N(); u++ {
+		if !slices.Equal(got.Out(u), want.Out(u)) {
+			t.Fatalf("node %d: arcs %v, reference %v", u, got.Out(u), want.Out(u))
+		}
 	}
 }
 
-// The generation stamp must survive wrapping around. Node 1 is never
-// reached before the wrap, so its stamp is still the zero it started with;
-// a generation counter that wrapped to zero would take its zero distance
-// for current and miss the 0→1 arc.
-func TestBoundedSearchGenerationWrap(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1, 5)
-	s := newBoundedSearch(g.N())
-	s.gen = ^uint32(0) - 1
-	if s.distanceAtMost(g, 0, 1, 4) {
-		t.Fatal("0→1 reported within 4")
-	}
-	for i := 0; i < 3; i++ {
-		if !s.distanceAtMost(g, 0, 1, 5) {
-			t.Fatalf("search %d (gen %d): 0→1 within 5 not found", i, s.gen)
+// A triangle whose weights times 2k−1 pass MaxInt64. At w = 2^60−1 the
+// two-hop path (2^61−2) is finite and within the saturated limit, so the
+// last edge is redundant; a wrapping limit went negative and kept it. At
+// w = 2^60 the two-hop path reaches Inf, the semiring's "no path", so the
+// last edge is needed and kept.
+func TestGreedyLimitSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		w     int64
+		edges int
+	}{{1<<60 - 1, 2}, {1 << 60, 3}} {
+		g := graph.New(3)
+		g.AddEdge(0, 1, tc.w)
+		g.AddEdge(0, 2, tc.w)
+		g.AddEdge(1, 2, tc.w)
+		span, d := Greedy(g, 5)
+		if span.NumEdges() != tc.edges {
+			t.Errorf("w=%d: kept %d edges, want %d", tc.w, span.NumEdges(), tc.edges)
 		}
+		assertSameArcs(t, span, greedyReference(g, 5))
+		assertSameMatrix(t, d, span.ExactAPSP())
+	}
+}
+
+func assertSameMatrix(t *testing.T, got, want *minplus.Dense) {
+	t.Helper()
+	for i := 0; i < want.N(); i++ {
+		if !slices.Equal(got.Row(i), want.Row(i)) {
+			t.Fatalf("row %d: %v, ExactAPSP %v", i, got.Row(i), want.Row(i))
+		}
+	}
+}
+
+// Greedy's incrementally kept matrix must equal a from-scratch ExactAPSP of
+// the spanner it returns, entry for entry, Inf included.
+func TestGreedyMatrixMatchesExactAPSP(t *testing.T) {
+	graphs := differentialGraphs(t)
+	// The skeleton graph G_S of a constant build is near-complete.
+	rng := rand.New(rand.NewSource(33))
+	near := graph.New(100)
+	for u := 0; u < 100; u++ {
+		for v := u + 1; v < 100; v++ {
+			if rng.Intn(10) != 0 {
+				near.AddEdge(u, v, 1+rng.Int63n(100))
+			}
+		}
+	}
+	graphs["nearcomplete"] = near
+	for name, g := range graphs {
+		for _, k := range []int{2, 3, 5, 9} {
+			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
+				span, d := Greedy(g, k)
+				assertSameMatrix(t, d, span.ExactAPSP())
+			})
+		}
+	}
+}
+
+// One Greedy call allocates its outputs (the spanner's adjacency and the
+// n×n matrix), the sorted edge list and O(n) words of scratch, and nothing
+// per scanned or kept edge. The bound is what replaying the output costs:
+// the same AddEdge sequence into a fresh graph plus one matrix.
+func TestGreedyAllocatesOutputsOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	g := graph.Complete(108, graph.WeightRange{Min: 1, Max: 100}, rng)
+	span, _ := Greedy(g, 3)
+	kept := collectEdges(span) // Greedy's scan order, so its AddEdge order
+	replay := func() {
+		out := graph.New(g.N())
+		for _, e := range kept {
+			out.AddEdge(e.u, e.v, e.w)
+		}
+		minplus.Identity(g.N())
+	}
+	const scratch = 8 // the edge list, the update's four vectors, slack
+	outputs := testing.AllocsPerRun(3, replay)
+	got := testing.AllocsPerRun(3, func() { Greedy(g, 3) })
+	if got > outputs+scratch {
+		t.Fatalf("Greedy made %v allocations over %d edges (%d kept); its outputs take %v",
+			got, g.NumEdges(), len(kept), outputs)
 	}
 }

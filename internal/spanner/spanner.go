@@ -13,6 +13,10 @@
 //     most n^{1+1/k}+n edges (girth argument) — the functional stand-in for
 //     the (1+ε)(2k−1)-stretch, O(n^{1+1/k})-edge first bullet of Lemma 7.1
 //     (it strictly dominates that guarantee in both stretch and size).
+//     It returns the spanner's exact distance matrix with it: the greedy
+//     scan needs d_sp(u,v) for every edge, so it keeps all of them up to
+//     date as the spanner grows, and the spanner-broadcast bootstrap reads
+//     the matrix instead of recomputing the spanner's APSP.
 //
 // Stretch is a deterministic property of both constructions; only the size
 // of Baswana–Sen is random. Tests verify both properties.
@@ -25,6 +29,7 @@ import (
 	"slices"
 
 	"github.com/congestedclique/cliqueapsp/internal/graph"
+	"github.com/congestedclique/cliqueapsp/internal/minplus"
 )
 
 // edgeRec is an internal undirected edge record with liveness tracking for
@@ -45,7 +50,7 @@ func (e *edgeRec) other(x int) int {
 // collectEdges extracts each undirected edge of g exactly once,
 // deterministically ordered.
 func collectEdges(g *graph.Graph) []edgeRec {
-	var edges []edgeRec
+	edges := make([]edgeRec, 0, g.NumEdges())
 	for u := 0; u < g.N(); u++ {
 		for _, a := range g.Out(u) {
 			if u < a.To {
@@ -219,83 +224,99 @@ func BaswanaSen(g *graph.Graph, k int, rng *rand.Rand) *graph.Graph {
 	return span.Normalize()
 }
 
-// Greedy returns the greedy (2k−1)-spanner of g: edges are scanned in
-// ascending weight order and kept only if the current spanner does not
-// already provide a path of length ≤ (2k−1)·w. The result has at most
-// n^{1+1/k} + n edges by the standard girth argument. Deterministic.
-func Greedy(g *graph.Graph, k int) *graph.Graph {
+// Greedy returns the greedy (2k−1)-spanner of g together with its exact
+// distance matrix: edges are scanned in ascending weight order and kept only
+// if the current spanner does not already provide a path of length
+// ≤ (2k−1)·w. The result has at most n^{1+1/k} + n edges by the standard
+// girth argument. Deterministic.
+//
+// The matrix equals the spanner's ExactAPSP entry for entry, Inf for an
+// unreachable pair included. It is kept up to date as the spanner grows, so
+// a rejected edge costs one O(1) lookup, and a kept edge (u,v,w) costs O(n)
+// plus one relaxation per pair (x,y) the edge could shorten: x nearer to u
+// than to v by more than w and y nearer to v than to u by more than w, or
+// the mirror. That is at most n²/2 per kept edge, and far less while the
+// edge joins two small components.
+func Greedy(g *graph.Graph, k int) (*graph.Graph, *minplus.Dense) {
 	if g.Directed() {
 		panic("spanner: Greedy requires an undirected graph")
 	}
 	if k <= 1 {
-		return g.Clone().Normalize()
+		span := g.Clone().Normalize()
+		return span, span.ExactAPSP()
 	}
 	n := g.N()
 	edges := collectEdges(g)
 	span := graph.New(n)
+	d := minplus.Identity(n)
+	var add incrementalAPSP
+	add.init(n)
 	stretch := int64(2*k - 1)
-	search := newBoundedSearch(n)
 	for i := range edges {
 		e := &edges[i]
-		limit := e.w * stretch
-		if search.distanceAtMost(span, e.u, e.v, limit) {
+		if d.At(e.u, e.v) <= stretchLimit(e.w, stretch) {
 			continue
 		}
 		span.AddEdge(e.u, e.v, e.w)
+		add.edge(d, e.u, e.v, e.w)
 	}
-	return span
+	return span, d
 }
 
-// boundedSearch is the reusable state of Greedy's bounded Dijkstra. dist[v]
-// is valid only while stamp[v] equals the current generation gen, so each
-// search starts clean by bumping gen instead of clearing dist, and a warm
-// search allocates nothing.
-type boundedSearch struct {
-	dist  []int64
-	stamp []uint32
-	gen   uint32
-	pq    graph.DistHeap
+// stretchLimit returns w·stretch, saturated at the largest finite distance
+// Inf−1: a product past it would wrap, and every finite distance is within
+// it anyway. An unreachable pair (at Inf) is never within the limit.
+func stretchLimit(w, stretch int64) int64 {
+	if w > (minplus.Inf-1)/stretch {
+		return minplus.Inf - 1
+	}
+	return w * stretch
 }
 
-func newBoundedSearch(n int) *boundedSearch {
-	return &boundedSearch{dist: make([]int64, n), stamp: make([]uint32, n)}
+// incrementalAPSP holds the O(n) scratch of one edge insertion into an
+// undirected all-pairs distance matrix.
+type incrementalAPSP struct {
+	du, dv []int64 // rows u and v before the insertion
+	nearU  []int   // x with d(x,u)+w < d(x,v): x reaches v faster through u
+	nearV  []int   // x with d(x,v)+w < d(x,u)
 }
 
-// distanceAtMost reports whether d_sp(src,dst) ≤ limit, abandoning paths
-// longer than limit.
-func (s *boundedSearch) distanceAtMost(sp *graph.Graph, src, dst int, limit int64) bool {
-	s.gen++
-	if s.gen == 0 { // wrapped: stamps from 2³² searches ago would look current
-		clear(s.stamp)
-		s.gen = 1
-	}
-	gen := s.gen
-	s.stamp[src], s.dist[src] = gen, 0
-	s.pq.Reset()
-	s.pq.Push(src, 0)
-	for s.pq.Len() > 0 {
-		cur := s.pq.Pop()
-		if cur.Dist > limit {
-			return false
-		}
-		if cur.Node == dst {
-			return true
-		}
-		if cur.Dist > s.dist[cur.Node] {
-			continue
-		}
-		for _, a := range sp.Out(cur.Node) {
-			nd := cur.Dist + a.W
-			if nd > limit {
-				continue
-			}
-			if s.stamp[a.To] != gen || nd < s.dist[a.To] {
-				s.stamp[a.To], s.dist[a.To] = gen, nd
-				s.pq.Push(a.To, nd)
-			}
+func (a *incrementalAPSP) init(n int) {
+	a.du, a.dv = make([]int64, n), make([]int64, n)
+	a.nearU, a.nearV = make([]int, 0, n), make([]int, 0, n)
+}
+
+// edge inserts the undirected edge (u,v,w) into the symmetric distance
+// matrix d. A shortest path through the new edge runs x⇝u–v⇝y or
+// x⇝v–u⇝y, and it beats d(x,y) only if both legs gain over reaching the
+// far endpoint directly: x in nearU and y in nearV, or the mirror. Every
+// other pair keeps its distance, so only those two blocks are relaxed.
+func (a *incrementalAPSP) edge(d *minplus.Dense, u, v int, w int64) {
+	copy(a.du, d.Row(u))
+	copy(a.dv, d.Row(v))
+	a.nearU, a.nearV = a.nearU[:0], a.nearV[:0]
+	for x := range a.du {
+		if minplus.SatAdd(a.du[x], w) < a.dv[x] {
+			a.nearU = append(a.nearU, x)
+		} else if minplus.SatAdd(a.dv[x], w) < a.du[x] {
+			a.nearV = append(a.nearV, x)
 		}
 	}
-	return false
+	relax(d, a.nearU, a.nearV, a.du, a.dv, w)
+	relax(d, a.nearV, a.nearU, a.dv, a.du, w)
+}
+
+// relax lowers d(x,y) to from[x]+w+to[y] for every x in xs and y in ys.
+// No sum saturates: from[x]+w < to[x] ≤ Inf for x in xs and to[y] < Inf
+// for y in ys, so a sum is below 2·Inf, and min keeps every entry ≤ Inf.
+// The min is branch-free; which pairs improve is too irregular to predict.
+func relax(d *minplus.Dense, xs, ys []int, from, to []int64, w int64) {
+	for _, x := range xs {
+		row, fx := d.Row(x), from[x]+w
+		for _, y := range ys {
+			row[y] = min(row[y], fx+to[y])
+		}
+	}
 }
 
 // MaxStretch returns the maximum observed stretch d_s(u,v)/d_g(u,v) over all

@@ -84,7 +84,7 @@ func TestGreedyStretchAndSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for name, g := range testGraphs(rng) {
 		for _, k := range []int{2, 3, 4} {
-			s := Greedy(g, k)
+			s, _ := Greedy(g, k)
 			if !IsSubgraph(s, g) {
 				t.Fatalf("%s k=%d: greedy spanner is not a subgraph", name, k)
 			}
@@ -103,8 +103,8 @@ func TestGreedyStretchAndSize(t *testing.T) {
 func TestGreedyDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.RandomConnected(40, 6, graph.WeightRange{Min: 1, Max: 30}, rng)
-	s1 := Greedy(g, 3)
-	s2 := Greedy(g, 3)
+	s1, _ := Greedy(g, 3)
+	s2, _ := Greedy(g, 3)
 	if s1.NumEdges() != s2.NumEdges() {
 		t.Fatal("greedy spanner not deterministic")
 	}
@@ -113,7 +113,7 @@ func TestGreedyDeterministic(t *testing.T) {
 func TestGreedyPreservesConnectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for name, g := range testGraphs(rng) {
-		s := Greedy(g, 4)
+		s, _ := Greedy(g, 4)
 		if !s.IsConnected() {
 			t.Fatalf("%s: greedy spanner disconnected", name)
 		}

@@ -14,11 +14,13 @@
 # (BenchmarkRowMiss, BenchmarkRowHit, BenchmarkEntryMiss, BenchmarkEntryHit),
 # the ccserve read handlers (BenchmarkServeDist, BenchmarkServeBatch64,
 # BenchmarkServePath), the oracle publishes (BenchmarkPublishRebuild256,
-# BenchmarkPublishRepair256) and the whole build (BenchmarkBuild512) from a
-# temporary git worktree of that ref, runs base and working tree in 5 rounds
-# that alternate which side runs first, and fails if a working-tree median
-# ns/op exceeds the base's divided by (1 - bound), where bound is the
-# ops_per_s bound in BENCHMARK.json. A benchmark missing at the base passes.
+# BenchmarkPublishRepair256), the greedy spanner (BenchmarkGreedy, sparse,
+# and BenchmarkGreedySkeleton, shaped like the skeleton graph of a build)
+# and the whole build (BenchmarkBuild512) from a temporary git worktree of
+# that ref, runs base and working tree in 5 rounds that alternate which side
+# runs first, and fails if a working-tree median ns/op exceeds the base's
+# divided by (1 - bound), where bound is the ops_per_s bound in
+# BENCHMARK.json. A benchmark missing at the base passes.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
@@ -103,7 +105,9 @@ if [[ -n ${1:-} ]]; then
 	compile "$tmp/base" base-tier tier
 	compile "$tmp/base" base-ccserve cmd/ccserve
 	compile "$tmp/base" base-oracle oracle
+	compile "$tmp/base" base-spanner internal/spanner
 	compile "$tmp/base" base-root .
+	compile . spanner internal/spanner
 	compile . ccserve cmd/ccserve
 	compile . root .
 	rm -f "$tmp"/*.out
@@ -121,13 +125,14 @@ if [[ -n ${1:-} ]]; then
 			bench "${side}ccserve" '^BenchmarkServe(Dist|Path)$' 20000x 1
 			bench "${side}ccserve" '^BenchmarkServeBatch64$' 5000x 1
 			bench "${side}oracle" '^BenchmarkPublish(Rebuild|Repair)256$' 10x 1
+			bench "${side}spanner" '^BenchmarkGreedy(Skeleton)?$' 20x 1
 			bench "${side}root" '^BenchmarkBuild512$' 10x 1
 		done
 	done
-	load base: "$tmp"/base-{minplus,tier,ccserve,oracle,root}.out
-	load "" "$tmp"/{minplus,tier,ccserve,oracle,root}.out
+	load base: "$tmp"/base-{minplus,tier,ccserve,oracle,spanner,root}.out
+	load "" "$tmp"/{minplus,tier,ccserve,oracle,spanner,root}.out
 	for b in MulTo1024 RowMiss RowHit EntryMiss EntryHit ServeDist ServeBatch64 ServePath \
-		PublishRebuild256 PublishRepair256 Build512; do
+		PublishRebuild256 PublishRepair256 Greedy GreedySkeleton Build512; do
 		if [[ -z ${med[base:$b]:-} ]]; then
 			echo "ok    $b: missing at base ${base:0:12}"
 			continue
