@@ -3,6 +3,7 @@ package cliqueapsp
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,50 @@ func TestRunAllAlgorithmsSoundness(t *testing.T) {
 				t.Fatalf("result algorithm %q, want %q", res.Algorithm, alg)
 			}
 		})
+	}
+}
+
+// TestMultigraphModelCharge runs every builtin on 400 seeded five-node
+// multigraphs (9–11 edges over 10 possible pairs, so parallel edges are the
+// rule; weights 1–5). Each run must stay inside the model — no load-budget
+// violation — and within its proven bound: D ≤ D̃ ≤ FactorBound·D.
+func TestMultigraphModelCharge(t *testing.T) {
+	const n = 5
+	eng := New()
+	violating := map[Algorithm]int{}
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := NewGraph(n)
+		for m := 9 + rng.Intn(3); m > 0; m-- {
+			u, v := rng.Intn(n), rng.Intn(n-1)
+			if v >= u {
+				v++
+			}
+			mustAdd(t, g, u, v, 1+rng.Int63n(5))
+		}
+		exact := Exact(g)
+		for _, alg := range goldenAlgorithms {
+			res, err := eng.Run(context.Background(), g, WithAlgorithm(alg), WithSeed(seed))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", alg, seed, err)
+			}
+			if len(res.Violations) > 0 {
+				if violating[alg]++; violating[alg] == 1 {
+					t.Errorf("%s seed %d: %d violations, first %q", alg, seed, len(res.Violations), res.Violations[0])
+				}
+			}
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					d, est := exact.At(u, v), res.Distances.At(u, v)
+					if est < d || (d < Inf && float64(est) > res.FactorBound*float64(d)) {
+						t.Fatalf("%s seed %d: D̃(%d,%d) = %d outside [D, %g·D] for D = %d", alg, seed, u, v, est, res.FactorBound, d)
+					}
+				}
+			}
+		}
+	}
+	for alg, c := range violating {
+		t.Errorf("%s: %d of 400 runs violated the model", alg, c)
 	}
 }
 

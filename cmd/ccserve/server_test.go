@@ -416,6 +416,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	postJSON(t, g+"/graph", "application/json",
 		`{"n":2,"edges":[[0,0,1]]}`, http.StatusBadRequest, nil)
 	postJSON(t, g+"/graph", "text/plain", "not a graph", http.StatusBadRequest, nil)
+	// An edge-list problem line sizes the graph before the node limit is
+	// checked, so an absurd n must fail in the parser, not take the
+	// process down asking for terabytes.
+	postJSON(t, g+"/graph", "text/plain", "p 101000000000 0\n", http.StatusBadRequest, nil)
 
 	// The serving snapshot survived all of the above.
 	var dist oracle.DistResult

@@ -46,20 +46,21 @@ func ExampleNew() {
 	// d(0,3) = 6
 }
 
-// Distance estimates translate directly into routing tables.
-func ExampleNextHopTables() {
+// A distance estimate routes packets: each hop goes to the neighbor whose
+// edge weight plus estimated distance to the destination is smallest.
+func ExampleRouteToward() {
 	g := cliqueapsp.NewGraph(3)
 	_ = g.AddEdge(0, 1, 1)
 	_ = g.AddEdge(1, 2, 1)
 	_ = g.AddEdge(0, 2, 10)
 
-	table, err := cliqueapsp.NextHopTables(g, cliqueapsp.Exact(g))
+	path, cost, err := cliqueapsp.RouteToward(g, 0, 2, cliqueapsp.Exact(g).Row(2))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("next hop from 0 towards 2:", table[0][2])
+	fmt.Println("route from 0 to 2:", path, "cost", cost)
 	// Output:
-	// next hop from 0 towards 2: 1
+	// route from 0 to 2: [0 1 2] cost 2
 }
 
 // Estimates from any algorithm can be scored against the exact distances.

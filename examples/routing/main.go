@@ -1,15 +1,14 @@
-// Routing builds next-hop routing tables from approximate APSP — the
-// classic application motivating distributed shortest paths (paper §1:
+// Routing forwards packets greedily over approximate APSP — the classic
+// application motivating distributed shortest paths (paper §1:
 // "particularly important in distributed computing due to its close
 // connection to network routing").
 //
-// Each node u picks, for every destination v, the neighbor x minimizing
-// w(u,x) + δ(x,v) over the approximate distances δ; packets are then
-// forwarded greedily along those tables. The example compares the realized
-// forwarding stretch of tables built from the Theorem 1.1 estimates against
-// tables built from the O(1)-round CZ22 baseline estimates. The table
-// sources come from the algorithm registry, so a newly registered
-// algorithm can be compared by adding its name to the slice.
+// To reach v, each node u hands the packet to the neighbor x minimizing
+// w(u,x) + δ(x,v) over the approximate distances δ. The example compares
+// the realized forwarding stretch over the Theorem 1.1 estimates against
+// the O(1)-round CZ22 baseline estimates. The estimates come from the
+// algorithm registry, so a newly registered algorithm can be compared by
+// adding its name to the slice.
 package main
 
 import (
@@ -27,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("network: scale-free, n=%d, m=%d edges\n\n", g.N(), g.NumEdges())
-	fmt.Println("table source            rounds  worst stretch  mean stretch  delivered  failed")
+	fmt.Println("estimate                rounds  worst stretch  mean stretch  delivered  failed")
 
 	ctx := context.Background()
 	eng := cliqueapsp.New()
@@ -42,11 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		table, err := cliqueapsp.NextHopTables(g, res.Distances)
-		if err != nil {
-			log.Fatal(err)
-		}
-		stats, err := cliqueapsp.SimulateForwarding(g, table)
+		stats, err := cliqueapsp.SimulateForwarding(g, res.Distances)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,12 +50,8 @@ func main() {
 			stats.Delivered, stats.Failed)
 	}
 
-	// Exact tables as the reference point: stretch 1.0 by construction.
-	table, err := cliqueapsp.NextHopTables(g, cliqueapsp.Exact(g))
-	if err != nil {
-		log.Fatal(err)
-	}
-	stats, err := cliqueapsp.SimulateForwarding(g, table)
+	// Exact distances as the reference point.
+	stats, err := cliqueapsp.SimulateForwarding(g, cliqueapsp.Exact(g))
 	if err != nil {
 		log.Fatal(err)
 	}

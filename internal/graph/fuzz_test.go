@@ -18,6 +18,7 @@ func FuzzReadGraph(f *testing.F) {
 		"p 3 1\ne 0 1 0\n",
 		"garbage\n",
 		"p 3 9999999\n",
+		"p 101000000000 000",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -52,6 +52,12 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return total, bw.Flush()
 }
 
+// maxReadNodes bounds the node count ReadGraph accepts. The problem line is
+// untrusted input and n sizes an allocation before any edge is read, so a
+// 20-byte line must not be able to ask for terabytes; no graph this large
+// fits the n² distance matrices the library builds anyway.
+const maxReadNodes = 1 << 20
+
 // ReadGraph parses the WriteTo format. The graph kind (directed or
 // undirected) is taken from the comment header; absent a header, undirected
 // is assumed.
@@ -96,8 +102,8 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 			if _, err := fmt.Sscanf(fields[1]+" "+fields[2], "%d %d", &n, &m); err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", line, err)
 			}
-			if n < 1 {
-				return nil, fmt.Errorf("graph: line %d: invalid node count %d", line, n)
+			if n < 1 || n > maxReadNodes {
+				return nil, fmt.Errorf("graph: line %d: node count %d outside [1,%d]", line, n, maxReadNodes)
 			}
 			declared = m
 			if directed {

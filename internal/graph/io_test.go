@@ -66,6 +66,8 @@ func TestReadGraphErrors(t *testing.T) {
 		"malformed problem":  "p 3\n",
 		"malformed edge":     "p 3 1\ne 0 1\n",
 		"zero nodes":         "p 0 0\n",
+		"too many nodes":     "p 1048577 0\n",
+		"absurd node count":  "p 101000000000 000\n",
 		"malformed cap line": "cap\np 2 0\n",
 		"empty input":        "",
 	}

@@ -381,10 +381,11 @@ func buildX(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.Row
 }
 
 // buildY aggregates y(t,s) = min over v with c(v)=s and ({t,v}∈E or t=v) of
-// w_tv + δ(v,s): each v sends (c(v), w_tv+δ(v,c(v))) along its real edges;
-// the t=v self term adds δ(t,c(t)); a cap contributes
-// cap + min{δ(v,c(v)) : c(v)=s} uniformly (the implicit edges are
-// everywhere), computed locally from the broadcast center table.
+// w_tv + δ(v,s): each v sends (c(v), w_tv+δ(v,c(v))) to each neighbour t
+// once, over the lightest of its parallel edges to t, so a multigraph loads
+// no node past the route's 2n budget; the t=v self term adds δ(t,c(t)); a
+// cap contributes cap + min{δ(v,c(v)) : c(v)=s} uniformly (the implicit
+// edges are everywhere), computed locally from the broadcast center table.
 func buildY(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.RowSparse {
 	n := in.G.N()
 	arcs := 0
@@ -393,13 +394,18 @@ func buildY(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.Row
 	}
 	toT := make([]cc.Message, 0, arcs)
 	words := make([]cc.Word, 2*arcs)
+	mins := newMinTable(n)
 	for v := 0; v < n; v++ {
 		for _, a := range in.G.Out(v) {
+			mins.offer(a.To, a.W)
+		}
+		for _, t := range mins.touched {
 			p := words[:2:2]
 			words = words[2:]
-			p[0], p[1] = int64(center[v]), minplus.SatAdd(a.W, deltaC[v])
-			toT = append(toT, cc.Message{From: v, To: a.To, Payload: p})
+			p[0], p[1] = int64(center[v]), minplus.SatAdd(mins.val[t], deltaC[v])
+			toT = append(toT, cc.Message{From: v, To: t, Payload: p})
 		}
+		mins.reset()
 	}
 	inboxT := clq.Route(toT, cc.RouteOpts{
 		SendBudget: int64(2 * n),
@@ -418,7 +424,6 @@ func buildY(clq *cc.Clique, in Input, center []int, deltaC []int64) *minplus.Row
 	}
 
 	y := minplus.NewRowSparse(n)
-	mins := newMinTable(n)
 	var ents []minplus.Entry
 	for t := 0; t < n; t++ {
 		for _, m := range inboxT[t] {

@@ -264,7 +264,7 @@ type Stats struct {
 	Answers      uint64 `json:"answers"`
 	// RowsBuilt and RowHits always read 0: Path reads the destination's
 	// distance row and memoizes no next-hop rows. They stay for API
-	// compatibility until ROADMAP item 2 retires them.
+	// compatibility until the API collapse on the ROADMAP retires them.
 	RowsBuilt uint64 `json:"rows_built"`
 	RowHits   uint64 `json:"row_hits"`
 	// Rebuilds and RebuildErrors count completed build attempts;

@@ -42,7 +42,7 @@ func DistancesFromRows(n int, fill func(u int, dst []int64) error) (*DistanceMat
 
 // DistancesFromSlices builds a DistanceMatrix from a square slice-of-slices
 // (copying it), for feeding externally produced estimates into Evaluate,
-// NextHopTables, or a registered algorithm's output.
+// SimulateForwarding, or a registered algorithm's output.
 func DistancesFromSlices(rows [][]int64) (*DistanceMatrix, error) {
 	n := len(rows)
 	if n == 0 {

@@ -1,13 +1,21 @@
 package cliqueapsp
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // This file keeps the path walk RouteToward replaced — a next-hop row per
 // visited source, built from its neighbours' distance rows, then a walk over
 // those rows — verbatim as the differential reference for
-// TestPathMatchesNextHopReference (route_diff_test.go). The two functions
-// below are NextHopRowFrom and GreedyRouter.RouteVia as they stood, with
-// only their names changed; the arcs helper came along with them.
+// TestPathMatchesNextHopReference (route_diff_test.go) and for
+// TestSimulateForwardingMatchesTableReference and TestRouteMatchesTTLReference
+// (routing_test.go). nextHopRowFromReference and routeViaReference are
+// NextHopRowFrom and GreedyRouter.RouteVia as they stood, with only their
+// names changed; the arcs helper came along with them. greedyRouterReference
+// is GreedyRouter less its rows callback, which RouteVia never read, and
+// simulateForwardingReference is SimulateForwarding as it stood over
+// next-hop tables.
 
 type wArcReference struct {
 	to int
@@ -70,7 +78,31 @@ func nextHopRowFromReference(g *Graph, src int, row func(x int) ([]int64, error)
 	return best, nil
 }
 
-func (r *GreedyRouter) routeViaReference(u, v int, rows func(src int) []int) ([]int, int64, error) {
+// greedyRouterReference holds the per-node lightest-arc weights the
+// reference walks charge.
+type greedyRouterReference struct {
+	n       int
+	weights []map[int]int64 // per-node neighbor → edge weight
+}
+
+func newGreedyRouterReference(g *Graph) *greedyRouterReference {
+	n := g.N()
+	weights := make([]map[int]int64, n)
+	for u := range weights {
+		out := g.inner.Out(u)
+		weights[u] = make(map[int]int64, len(out))
+		for _, a := range out {
+			// Of parallel edges, a packet takes the lightest, as the
+			// next-hop election assumes.
+			if w, ok := weights[u][a.To]; !ok || a.W < w {
+				weights[u][a.To] = a.W
+			}
+		}
+	}
+	return &greedyRouterReference{n: n, weights: weights}
+}
+
+func (r *greedyRouterReference) routeViaReference(u, v int, rows func(src int) []int) ([]int, int64, error) {
 	if u < 0 || u >= r.n || v < 0 || v >= r.n {
 		return nil, 0, fmt.Errorf("cliqueapsp: route (%d,%d) out of range for n=%d", u, v, r.n)
 	}
@@ -105,13 +137,13 @@ func (r *GreedyRouter) routeViaReference(u, v int, rows func(src int) []int) ([]
 type NextHopReference struct {
 	g      *Graph
 	row    func(x int) ([]int64, error)
-	router *GreedyRouter
+	router *greedyRouterReference
 	nh     map[int][]int
 }
 
 // NewNextHopReference builds the reference over g's distance rows.
 func NewNextHopReference(g *Graph, row func(x int) ([]int64, error)) *NextHopReference {
-	return &NextHopReference{g: g, row: row, router: NewGreedyRouter(g, nil), nh: map[int][]int{}}
+	return &NextHopReference{g: g, row: row, router: newGreedyRouterReference(g), nh: map[int][]int{}}
 }
 
 // Path returns the route from u to v and its cost; reachable is false, with
@@ -144,6 +176,67 @@ func (r *NextHopReference) Path(u, v int) (path []int, cost int64, reachable boo
 		return nil, 0, false, rerr
 	}
 	return path, cost, true, err
+}
+
+// nextHopTablesReference builds every node's next-hop row over the
+// estimate's rows: table[u][v] is the neighbour x of u minimizing
+// w(u,x) + δ(x,v), as NextHopTables did.
+func nextHopTablesReference(g *Graph, d *DistanceMatrix) [][]int {
+	table := make([][]int, g.N())
+	for u := range table {
+		row, err := nextHopRowFromReference(g, u, func(x int) ([]int64, error) { return d.Row(x), nil })
+		if err != nil {
+			panic(err) // unreachable: u is in range and rows are n long
+		}
+		table[u] = row
+	}
+	return table
+}
+
+func simulateForwardingReference(g *Graph, table [][]int) (ForwardingStats, error) {
+	n := g.N()
+	if len(table) != n {
+		return ForwardingStats{}, fmt.Errorf("cliqueapsp: %d table rows for %d nodes", len(table), n)
+	}
+	router := newGreedyRouterReference(g)
+	rows := func(src int) []int { return table[src] }
+	exact := Exact(g)
+	var stats ForwardingStats
+	var sum float64
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u == v || exact.At(u, v) >= Inf {
+				continue
+			}
+			_, cost, err := router.routeViaReference(u, v, rows)
+			if errors.Is(err, ErrNoRoute) {
+				stats.Failed++
+				continue
+			}
+			if err != nil {
+				return ForwardingStats{}, err
+			}
+			stats.Delivered++
+			stretch := 1.0
+			if d := exact.At(u, v); d > 0 {
+				stretch = float64(cost) / float64(d)
+			} else if cost > 0 {
+				// A zero-weight shortest path realized at positive cost has
+				// unbounded stretch; folding it in as 1.0 would silently
+				// under-report WorstStretch on zero-weight workloads.
+				stats.InfiniteStretch++
+				continue
+			}
+			sum += stretch
+			if stretch > stats.WorstStretch {
+				stats.WorstStretch = stretch
+			}
+		}
+	}
+	if finite := stats.Delivered - stats.InfiniteStretch; finite > 0 {
+		stats.MeanStretch = sum / float64(finite)
+	}
+	return stats, nil
 }
 
 // GoldenRun is one golden-sweep run: the algorithm and seed that ran on

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -57,7 +58,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // The distance block streams row by row on both sides: Encode reads rows
 // straight out of the zero-copy DistanceMatrix view, Decode fills the
 // matrix storage in place via cliqueapsp.DistancesFromRows, and the only
-// transient buffer either direction holds is one row of 8n bytes.
+// transient buffer either direction holds is one row of 8n bytes (Decode
+// buffers the rest of a stream that cannot tell its length).
 
 // Encode writes s to w in the current format, checksummed. It streams the
 // distance matrix one row at a time and never buffers more than one row.
@@ -129,16 +131,38 @@ func Encode(w io.Writer, s *Snapshot) error {
 // Decode reads one snapshot from r, verifying structure and checksum. A
 // truncated stream, a flipped byte, an impossible header, or bytes past the
 // checksum trailer fail with ErrCorrupt; a newer format version fails with
-// ErrFormat. Decoding allocates the distance matrix once and fills it row
-// by row.
+// ErrFormat. The header must agree with the stream's length before Decode
+// allocates what the header sizes, so a short stream claiming a large n
+// fails without that allocation. The length is taken from r when r can tell
+// it (a file, a bytes or strings reader); any other stream is read to its
+// end first, at most as far as the header promises, so memory grows with
+// the bytes that arrive. Decoding then allocates the distance matrix once
+// and fills it row by row.
 func Decode(r io.Reader) (*Snapshot, error) {
+	size, sized, err := streamLen(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: restoring the stream position: %w", err)
+	}
 	h := crc32.New(castagnoli)
 	br := bufio.NewReaderSize(r, 1<<16)
 	dec := &decoder{r: io.TeeReader(br, h)}
 
-	s, n, m, _, err := decodeHeader(dec)
+	s, n, m, format, err := decodeHeader(dec)
 	if err != nil {
 		return nil, err
+	}
+	ix := indexFor(s, n, m, format)
+	if !sized {
+		rest, err := io.ReadAll(io.LimitReader(br, ix.Size-ix.EdgesOffset()+1))
+		if err != nil {
+			return nil, corrupt("reading past the header: %v", err)
+		}
+		br = bufio.NewReader(bytes.NewReader(rest))
+		dec.r = io.TeeReader(br, h)
+		size = ix.EdgesOffset() + int64(len(rest))
+	}
+	if size != ix.Size {
+		return nil, corrupt("stream is %d bytes, header implies %d", size, ix.Size)
 	}
 	s.Graph = cliqueapsp.NewGraph(n)
 	if err := decodeEdges(dec, s.Graph, m); err != nil {
@@ -167,12 +191,32 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
 		return nil, corrupt("checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	// The trailer ends the file: bytes past it mean the file's length
-	// disagrees with its header, which the cold tier rejects too.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, corrupt("data after the checksum trailer")
-	}
 	return s, nil
+}
+
+// streamLen reports how many bytes r holds from its current position, when
+// r can tell without reading them: a reader with Len, or a seekable one
+// such as a file, which is left where it was. sized is false for any other
+// stream, and for a file that cannot seek, such as a pipe.
+func streamLen(r io.Reader) (size int64, sized bool, err error) {
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		return int64(s.Len()), true, nil
+	case io.Seeker:
+		cur, err := s.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false, nil
+		}
+		end, err := s.Seek(0, io.SeekEnd)
+		if err != nil {
+			return 0, false, nil
+		}
+		if _, err := s.Seek(cur, io.SeekStart); err != nil {
+			return 0, false, err
+		}
+		return end - cur, true, nil
+	}
+	return 0, false, nil
 }
 
 // decodeHeader reads the fixed snapshot prefix — magic, format, provenance,

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
+	"runtime"
 	"testing"
 
 	cliqueapsp "github.com/congestedclique/cliqueapsp"
@@ -180,6 +182,60 @@ func TestDecodeTrailingBytes(t *testing.T) {
 	raw := append(encodeToBytes(t, snap), 0)
 	if _, err := store.Decode(bytes.NewReader(raw)); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("decode with a trailing byte: err %v, want ErrCorrupt", err)
+	}
+}
+
+// unsized hides every method of its reader but Read, so Decode cannot tell
+// the stream's length up front, as with a pipe or a network body.
+type unsized struct{ r io.Reader }
+
+func (u unsized) Read(p []byte) (int, error) { return u.r.Read(p) }
+
+// TestDecodeChecksSizeBeforeAllocating: a header-only stream claiming
+// n=4096 promises a 128 MiB matrix. Decode must reject it with ErrCorrupt,
+// allocating next to nothing, whether the stream tells its length or not.
+func TestDecodeChecksSizeBeforeAllocating(t *testing.T) {
+	snap := buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.NewGraph(1), 1)
+	ix, err := store.IndexOf(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With no edges the header ends where the rows begin, on n then m.
+	header := encodeToBytes(t, snap)[:ix.RowOffset]
+	binary.LittleEndian.PutUint32(header[len(header)-8:], 4096)
+	for name, r := range map[string]io.Reader{
+		"sized":   bytes.NewReader(header),
+		"unsized": unsized{bytes.NewReader(header)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := store.Decode(r)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("%s: decode of a %d-byte stream claiming n=4096: %v, want ErrCorrupt", name, len(header), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: rejecting a %d-byte stream allocated %d bytes", name, len(header), grew)
+		}
+	}
+}
+
+// TestDecodeUnsizedStream: a stream that cannot tell its length decodes
+// exactly as a sized one, and is held to the same length rule.
+func TestDecodeUnsizedStream(t *testing.T) {
+	snap := buildSnapshot(t, cliqueapsp.AlgExact, cliqueapsp.RandomGraph(12, 9, 1), 1)
+	raw := encodeToBytes(t, snap)
+	got, err := store.Decode(unsized{bytes.NewReader(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != snap.Version || got.Graph.NumEdges() != snap.Graph.NumEdges() || !sameDistances(got.Distances, snap.Distances) {
+		t.Fatalf("unsized decode %+v differs from the encoded snapshot", got)
+	}
+	for _, bad := range [][]byte{raw[:len(raw)-1], append(append([]byte(nil), raw...), 0)} {
+		if _, err := store.Decode(unsized{bytes.NewReader(bad)}); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("unsized decode of %d/%d bytes: %v, want ErrCorrupt", len(bad), len(raw), err)
+		}
 	}
 }
 

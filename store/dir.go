@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -197,8 +196,8 @@ func (d *Dir) Load(tenant string) (*Snapshot, error) {
 // snapshot's recorded version must match the requested one — the filename
 // is the caller's claim, the header is the file's own, and a disagreement
 // (a misplaced or tampered file) fails with ErrCorrupt rather than serving
-// another version's rows under this one's name. The header must also agree
-// with the file's length before Decode allocates the n×n matrix it
+// another version's rows under this one's name. Decode checks the header
+// against the file's length before it allocates the n×n matrix it
 // promises, so a short file claiming a large n fails with ErrCorrupt
 // without that allocation.
 func (d *Dir) LoadVersion(tenant string, version uint64) (*Snapshot, error) {
@@ -213,26 +212,12 @@ func (d *Dir) LoadVersion(tenant string, version uint64) (*Snapshot, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	ix, err := DecodeLayout(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", f.Name(), err)
-	}
-	if ix.Size != st.Size() {
-		return nil, fmt.Errorf("%s: %w: file is %d bytes, header implies %d", f.Name(), ErrCorrupt, st.Size(), ix.Size)
-	}
-	if ix.Version != version {
-		return nil, fmt.Errorf("%s: %w: records version %d, expected %d", f.Name(), ErrCorrupt, ix.Version, version)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	s, err := Decode(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", f.Name(), err)
+	}
+	if s.Version != version {
+		return nil, fmt.Errorf("%s: %w: records version %d, expected %d", f.Name(), ErrCorrupt, s.Version, version)
 	}
 	return s, nil
 }

@@ -8,7 +8,9 @@
 //   - A versioned binary snapshot codec (Encode/Decode): graph, distance
 //     rows, and provenance (algorithm, eps, seed, engine and format version)
 //     under a CRC-32C checksum. Both directions stream the distance matrix
-//     one row at a time, so an n=4096 estimate is never buffered twice.
+//     one row at a time, so an n=4096 estimate read from a file or a bytes
+//     reader is never buffered twice; Decode checks the header against the
+//     stream's length before it allocates the matrix.
 //     DecodeLayout reads only the header, which is all a tiered reader
 //     needs to locate any row (see RowIndex).
 //   - Dir, an on-disk layout holding one file per tenant per snapshot
